@@ -1,31 +1,35 @@
 """Command-line front end.
 
-Eight subcommands map one-to-one onto the experiment operations.  Every
-experiment run writes a CSV of rows, a JSON report validating against
-REPORT_SCHEMA with the run manifest echoed inside, and (when a growth fit
-exists) a log-log SVG.  Exit status: 0 when the run passed, 1 when an
-experiment ran but failed its certification, 2 for usage or configuration
-errors.
+Eight subcommands map one-to-one onto the experiment operations, through one
+command table.  Every experiment run writes a CSV of rows, a JSON report
+validating against REPORT_SCHEMA with the run manifest echoed inside, and
+(when a growth fit exists) a log-log SVG.  Exit status: 0 when the run
+passed, 1 when an experiment ran but failed its certification, 2 for usage,
+configuration or input errors.
 
 Parameter precedence, highest first: explicit flags, then a key=value config
 file, then the searched-parameter cache named by VARLAT_CACHE, then built-in
-defaults.
+defaults (the default r-list depends on the subcommand).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
+from . import __version__
 from .corefn import GrowthFit, fit_power_law
 from .errors import BadRange, EmptyInput, TruncationTooShallow, VarlatError
 from .experiments import (
+    REDUCTION_TARGET,
+    TRANSFER_TOLERANCE,
     ExperimentConfig,
     GridSpec,
     RatioReport,
@@ -37,25 +41,11 @@ from .experiments import (
     exp_maximal_contrast,
     exp_norm_transfer,
     exp_reduction_constant,
-    floor_r_times_j0,
 )
 from .variation import qvariation
 from .witnesses import LacunaryParams, key_estimate_table
 
-__version__ = "0.1.0"
-
 __all__ = ["run", "main", "RunManifest", "REPORT_SCHEMA", "emit_svg_loglog", "SUBCOMMANDS"]
-
-SUBCOMMANDS = (
-    "reduction-constant",
-    "key-estimate",
-    "linf-blowup",
-    "lr-growth",
-    "hilbert-growth",
-    "norm-transfer",
-    "maximal-contrast",
-    "variation",
-)
 
 REPORT_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -115,22 +105,40 @@ class RunManifest:
     version: str
     wall_clock_seconds: float
 
-    def payload(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "version": self.version,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
-
 
 # ---------------------------------------------------------------------------
 # argument parsing and layered resolution
 
-_INT_KEYS = ("kmin", "j0", "grid_points", "log_per_decade", "seed", "workers", "nodes", "trials", "j_max")
-_FLOAT_KEYS = ("p", "q", "a")
+_CACHE_ENV = "VARLAT_CACHE"
+
+_KINDS: dict[str, type] = {
+    **dict.fromkeys(("kmin", "j0", "grid_points", "log_per_decade", "seed", "nodes", "trials", "j_max"), int),
+    **dict.fromkeys(("p", "q", "a"), float),
+    "r_list": float,
+    "j1_list": int,
+}
+
+#: Built-in defaults shared by every subcommand; the r-list comes from the
+#: command table.  None marks a value filled in from the cache or from
+#: default_lacunary() (a, kmin, j0) or from j0 (j1_list).
+_DEFAULTS: dict = {
+    "p": 2.0,
+    "q": 3.0,
+    "a": None,
+    "kmin": None,
+    "j0": None,
+    "j1_list": None,
+    "grid_points": 1501,
+    "log_per_decade": 32,
+    "seed": 0,
+    "nodes": 2048,
+    "trials": 100,
+    "j_max": 30,
+    "out": ".",
+}
+
+#: Points a power-law fit needs before its slope means anything.
+_MIN_FIT_POINTS = 3
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -151,7 +159,6 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_argument("--log-per-decade", dest="log_per_decade", type=int)
         sub.add_argument("--seed", type=int)
         sub.add_argument("--out")
-        sub.add_argument("--workers", type=int)
         sub.add_argument("--nodes", type=int)
         if name == "norm-transfer":
             sub.add_argument("--trials", type=int)
@@ -162,53 +169,47 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _builtin_defaults() -> dict:
-    return {
-        "p": 2.0,
-        "q": 3.0,
-        "a": None,  # filled from cache or the built-in lacunary defaults
-        "kmin": None,
-        "j0": None,
-        "r_list": (4.0, 8.0, 16.0, 32.0),
-        "j1_list": None,
-        "grid_points": 1501,
-        "log_per_decade": 32,
-        "seed": 0,
-        "workers": os.cpu_count() or 1,
-        "nodes": 2048,
-        "trials": 100,
-        "j_max": 30,
-        "out": ".",
-    }
+def _numbers(kind: type, tokens: Sequence[str], where: str) -> list:
+    try:
+        return [kind(tok) for tok in tokens]
+    except ValueError as exc:
+        raise BadRange(f"{where}: {exc}") from None
 
 
-def _cache_path() -> str | None:
-    return os.environ.get("VARLAT_CACHE") or None
+def _parse_value(key: str, raw: str, where: str):
+    """Convert one raw flag or config value to its key's type."""
+    if key == "out":
+        return raw
+    kind = _KINDS.get(key)
+    if kind is None:
+        raise BadRange(f"{where}: unknown configuration key {key!r}")
+    if not key.endswith("_list"):
+        return _numbers(kind, [raw], where)[0]
+    values = tuple(_numbers(kind, [tok for tok in raw.split(",") if tok], where))
+    if not values:
+        raise BadRange(f"{where}: {key} is empty")
+    return values
 
 
 def _cache_overlay(resolved: dict) -> None:
-    path = _cache_path()
+    path = os.environ.get(_CACHE_ENV)
     if not path or not os.path.exists(path):
         return
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    for src, dst in (("a", "a"), ("k_min", "kmin"), ("j0", "j0")):
-        if src in data:
-            resolved[dst] = data[src]
-
-
-def _parse_scalar(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key == "r_list":
-        return tuple(float(tok) for tok in raw.split(",") if tok)
-    if key == "j1_list":
-        return tuple(int(tok) for tok in raw.split(",") if tok)
-    if key == "out":
-        return raw
-    raise BadRange(f"unknown configuration key {key!r}")
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadRange(f"{_CACHE_ENV} file {path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise BadRange(f"{_CACHE_ENV} file {path}: expected a JSON object")
+    for src, dst, kinds in (("a", "a", (int, float)), ("k_min", "kmin", int), ("j0", "j0", int)):
+        if src not in data:
+            continue
+        value = data[src]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            noun = "an integer" if kinds is int else "a number"
+            raise BadRange(f"{_CACHE_ENV} file {path}: {src} must be {noun}, got {value!r}")
+        resolved[dst] = value
 
 
 def _config_file_overlay(resolved: dict, path: str) -> None:
@@ -220,35 +221,44 @@ def _config_file_overlay(resolved: dict, path: str) -> None:
             if "=" not in stripped:
                 raise BadRange(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            resolved[key.replace("-", "_")] = _parse_scalar(key.replace("-", "_"), raw)
+            key = key.replace("-", "_")
+            resolved[key] = _parse_value(key, raw, f"{path}:{lineno}")
 
 
 def _flag_overlay(resolved: dict, args: argparse.Namespace) -> None:
-    for key in ("p", "q", "a", "kmin", "j0", "grid_points", "log_per_decade",
-                "seed", "workers", "nodes", "trials", "j_max", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    for key in ("r_list", "j1_list"):
-        raw = getattr(args, key, None)
-        if raw is not None:
-            resolved[key] = _parse_scalar(key, raw)
+    for key, value in vars(args).items():
+        if value is None or key in ("subcommand", "config"):
+            continue
+        if key.endswith("_list"):
+            value = _parse_value(key, value, "--" + key.replace("_", "-"))
+        resolved[key] = value
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    resolved = _builtin_defaults()
+def _resolve(args: argparse.Namespace, command: "Command") -> dict:
+    """Layer the parameter sources and reject values no run can use."""
+    resolved = {**_DEFAULTS, "r_list": command.r_list}
     _cache_overlay(resolved)
-    if getattr(args, "config", None):
+    if args.config:
         _config_file_overlay(resolved, args.config)
     _flag_overlay(resolved, args)
-    if resolved["a"] is None or resolved["kmin"] is None or resolved["j0"] is None:
+    if None in (resolved["a"], resolved["kmin"], resolved["j0"]):
         base = default_lacunary()
-        if resolved["a"] is None:
-            resolved["a"] = base.a
-        if resolved["kmin"] is None:
-            resolved["kmin"] = base.k_min
-        if resolved["j0"] is None:
-            resolved["j0"] = base.j0
+        for key, value in (("a", base.a), ("kmin", base.k_min), ("j0", base.j0)):
+            if resolved[key] is None:
+                resolved[key] = value
+    if resolved["j1_list"] is None:
+        resolved["j1_list"] = tuple(int(resolved["j0"]) + gap for gap in (4, 8, 16, 32, 64))
+
+    if resolved["trials"] < 1:
+        raise BadRange(f"trials must be at least 1, got {resolved['trials']}")
+    if resolved["seed"] < 0:
+        raise BadRange(f"seed must be nonnegative, got {resolved['seed']}")
+    if command.fit_over is not None and len(resolved[command.fit_over]) < _MIN_FIT_POINTS:
+        flag = "--" + command.fit_over.replace("_", "-")
+        raise BadRange(
+            f"{args.subcommand} fits a power law and needs at least {_MIN_FIT_POINTS} "
+            f"{flag} points, got {len(resolved[command.fit_over])}"
+        )
     return resolved
 
 
@@ -274,15 +284,7 @@ def _experiment_config(resolved: dict) -> ExperimentConfig:
         lacunary=lac,
         grid=grid,
         r_list=tuple(resolved["r_list"]),
-        j1_rule=floor_r_times_j0(),
     )
-
-
-def _j1_list(resolved: dict) -> tuple[int, ...]:
-    if resolved["j1_list"] is not None:
-        return tuple(int(j) for j in resolved["j1_list"])
-    j0 = int(resolved["j0"])
-    return tuple(j0 + gap for gap in (4, 8, 16, 32, 64))
 
 
 def _config_payload(resolved: dict, config: ExperimentConfig | None) -> dict:
@@ -293,7 +295,7 @@ def _config_payload(resolved: dict, config: ExperimentConfig | None) -> dict:
         "k_min": resolved["kmin"],
         "j0": resolved["j0"],
         "r_list": list(resolved["r_list"]),
-        "j1_list": list(_j1_list(resolved)),
+        "j1_list": list(resolved["j1_list"]),
         "grid": {
             "lin_points": resolved["grid_points"],
             "log_points_per_decade": resolved["log_per_decade"],
@@ -313,48 +315,35 @@ def _config_payload(resolved: dict, config: ExperimentConfig | None) -> dict:
 # ---------------------------------------------------------------------------
 # report writing
 
+_REPORT_HEADER = "param,numerator,denominator,ratio,seconds"
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, reports: Sequence[RatioReport]) -> None:
-    lines = ["param,numerator,denominator,ratio,seconds"]
-    for rep in reports:
-        lines.append(
-            f"{_fmt(rep.param)},{_fmt(rep.numerator)},{_fmt(rep.denominator)},"
-            f"{_fmt(rep.ratio)},{rep.seconds:.6f}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_text(path: str, text: str) -> None:
+    """Replace path atomically: readers see the old file or the new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def _fit_payload(fit: GrowthFit | None) -> dict | None:
-    if fit is None:
-        return None
-    return {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json(
-    path: str,
-    manifest: RunManifest,
-    certified_c: float,
-    fit: GrowthFit | None,
-    passed: bool,
-    extras: dict | None = None,
-) -> None:
-    payload = {
-        "config": manifest.config,
-        "certified_C": certified_c,
-        "fit": _fit_payload(fit),
-        "pass": passed,
-        "manifest": manifest.payload(),
-    }
-    if extras:
-        payload["extras"] = extras
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _report_row(rep: RatioReport) -> str:
+    return (
+        f"{_fmt(rep.param)},{_fmt(rep.numerator)},{_fmt(rep.denominator)},"
+        f"{_fmt(rep.ratio)},{rep.seconds:.6f}"
+    )
 
 
 def emit_svg_loglog(reports: Sequence[RatioReport], path: str) -> None:
@@ -410,12 +399,7 @@ def emit_svg_loglog(reports: Sequence[RatioReport], path: str) -> None:
         f'font-size="14">slope={slope:.3f}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def _out_path(resolved: dict, name: str) -> str:
@@ -424,263 +408,264 @@ def _out_path(resolved: dict, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _manifest(resolved: dict, subcommand: str, config: ExperimentConfig | None, t0: float) -> RunManifest:
-    return RunManifest(
-        subcommand=subcommand,
+def _write_reports(name: str, command: "Command", resolved: dict, outcome: "Outcome", t0: float) -> None:
+    """The CSV, the optional SVG and the JSON report of one finished run."""
+    header, rows = outcome.csv or (_REPORT_HEADER, [_report_row(rep) for rep in outcome.reports])
+    _write_text(_out_path(resolved, f"{name}.csv"), "\n".join([header, *rows]) + "\n")
+    if command.plots:
+        emit_svg_loglog(outcome.reports, _out_path(resolved, f"{name}.svg"))
+    config = outcome.config
+    manifest = RunManifest(
+        subcommand=name,
         config=_config_payload(resolved, config),
         seed=int(resolved["seed"]),
         out_dir=str(resolved["out"]),
         version=__version__,
         wall_clock_seconds=time.perf_counter() - t0,
     )
+    payload = {
+        "config": manifest.config,
+        "certified_C": config.lacunary.key_constant if outcome.certified_c is None else outcome.certified_c,
+        "fit": None if outcome.fit is None else asdict(outcome.fit),
+        "pass": outcome.passed,
+        "manifest": asdict(manifest),
+    }
+    if outcome.extras:
+        payload["extras"] = outcome.extras
+    _write_json(_out_path(resolved, f"{name}.json"), payload)
 
 
-def _cmd_reduction_constant(resolved: dict, t0: float) -> int:
-    value = exp_reduction_constant(int(resolved["nodes"]))
-    passed = abs(value - 0.5) <= 1e-6
-    print(f"{value:.12g}")
+# ---------------------------------------------------------------------------
+# the command table
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One finished run, in the shape the writers and summaries take."""
+
+    passed: bool
+    reports: Sequence[RatioReport] = ()
+    fit: GrowthFit | None = None
+    extras: dict = field(default_factory=dict)
+    config: ExperimentConfig | None = None
+    #: the JSON report's certified_C; None means the config's key constant
+    certified_c: float | None = None
+    #: CSV header and rows, when they are not the report rows
+    csv: tuple[str, Sequence[str]] | None = None
+    #: parameters a passing run records in the VARLAT_CACHE file
+    cache: dict | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its experiment call, defaults and output shape."""
+
+    run: Callable[[dict], Outcome]
+    summary: Callable[[Outcome], str]
+    r_list: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0)
+    plots: bool = False
+    #: resolved key whose points the pass condition fits a power law over
+    fit_over: str | None = None
+    #: whether the run writes CSV and JSON reports
+    writes_reports: bool = True
+
+
+def _reduction_constant(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
-    report = RatioReport(float(resolved["nodes"]), value, 0.5, value / 0.5, 0.0)
-    _write_csv(_out_path(resolved, "reduction-constant.csv"), [report])
-    manifest = _manifest(resolved, "reduction-constant", config, t0)
-    _write_json(
-        _out_path(resolved, "reduction-constant.json"),
-        manifest,
-        config.lacunary.key_constant,
-        None,
-        passed,
-        extras={"value": value, "target": 0.5},
+    nodes = int(resolved["nodes"])
+    value = exp_reduction_constant(nodes)
+    report = RatioReport(float(nodes), value, REDUCTION_TARGET, value / REDUCTION_TARGET, 0.0)
+    return Outcome(
+        abs(value - REDUCTION_TARGET) <= 1e-6,
+        [report],
+        extras={"value": value, "target": REDUCTION_TARGET},
+        config=config,
     )
-    return 0 if passed else 1
 
 
-def _cmd_key_estimate(resolved: dict, t0: float) -> int:
+def _key_estimate(resolved: dict) -> Outcome:
     # the certified constant is this subcommand's output, not its input: an
     # inadmissible truncation is a reportable FAIL here, not a usage error
     try:
         config = _experiment_config(resolved)
     except TruncationTooShallow as exc:
-        with open(_out_path(resolved, "key-estimate.csv"), "w", encoding="utf-8") as fh:
-            fh.write("j,D_j\n")
-        manifest = _manifest(resolved, "key-estimate", None, t0)
-        _write_json(
-            _out_path(resolved, "key-estimate.json"),
-            manifest,
-            0.0,
-            None,
+        return Outcome(
             False,
             extras={"a": resolved["a"], "j0": resolved["j0"], "reason": str(exc)},
+            certified_c=0.0,
+            csv=("j,D_j", []),
         )
-        print(f"key-estimate: a={resolved['a']:g} C=n/a pass=False ({exc})")
-        return 1
     result = exp_key_estimate(config, int(resolved["j_max"]))
-    lines = ["j,D_j"]
-    lines.extend(f"{j},{_fmt(d)}" for j, d in enumerate(result.table))
-    with open(_out_path(resolved, "key-estimate.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    manifest = _manifest(resolved, "key-estimate", config, t0)
-    _write_json(
-        _out_path(resolved, "key-estimate.json"),
-        manifest,
-        result.certified_c,
-        None,
+    return Outcome(
         result.passed,
         extras={"a": result.a, "j0": result.j0, "reason": result.reason},
+        config=config,
+        certified_c=result.certified_c,
+        csv=("j,D_j", [f"{j},{_fmt(d)}" for j, d in enumerate(result.table)]),
+        cache={
+            "a": result.a,
+            "k_min": config.lacunary.k_min,
+            "j0": result.j0,
+            "key_constant": result.certified_c,
+        },
     )
-    cache = _cache_path()
-    if cache and result.passed:
-        with open(cache, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "a": result.a,
-                    "k_min": config.lacunary.k_min,
-                    "j0": result.j0,
-                    "key_constant": result.certified_c,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-    print(f"key-estimate: a={result.a:g} C={result.certified_c:.6g} pass={result.passed}")
-    return 0 if result.passed else 1
 
 
-def _cmd_linf_blowup(resolved: dict, t0: float) -> int:
+def _key_summary(outcome: Outcome) -> str:
+    a = outcome.extras["a"]
+    if outcome.config is None:
+        return f"key-estimate: a={a:g} C=n/a pass=False ({outcome.extras['reason']})"
+    return f"key-estimate: a={a:g} C={outcome.certified_c:.6g} pass={outcome.passed}"
+
+
+def _linf_blowup(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
-    result = exp_linf_blowup(config, _j1_list(resolved), workers=int(resolved["workers"]))
-    _write_csv(_out_path(resolved, "linf-blowup.csv"), result.reports)
-    emit_svg_loglog(result.reports, _out_path(resolved, "linf-blowup.svg"))
-    manifest = _manifest(resolved, "linf-blowup", config, t0)
-    _write_json(
-        _out_path(resolved, "linf-blowup.json"),
-        manifest,
-        config.lacunary.key_constant,
-        result.fit,
-        result.passed,
-        extras={"denominator_target": result.denominator_target},
-    )
-    slope = result.fit.slope if result.fit else float("nan")
-    print(
-        f"linf-blowup: slope={slope:.3f} target={1.0 / config.q:.3f} pass={result.passed}"
-    )
-    return 0 if result.passed else 1
+    result = exp_linf_blowup(config, resolved["j1_list"])
+    extras = {"denominator_target": result.denominator_target}
+    return Outcome(result.passed, result.reports, result.fit, extras, config)
 
 
-def _cmd_maximal_contrast(resolved: dict, t0: float) -> int:
+def _maximal_contrast(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
-    result = exp_maximal_contrast(config, _j1_list(resolved), workers=int(resolved["workers"]))
-    _write_csv(_out_path(resolved, "maximal-contrast.csv"), result.reports)
-    emit_svg_loglog(result.reports, _out_path(resolved, "maximal-contrast.svg"))
-    manifest = _manifest(resolved, "maximal-contrast", config, t0)
+    result = exp_maximal_contrast(config, resolved["j1_list"])
     variation_fit = None
-    if len(result.pairs) >= 3:
+    if len(result.pairs) >= _MIN_FIT_POINTS:
         variation_fit = fit_power_law(
             [pair.j1 - config.lacunary.j0 for pair in result.pairs],
             [pair.variation_ratio for pair in result.pairs],
         )
-    _write_json(
-        _out_path(resolved, "maximal-contrast.json"),
-        manifest,
-        config.lacunary.key_constant,
-        variation_fit,
-        result.passed,
-        extras={
-            "variation_growth": result.variation_growth,
-            "maximal_spread": result.maximal_spread,
-            "pairs": [
-                {
-                    "j1": pair.j1,
-                    "variation_ratio": pair.variation_ratio,
-                    "maximal_ratio": pair.maximal_ratio,
-                }
-                for pair in result.pairs
-            ],
-        },
-    )
-    print(
-        f"maximal-contrast: spread={result.maximal_spread:.3f} "
-        f"growth={result.variation_growth:.2f} pass={result.passed}"
-    )
-    return 0 if result.passed else 1
+    extras = {
+        "variation_growth": result.variation_growth,
+        "maximal_spread": result.maximal_spread,
+        "pairs": [asdict(pair) for pair in result.pairs],
+    }
+    return Outcome(result.passed, result.reports, variation_fit, extras, config)
 
 
-def _cmd_lr_growth(resolved: dict, t0: float) -> int:
+def _lr_growth(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
-    result = exp_lr_growth(config, workers=int(resolved["workers"]))
-    _write_csv(_out_path(resolved, "lr-growth.csv"), result.reports)
-    emit_svg_loglog(result.reports, _out_path(resolved, "lr-growth.svg"))
-    manifest = _manifest(resolved, "lr-growth", config, t0)
-    _write_json(
-        _out_path(resolved, "lr-growth.json"),
-        manifest,
-        config.lacunary.key_constant,
-        result.fit,
-        result.passed,
-        extras={
-            "delta_radius": result.delta_radius,
-            "bounds": list(result.bound_values),
-        },
-    )
-    slope = result.fit.slope if result.fit else float("nan")
-    print(f"lr-growth: slope={slope:.3f} target={1.0 / config.q:.3f} pass={result.passed}")
-    return 0 if result.passed else 1
+    result = exp_lr_growth(config)
+    extras = {"delta_radius": result.delta_radius, "bounds": list(result.bound_values)}
+    return Outcome(result.passed, result.reports, result.fit, extras, config)
 
 
-def _cmd_hilbert_growth(resolved: dict, t0: float) -> int:
+def _hilbert_growth(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
-    result = exp_hilbert_growth(config, workers=int(resolved["workers"]))
-    _write_csv(_out_path(resolved, "hilbert-growth.csv"), result.reports)
-    emit_svg_loglog(result.reports, _out_path(resolved, "hilbert-growth.svg"))
-    manifest = _manifest(resolved, "hilbert-growth", config, t0)
-    _write_json(
-        _out_path(resolved, "hilbert-growth.json"),
-        manifest,
-        config.lacunary.key_constant,
-        result.fit,
-        result.passed,
-        extras={"bounds": list(result.bound_values)},
-    )
-    slope = result.fit.slope if result.fit else float("nan")
-    print(f"hilbert-growth: slope={slope:.3f} target=1.000 pass={result.passed}")
-    return 0 if result.passed else 1
+    result = exp_hilbert_growth(config)
+    extras = {"bounds": list(result.bound_values)}
+    return Outcome(result.passed, result.reports, result.fit, extras, config)
 
 
-def _cmd_norm_transfer(resolved: dict, t0: float) -> int:
+def _norm_transfer(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
     seed = int(resolved["seed"])
     trials = int(resolved["trials"])
     reports = []
     worst = 0.0
-    for i in range(trials):
+    for trial_seed in range(seed, seed + trials):
         trial_start = time.perf_counter()
-        result = exp_norm_transfer(seed + i, p=config.p, q=config.q, r=config.r_list[0])
+        result = exp_norm_transfer(trial_seed, p=config.p, q=config.q, r=config.r_list[0])
         worst = max(worst, result.max_rel_discrepancy)
         reports.append(
             RatioReport(
-                float(seed + i),
+                float(trial_seed),
                 result.variation_integral,
                 result.variation_sequence,
                 result.variation_integral / result.variation_sequence,
                 time.perf_counter() - trial_start,
             )
         )
-    passed = worst <= 1e-10
-    _write_csv(_out_path(resolved, "norm-transfer.csv"), reports)
-    manifest = _manifest(resolved, "norm-transfer", config, t0)
-    _write_json(
-        _out_path(resolved, "norm-transfer.json"),
-        manifest,
-        config.lacunary.key_constant,
-        None,
-        passed,
-        extras={"trials": trials, "max_rel_discrepancy": worst},
-    )
-    print(f"norm-transfer: trials={trials} worst={worst:.3e} pass={passed}")
-    return 0 if passed else 1
+    extras = {"trials": trials, "max_rel_discrepancy": worst}
+    return Outcome(worst <= TRANSFER_TOLERANCE, reports, extras=extras, config=config)
 
 
-def _cmd_variation(resolved: dict, args: argparse.Namespace) -> int:
-    with open(args.values, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    tokens = [tok for tok in re.split(r"[,\s]+", text.strip()) if tok]
+def _variation(resolved: dict) -> Outcome:
+    path = resolved["values"]
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = [tok for tok in re.split(r"[,\s]+", fh.read().strip()) if tok]
     if not tokens:
-        raise EmptyInput(f"no values found in {args.values}")
-    certificate = qvariation([float(tok) for tok in tokens], float(resolved["q"]))
-    print(f"{certificate.value:.12g}")
-    print(" ".join(str(i) for i in certificate.subsequence))
-    return 0
+        raise EmptyInput(f"no values found in {path}")
+    certificate = qvariation(_numbers(float, tokens, path), float(resolved["q"]))
+    return Outcome(True, extras={"value": certificate.value, "subsequence": certificate.subsequence})
 
 
-_HANDLERS: dict[str, Callable[[dict, float], int]] = {
-    "reduction-constant": _cmd_reduction_constant,
-    "key-estimate": _cmd_key_estimate,
-    "linf-blowup": _cmd_linf_blowup,
-    "lr-growth": _cmd_lr_growth,
-    "hilbert-growth": _cmd_hilbert_growth,
-    "norm-transfer": _cmd_norm_transfer,
-    "maximal-contrast": _cmd_maximal_contrast,
+def _slope_summary(name: str, target: Callable[[ExperimentConfig], float]) -> Callable[[Outcome], str]:
+    return lambda o: (
+        f"{name}: slope={o.fit.slope:.3f} target={target(o.config):.3f} pass={o.passed}"
+    )
+
+
+_COMMANDS: dict[str, Command] = {
+    "reduction-constant": Command(_reduction_constant, lambda o: f"{o.extras['value']:.12g}"),
+    "key-estimate": Command(_key_estimate, _key_summary),
+    "linf-blowup": Command(
+        _linf_blowup,
+        _slope_summary("linf-blowup", lambda c: 1.0 / c.q),
+        plots=True,
+        fit_over="j1_list",
+    ),
+    "lr-growth": Command(
+        _lr_growth,
+        _slope_summary("lr-growth", lambda c: 1.0 / c.q),
+        plots=True,
+        fit_over="r_list",
+    ),
+    "hilbert-growth": Command(
+        _hilbert_growth,
+        _slope_summary("hilbert-growth", lambda c: 1.0),
+        r_list=(8.0, 16.0, 32.0, 64.0),
+        plots=True,
+        fit_over="r_list",
+    ),
+    "norm-transfer": Command(
+        _norm_transfer,
+        lambda o: (
+            f"norm-transfer: trials={o.extras['trials']} "
+            f"worst={o.extras['max_rel_discrepancy']:.3e} pass={o.passed}"
+        ),
+    ),
+    "maximal-contrast": Command(
+        _maximal_contrast,
+        lambda o: (
+            f"maximal-contrast: spread={o.extras['maximal_spread']:.3f} "
+            f"growth={o.extras['variation_growth']:.2f} pass={o.passed}"
+        ),
+        plots=True,
+    ),
+    "variation": Command(
+        _variation,
+        lambda o: f"{o.extras['value']:.12g}\n" + " ".join(str(i) for i in o.extras["subsequence"]),
+        writes_reports=False,
+    ),
 }
+
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse arguments, dispatch, and map outcomes to exit codes."""
+    """Parse arguments, run the subcommand, and map outcomes to exit codes."""
     try:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     t0 = time.perf_counter()
+    command = _COMMANDS[args.subcommand]
     try:
-        resolved = _resolve(args)
-        if args.subcommand == "variation":
-            return _cmd_variation(resolved, args)
-        return _HANDLERS[args.subcommand](resolved, t0)
+        resolved = _resolve(args, command)
+        outcome = command.run(resolved)
+        if command.writes_reports:
+            _write_reports(args.subcommand, command, resolved, outcome, t0)
+        cache = os.environ.get(_CACHE_ENV)
+        if cache and outcome.passed and outcome.cache is not None:
+            _write_json(cache, outcome.cache)
+        print(command.summary(outcome))
     except VarlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    return 0 if outcome.passed else 1
 
 
 def main() -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "pcf_eval_many",
     "pcf_antiderivative_eval",
     "pcf_antiderivative_eval_many",
-    "pcf_shift",
     "trapezoid_weights",
     "make_grid",
     "make_profile",
@@ -47,10 +46,6 @@ __all__ = [
     "sliding_sup",
     "sliding_power_sum",
     "fit_power_law",
-    "pcf_to_csv",
-    "pcf_from_csv",
-    "profile_to_csv",
-    "profile_from_csv",
 ]
 
 
@@ -156,13 +151,6 @@ def pcf_antiderivative_eval(f: PiecewiseConstantFn, x: float) -> float:
 
 def pcf_antiderivative_eval_many(f: PiecewiseConstantFn, xs: Iterable[float]) -> np.ndarray:
     return np.interp(np.asarray(xs, dtype=float), f.breakpoints_array, f.cumulative_mass)
-
-
-def pcf_shift(f: PiecewiseConstantFn, c: float) -> PiecewiseConstantFn:
-    """The translate x -> f(x - c)."""
-    if not math.isfinite(c):
-        raise NonFiniteValue("shift must be finite")
-    return PiecewiseConstantFn(tuple(b + c for b in f.breakpoints), f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -450,60 +438,3 @@ def fit_power_law(xs: Iterable[float], ys: Iterable[float]) -> GrowthFit:
     r2 = min(1.0, max(0.0, r2))
     return GrowthFit(slope, intercept, r2)
 
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-
-
-def pcf_to_csv(f: PiecewiseConstantFn) -> str:
-    """Two columns: breakpoint and the value of the cell starting there.
-
-    The final row carries the last breakpoint and an empty value.
-    """
-    lines = ["breakpoint,value"]
-    for b, c in zip(f.breakpoints[:-1], f.values):
-        lines.append(f"{b!r},{c!r}")
-    lines.append(f"{f.breakpoints[-1]!r},")
-    return "\n".join(lines) + "\n"
-
-
-def pcf_from_csv(text: str) -> PiecewiseConstantFn:
-    rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not rows or rows[0] != "breakpoint,value":
-        raise BadRange("expected header 'breakpoint,value'")
-    bps: list[float] = []
-    vals: list[float] = []
-    for i, row in enumerate(rows[1:]):
-        cells = row.split(",")
-        if len(cells) != 2:
-            raise BadRange(f"row {i + 1} is not two columns: {row!r}")
-        bps.append(float(cells[0]))
-        if cells[1]:
-            vals.append(float(cells[1]))
-        elif i != len(rows) - 2:
-            raise BadRange("only the final row may have an empty value")
-    return make_pcf(bps, vals)
-
-
-def profile_to_csv(profile: ScalarProfile) -> str:
-    lines = ["point,weight,value"]
-    for x, w, v in zip(profile.grid.points, profile.grid.weights, profile.values):
-        lines.append(f"{x!r},{w!r},{v!r}")
-    return "\n".join(lines) + "\n"
-
-
-def profile_from_csv(text: str) -> ScalarProfile:
-    rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not rows or rows[0] != "point,weight,value":
-        raise BadRange("expected header 'point,weight,value'")
-    pts: list[float] = []
-    ws: list[float] = []
-    vs: list[float] = []
-    for row in rows[1:]:
-        cells = row.split(",")
-        if len(cells) != 3:
-            raise BadRange(f"profile row is not three columns: {row!r}")
-        pts.append(float(cells[0]))
-        ws.append(float(cells[1]))
-        vs.append(float(cells[2]))
-    return make_profile(make_grid(pts, ws), vs)

@@ -19,6 +19,7 @@ the bulk keeps the reported ratio a certified lower bound while exposing the
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -64,18 +65,15 @@ from .variation import (
 from .witnesses import (
     KEY_THRESHOLD,
     LacunaryParams,
+    _require_admissible,
     geometric_radius_set,
     delta_halving_radius,
     key_estimate_table,
     lacunary_sign,
-    truncation_tail_bound,
 )
 
 __all__ = [
     "GridSpec",
-    "J1Rule",
-    "explicit_j1",
-    "floor_r_times_j0",
     "ExperimentConfig",
     "RatioReport",
     "KeyEstimateResult",
@@ -111,7 +109,6 @@ HILBERT_SLOPE_WINDOW = (0.9, 1.1)
 CONTRAST_SPREAD_LIMIT = 0.25
 CONTRAST_GROWTH_FLOOR = 2.0
 TRANSFER_TOLERANCE = 1e-10
-TAIL_TOLERANCE = 1e-10
 
 #: The subordination weight integrates to exactly 1/2 on [0, infinity).
 REDUCTION_TARGET = 0.5
@@ -154,34 +151,6 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class J1Rule:
-    """How the deepest scale index is chosen for the power-sum experiment."""
-
-    kind: str
-    j1: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("explicit", "floor_r_times_j0"):
-            raise BadRange(f"unknown j1 rule {self.kind!r}")
-        if self.kind == "explicit" and (self.j1 is None or self.j1 < 1):
-            raise BadRange("an explicit j1 rule needs j1 >= 1")
-
-    def resolve(self, r: float, j0: int) -> int:
-        if self.kind == "explicit":
-            assert self.j1 is not None
-            return self.j1
-        return int(math.floor(r)) * j0
-
-
-def explicit_j1(j1: int) -> J1Rule:
-    return J1Rule("explicit", j1)
-
-
-def floor_r_times_j0() -> J1Rule:
-    return J1Rule("floor_r_times_j0")
-
-
 @lru_cache(maxsize=8)
 def default_lacunary() -> LacunaryParams:
     """Base-2 witness parameters with the certified key constant baked in.
@@ -203,7 +172,6 @@ class ExperimentConfig:
     lacunary: LacunaryParams = field(default_factory=default_lacunary)
     grid: GridSpec = field(default_factory=GridSpec)
     r_list: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0)
-    j1_rule: J1Rule = field(default_factory=floor_r_times_j0)
 
     def __post_init__(self) -> None:
         if not self.p > 1:
@@ -304,11 +272,11 @@ class NormTransferResult:
 # small shared helpers
 
 
-def _map_ordered(task: Callable, params: Sequence, workers: int | None):
-    if workers is not None and workers > 1 and len(params) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, params))
-    return [task(x) for x in params]
+def _map_ordered(task: Callable, params: Sequence) -> list:
+    # numpy and scipy release the GIL inside their array kernels, so the rows
+    # overlap on one thread per CPU
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        return list(pool.map(task, params))
 
 
 def _masked_p_norm(grid: SampleGrid, values: np.ndarray, mask: np.ndarray, p: float) -> float:
@@ -317,15 +285,6 @@ def _masked_p_norm(grid: SampleGrid, values: np.ndarray, mask: np.ndarray, p: fl
         return float(v.max()) if v.size else 0.0
     w = grid.weights_array[mask]
     return float((w @ v**p) ** (1.0 / p))
-
-
-def _require_blowup_admissible(lac: LacunaryParams, j1: int) -> None:
-    bound = truncation_tail_bound(lac.a, lac.k_min, j1)
-    if not bound < TAIL_TOLERANCE:
-        raise TruncationTooShallow(
-            f"tail bound {bound:.3e} at scale index {j1} exceeds {TAIL_TOLERANCE:.0e}; "
-            f"lower k_min below {lac.k_min}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +357,7 @@ def _profile_bundle(
         raise BadRange("deepest scale index must exceed j0")
     if j1 > MAX_J1_FACTOR * lac.j0:
         raise BadRange(f"j1 capped at {MAX_J1_FACTOR} * j0")
-    _require_blowup_admissible(lac, j1)
+    _require_admissible(lac.a, lac.k_min, j1)
     window = _core_window(lac, j1)
     floor = lac.a ** (-(j1 + 4.0)) if min_scale is None else float(min_scale)
     if not 0.0 < floor < window:
@@ -489,9 +448,7 @@ def _validated_j1_list(config: ExperimentConfig, j1_list: Sequence[int]) -> tupl
     return out
 
 
-def exp_linf_blowup(
-    config: ExperimentConfig, j1_list: Sequence[int], workers: int | None = None
-) -> BlowupResult:
+def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> BlowupResult:
     """Sup-norm variation ratio against depth.
 
     numerator: L^p over the unit interval of the radius-1 sliding sup of the
@@ -510,7 +467,7 @@ def exp_linf_blowup(
         # so downstream plots fit the same quantity this function reports.
         return _make_report(j1 - config.lacunary.j0, num, den, time.perf_counter() - t0)
 
-    reports = tuple(_map_ordered(task, depths, workers))
+    reports = tuple(_map_ordered(task, depths))
     ratios = [rep.ratio for rep in reports]
     fit = None
     if len(reports) >= 3:
@@ -523,9 +480,7 @@ def exp_linf_blowup(
     return BlowupResult(reports, fit, target, increasing and den_ok and slope_ok and r2_ok)
 
 
-def exp_maximal_contrast(
-    config: ExperimentConfig, j1_list: Sequence[int], workers: int | None = None
-) -> MaximalContrastResult:
+def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> MaximalContrastResult:
     """Same pipeline with the maximal operator in place of the variation.
 
     The variation ratios are shared bit for bit with exp_linf_blowup (same
@@ -541,7 +496,7 @@ def exp_maximal_contrast(
         report = _make_report(j1 - config.lacunary.j0, num_max, den, time.perf_counter() - t0)
         return ContrastPair(j1, num_var / den, num_max / den), report
 
-    rows = _map_ordered(task, depths, workers)
+    rows = _map_ordered(task, depths)
     pairs = tuple(pair for pair, _ in rows)
     reports = tuple(report for _, report in rows)
     max_ratios = [pair.maximal_ratio for pair in pairs]
@@ -549,6 +504,11 @@ def exp_maximal_contrast(
     growth = pairs[-1].variation_ratio / pairs[0].variation_ratio
     passed = spread < CONTRAST_SPREAD_LIMIT and growth > CONTRAST_GROWTH_FLOOR
     return MaximalContrastResult(pairs, reports, growth, spread, passed)
+
+
+def _lr_depth(r: float, j0: int) -> int:
+    """Deepest scale index of the power-sum experiment at exponent r."""
+    return int(math.floor(r)) * j0
 
 
 def lr_numerator(config: ExperimentConfig, r: float, min_scale: float | None = None) -> float:
@@ -559,19 +519,19 @@ def lr_numerator(config: ExperimentConfig, r: float, min_scale: float | None = N
     scales can only lower the value (the integrand is nonnegative), which is
     the grid-sensitivity regression the tests pin down.
     """
-    j1 = config.j1_rule.resolve(r, config.lacunary.j0)
+    j1 = _lr_depth(r, config.lacunary.j0)
     grid, var_prof, _ = _profile_bundle(config, j1, min_scale)
     mask = _unit_mask(grid)
     swept = sliding_power_sum(var_prof, 1.0, r)
     return _masked_p_norm(grid, swept.values_array, mask, config.p)
 
 
-def exp_lr_growth(config: ExperimentConfig, workers: int | None = None) -> LrGrowthResult:
+def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:
     """Power-sum variation ratio against the inner exponent r.
 
-    For each r in config.r_list the depth is j1 = floor(r) * j0 (unless the
-    rule pins it), the numerator runs the power-sum window over the core
-    variation profile, and the denominator is the computed power-sum norm of
+    For each r in config.r_list the depth is j1 = floor(r) * j0, the
+    numerator runs the power-sum window over the core variation profile,
+    and the denominator is the computed power-sum norm of
     |G| (at most 2^(1/r) 3^(1/p)).  Each ratio must clear the certified
     closed-form floor (C/4) r^(1/q) / (2^(1/r) 3^(1/p)).
     """
@@ -583,11 +543,11 @@ def exp_lr_growth(config: ExperimentConfig, workers: int | None = None) -> LrGro
         den = _power_denominator(config, r)
         return _make_report(r, num, den, time.perf_counter() - t0)
 
-    reports = tuple(_map_ordered(task, config.r_list, workers))
+    reports = tuple(_map_ordered(task, config.r_list))
     fit = None
     if len(reports) >= 3:
         fit = fit_power_law(config.r_list, [rep.ratio for rep in reports])
-    deepest = config.j1_rule.resolve(config.r_list[-1], lac.j0)
+    deepest = _lr_depth(config.r_list[-1], lac.j0)
     delta = delta_halving_radius(lac.a, lac.k_min, lac.j0, deepest)
     bounds = tuple(
         (lac.key_constant / 4.0)
@@ -644,7 +604,7 @@ def hilbert_inner_norm(r: float, grid_spec: GridSpec | None = None) -> float:
     return float((2.0 * (grid.weights_array @ integrand)) ** (1.0 / r))
 
 
-def exp_hilbert_growth(config: ExperimentConfig, workers: int | None = None) -> HilbertGrowthResult:
+def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
     """Variation-free singular-integral growth: ratio against the exponent r.
 
     numerator: L^p over the unit interval of the inner L^r norm of the
@@ -662,7 +622,7 @@ def exp_hilbert_growth(config: ExperimentConfig, workers: int | None = None) -> 
         den = 2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p)
         return _make_report(r, num, den, time.perf_counter() - t0)
 
-    reports = tuple(_map_ordered(task, config.r_list, workers))
+    reports = tuple(_map_ordered(task, config.r_list))
     fit = None
     if len(reports) >= 3:
         fit = fit_power_law(config.r_list, [rep.ratio for rep in reports])

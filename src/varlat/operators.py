@@ -35,12 +35,10 @@ __all__ = [
     "OperatorFamily",
     "avg_apply",
     "avg_apply_many",
-    "heat_kernel_value",
     "heat_apply",
     "heat_apply_many",
     "hilbert_apply",
     "hilbert_apply_many",
-    "family_values",
     "family_value_matrix",
     "heat_integral_representation_check",
     "gauss_legendre_integrate",
@@ -71,9 +69,13 @@ def avg_apply(f: PiecewiseConstantFn, t: float, x: float) -> float:
     return float(avg_apply_many(f, t, np.array([x]))[0])
 
 
-def avg_apply_many(f: PiecewiseConstantFn, t: float, xs: Iterable[float]) -> np.ndarray:
-    if not t > 0:
-        raise NonPositiveRadius("averaging radius must be positive")
+def avg_apply_many(
+    f: PiecewiseConstantFn, t: float | np.ndarray, xs: float | Iterable[float]
+) -> np.ndarray:
+    """A_t f(x) with radii t and points x broadcast against each other."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise NonPositiveRadius("averaging radii must be positive")
     x = np.asarray(xs, dtype=float)
     upper = pcf_antiderivative_eval_many(f, x + t)
     lower = pcf_antiderivative_eval_many(f, x - t)
@@ -82,13 +84,6 @@ def avg_apply_many(f: PiecewiseConstantFn, t: float, xs: Iterable[float]) -> np.
 
 # ---------------------------------------------------------------------------
 # heat semigroup
-
-
-def heat_kernel_value(s: float, x: float) -> float:
-    """Gaussian kernel (4 pi s)^(-1/2) exp(-x^2 / (4 s)); unit mass."""
-    if not s > 0:
-        raise NonPositiveTime("heat time must be positive")
-    return math.exp(-x * x / (4.0 * s)) / math.sqrt(4.0 * math.pi * s)
 
 
 def _kernel_cdf(w: np.ndarray) -> np.ndarray:
@@ -148,11 +143,6 @@ def _radii_of(J) -> tuple[float, ...]:
     if radii is None:
         radii = tuple(J)
     return tuple(float(t) for t in radii)
-
-
-def family_values(f: PiecewiseConstantFn, family: OperatorFamily, J, x: float) -> tuple[float, ...]:
-    """Evaluate the family at one point, in J's decreasing-radius order."""
-    return tuple(family_value_matrix(f, family, J, np.array([x]))[0].tolist())
 
 
 def family_value_matrix(
@@ -223,7 +213,7 @@ def heat_integral_representation_check(
     spans = [(a, b) for a, b, k in zip(edges[:-1], edges[1:], keep) if k]
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return avg_apply_many_in_radius(f, t * root, x) * _subordination_weight(t)
+        return avg_apply_many(f, t * root, x) * _subordination_weight(t)
 
     total_width = sum(b - a for a, b in spans)
     panels = []
@@ -239,12 +229,3 @@ def heat_integral_representation_check(
             panels.append(gauss_legendre_integrate(integrand, lo, hi, min(n, 256)))
     return abs(lhs - math.fsum(panels))
 
-
-def avg_apply_many_in_radius(f: PiecewiseConstantFn, ts: np.ndarray, x: float) -> np.ndarray:
-    """A_t f(x) for an array of radii t > 0 at a fixed point."""
-    t = np.asarray(ts, dtype=float)
-    if np.any(t <= 0):
-        raise NonPositiveRadius("averaging radii must be positive")
-    upper = pcf_antiderivative_eval_many(f, x + t)
-    lower = pcf_antiderivative_eval_many(f, x - t)
-    return (upper - lower) / t

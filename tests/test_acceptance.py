@@ -7,7 +7,6 @@ the criteria that share them, including the grid-stability recheck, reuse the
 same results instead of recomputing.
 """
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ from varlat import (
     unit_indicator,
 )
 
-WORKERS = os.cpu_count() or 1
 K_MIN = -120
 BLOWUP_DEPTHS = (6, 10, 18, 34, 66)  # j0 + {4, 8, 16, 32, 64} with j0 = 2
 HILBERT_R_LIST = (8.0, 16.0, 32.0, 64.0)
@@ -76,18 +74,18 @@ def base_config():
 
 @pytest.fixture(scope="module")
 def blowup_run(base_config):
-    return _timed(exp_linf_blowup, base_config, BLOWUP_DEPTHS, workers=WORKERS)
+    return _timed(exp_linf_blowup, base_config, BLOWUP_DEPTHS)
 
 
 @pytest.fixture(scope="module")
 def contrast_run(base_config, blowup_run):
     # ordered after blowup_run so the shared profile cache is already warm
-    return _timed(exp_maximal_contrast, base_config, BLOWUP_DEPTHS, workers=WORKERS)
+    return _timed(exp_maximal_contrast, base_config, BLOWUP_DEPTHS)
 
 
 @pytest.fixture(scope="module")
 def lr_run(base_config):
-    return _timed(exp_lr_growth, base_config, workers=WORKERS)
+    return _timed(exp_lr_growth, base_config)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +95,7 @@ def hilbert_config():
 
 @pytest.fixture(scope="module")
 def hilbert_run(hilbert_config):
-    return _timed(exp_hilbert_growth, hilbert_config, workers=WORKERS)
+    return _timed(exp_hilbert_growth, hilbert_config)
 
 
 def test_criterion_01_reduction_constant():
@@ -291,9 +289,9 @@ def test_criterion_10_grid_stability(base_config, hilbert_config,
     fine_hilbert = ExperimentConfig(r_list=HILBERT_R_LIST, grid=doubled)
 
     t0 = time.perf_counter()
-    fine_blowup = exp_linf_blowup(fine_base, BLOWUP_DEPTHS, workers=WORKERS)
-    fine_lr = exp_lr_growth(fine_base, workers=WORKERS)
-    fine_hil = exp_hilbert_growth(fine_hilbert, workers=WORKERS)
+    fine_blowup = exp_linf_blowup(fine_base, BLOWUP_DEPTHS)
+    fine_lr = exp_lr_growth(fine_base)
+    fine_hil = exp_hilbert_growth(fine_hilbert)
     seconds = time.perf_counter() - t0
 
     def max_shift(coarse, fine):

@@ -5,6 +5,7 @@ import os
 import jsonschema
 import pytest
 
+import varlat
 from varlat import EmptyInput, RatioReport
 from varlat.cli import REPORT_SCHEMA, emit_svg_loglog, run
 
@@ -23,9 +24,15 @@ class TestExitCodes:
 
     def test_unknown_flag(self):
         assert run(["reduction-constant", "--does-not-exist", "1"]) == 2
+        # the thread count is os.cpu_count(), not an option
+        assert run(["linf-blowup", "--workers", "2"]) == 2
 
     def test_variation_requires_values(self):
         assert run(["variation"]) == 2
+
+    def test_version_is_the_package_version(self, capsys):
+        assert run(["--version"]) == 0
+        assert capsys.readouterr().out == f"varlat {varlat.__version__}\n"
 
     def test_help_exits_clean(self):
         with pytest.raises(SystemExit) as exc:
@@ -55,6 +62,12 @@ class TestVariationCommand:
         values = tmp_path / "empty.txt"
         values.write_text("  \n")
         assert run(["variation", "--values", str(values)]) == 2
+
+    def test_non_numeric_value_is_an_error(self, tmp_path, capsys):
+        values = tmp_path / "values.txt"
+        values.write_text("0 1 two 3")
+        assert run(["variation", "--values", str(values)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["variation", "--values", str(tmp_path / "nope.txt")]) == 2
@@ -182,6 +195,37 @@ class TestParameterCache:
         assert run(["key-estimate", "--a", "1.000000001", "--out", str(tmp_path)]) == 1
         assert not cache.exists()
 
+    def test_passing_run_replaces_cache_atomically(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        cache = cache_dir / "cache.json"
+        cache.write_text(json.dumps({"a": 2.0, "k_min": -120, "j0": 2, "stale": True}))
+        monkeypatch.setenv("VARLAT_CACHE", str(cache))
+        assert run(["key-estimate", "--out", str(tmp_path / "out")]) == 0
+        data = _read_json(cache)
+        assert "stale" not in data
+        assert data["key_constant"] == pytest.approx(0.0173073522282, abs=1e-10)
+        assert os.listdir(cache_dir) == ["cache.json"]
+
+    def test_failed_cache_replace_keeps_old_cache(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        cache = cache_dir / "cache.json"
+        old = json.dumps({"a": 2.0, "k_min": -120, "j0": 2})
+        cache.write_text(old)
+        monkeypatch.setenv("VARLAT_CACHE", str(cache))
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.fspath(dst) == str(cache):
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(["key-estimate", "--out", str(tmp_path / "out")]) == 2
+        assert cache.read_text() == old
+        assert os.listdir(cache_dir) == ["cache.json"]
+
     def test_flag_beats_cache(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps({"a": 4.0, "k_min": -120, "j0": 2}))
@@ -244,3 +288,77 @@ class TestSvgEmitter:
     def test_rejects_single_report(self, tmp_path):
         with pytest.raises(EmptyInput):
             emit_svg_loglog(self.REPORTS[:1], str(tmp_path / "plot.svg"))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "flags, config, cache",
+        [
+            (["--r-list", "4,abc"], None, None),
+            (["--seed", "-1"], None, None),
+            ([], "p = x\n", None),
+            ([], None, "{not json"),
+            ([], None, '{"a": "two"}'),
+        ],
+        ids=["r-list-token", "negative-seed", "config-value", "cache-json", "cache-value"],
+    )
+    def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, flags, config, cache):
+        argv = ["lr-growth", *flags, "--out", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        if cache is not None:
+            (tmp_path / "cache.json").write_text(cache)
+            monkeypatch.setenv("VARLAT_CACHE", str(tmp_path / "cache.json"))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm-transfer", "--trials", "0"],
+            ["norm-transfer", "--trials", "-3"],
+            ["linf-blowup", "--j1-list", "6,10"],
+            ["lr-growth", "--r-list", "4,8"],
+            ["hilbert-growth", "--r-list", "8,16"],
+        ],
+    )
+    def test_vacuous_run_rejected_before_computing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestExperimentCommands:
+    @pytest.mark.parametrize(
+        "name, flags, rows",
+        [
+            ("linf-blowup", ["--j1-list", "6,10,18"], 3),
+            ("maximal-contrast", ["--j1-list", "6,18,66"], 3),
+            ("lr-growth", ["--r-list", "4,8,16"], 3),
+            ("hilbert-growth", ["--r-list", "8,16,32,64"], 4),
+        ],
+    )
+    def test_small_run_writes_reports(self, tmp_path, capsys, name, flags, rows):
+        assert run([name, *flags, "--out", str(tmp_path)]) == 0
+        assert "pass=True" in capsys.readouterr().out
+        assert sorted(os.listdir(tmp_path)) == [f"{name}.csv", f"{name}.json", f"{name}.svg"]
+
+        lines = (tmp_path / f"{name}.csv").read_text().strip().splitlines()
+        assert lines[0] == "param,numerator,denominator,ratio,seconds"
+        assert len(lines) == rows + 1
+
+        report = _read_json(tmp_path / f"{name}.json")
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["pass"] is True
+        assert report["manifest"]["subcommand"] == name
+        assert (tmp_path / f"{name}.svg").read_text().startswith("<svg ")
+
+    def test_bare_hilbert_growth_passes(self, tmp_path, capsys):
+        assert run(["hilbert-growth", "--out", str(tmp_path)]) == 0
+        assert "pass=True" in capsys.readouterr().out
+        report = _read_json(tmp_path / "hilbert-growth.json")
+        assert report["config"]["r_list"] == [8.0, 16.0, 32.0, 64.0]

@@ -24,11 +24,6 @@ from varlat import (
     pcf_antiderivative_eval_many,
     pcf_eval,
     pcf_eval_many,
-    pcf_from_csv,
-    pcf_shift,
-    pcf_to_csv,
-    profile_from_csv,
-    profile_to_csv,
     sequence_norm,
     sliding_power_sum,
     sliding_sup,
@@ -122,20 +117,6 @@ class TestAntiderivative:
                 for c, b0, b1 in zip(f.values, f.breakpoints, f.breakpoints[1:])
             )
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-
-class TestPcfShift:
-    def test_shift_moves_support(self):
-        f = make_pcf([0.0, 1.0], [1.0])
-        g = pcf_shift(f, 2.5)
-        assert g.support == (2.5, 3.5)
-        assert pcf_eval(g, 3.0) == 1.0
-
-    def test_shift_preserves_values(self, rng, make_random_pcf):
-        f = make_random_pcf()
-        g = pcf_shift(f, -1.25)
-        xs = rng.uniform(-4, 4, 30)
-        assert pcf_eval_many(g, xs).tolist() == pcf_eval_many(f, xs + 1.25).tolist()
 
 
 class TestGrids:
@@ -343,26 +324,3 @@ class TestFitPowerLaw:
         with pytest.raises(DegenerateInput):
             fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
 
-
-class TestCsvRoundTrips:
-    def test_pcf_round_trip(self, make_random_pcf):
-        for _ in range(10):
-            f = make_random_pcf()
-            back = pcf_from_csv(pcf_to_csv(f))
-            assert back.breakpoints == f.breakpoints
-            assert back.values == f.values
-
-    def test_pcf_csv_shape(self):
-        text = pcf_to_csv(make_pcf([0.0, 1.0], [1.0]))
-        lines = text.strip().splitlines()
-        assert lines[0] == "breakpoint,value"
-        assert lines[-1].endswith(",")
-
-    def test_profile_round_trip(self, rng):
-        pts = np.sort(rng.uniform(0, 3, 12))
-        grid = make_grid(pts)
-        prof = make_profile(grid, rng.uniform(-1, 1, 12))
-        back = profile_from_csv(profile_to_csv(prof))
-        assert back.values_array.tolist() == prof.values_array.tolist()
-        assert back.grid.points_array.tolist() == grid.points_array.tolist()
-        assert back.grid.weights_array.tolist() == grid.weights_array.tolist()

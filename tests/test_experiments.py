@@ -16,8 +16,6 @@ from varlat import (
     exp_maximal_contrast,
     exp_norm_transfer,
     exp_reduction_constant,
-    explicit_j1,
-    floor_r_times_j0,
     geometric_radius_set,
     hilbert_apply,
     hilbert_inner_norm,
@@ -25,6 +23,7 @@ from varlat import (
     norm_transfer_pair,
     unit_indicator,
 )
+from varlat.experiments import _lr_depth
 
 CERTIFIED_BASE2 = 0.0173073522282
 
@@ -56,10 +55,9 @@ class TestConfigTypes:
             ExperimentConfig(r_list=(4.0, 128.0))
 
     def test_j1_rules(self):
-        assert explicit_j1(12).resolve(64.0, 2) == 12
-        assert floor_r_times_j0().resolve(4.7, 2) == 8
-        with pytest.raises(BadRange):
-            explicit_j1(0)
+        # the lr depth is floor(r) * j0, the one rule left
+        assert _lr_depth(4.7, 2) == 8
+        assert _lr_depth(64.0, 2) == 128
 
     def test_default_lacunary_matches_certified_table(self):
         lac = default_lacunary()
@@ -153,15 +151,16 @@ class TestLrNumerator:
 
     def test_coarsening_floor_lowers_value(self):
         # the unresolved strip around zero carries no quadrature weight, so
-        # raising the innermost resolved scale can only remove area
-        j1 = self.CONFIG.j1_rule.resolve(4.0, self.CONFIG.lacunary.j0)
+        # raising the innermost resolved scale can only remove area; the
+        # lr depth at r = 4 is floor(r) * j0
+        j1 = 4 * self.CONFIG.lacunary.j0
         window = self.CONFIG.lacunary.a ** (-(j1 + 1.0))
         full = lr_numerator(self.CONFIG, 4.0)
         coarse = lr_numerator(self.CONFIG, 4.0, min_scale=window / 2.0)
         assert coarse < full
 
     def test_rejects_floor_outside_window(self):
-        j1 = self.CONFIG.j1_rule.resolve(4.0, self.CONFIG.lacunary.j0)
+        j1 = 4 * self.CONFIG.lacunary.j0
         window = self.CONFIG.lacunary.a ** (-(j1 + 1.0))
         with pytest.raises(BadRange):
             lr_numerator(self.CONFIG, 4.0, min_scale=window * 2.0)

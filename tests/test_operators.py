@@ -14,17 +14,14 @@ from varlat import (
     avg_apply,
     avg_apply_many,
     family_value_matrix,
-    family_values,
     gauss_legendre_integrate,
     heat_apply,
     heat_apply_many,
     heat_integral_representation_check,
-    heat_kernel_value,
     hilbert_apply,
     hilbert_apply_many,
     make_pcf,
     pcf_eval,
-    pcf_shift,
 )
 
 UNIT = make_pcf([0.0, 1.0], [1.0])
@@ -50,6 +47,16 @@ class TestAverages:
         got = avg_apply_many(f, 0.7, xs)
         assert got.tolist() == [avg_apply(f, 0.7, x) for x in xs]
 
+    def test_radii_broadcast_against_one_point(self):
+        ts = np.array([0.25, 0.5, 2.0])
+        got = avg_apply_many(UNIT, ts, 0.5)
+        assert got.tolist() == [avg_apply(UNIT, t, 0.5) for t in ts]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_rejects_bad_radius_among_many(self, bad):
+        with pytest.raises(NonPositiveRadius):
+            avg_apply_many(UNIT, np.array([0.5, bad]), 0.5)
+
     def test_constant_region_gives_twice_the_value(self):
         # window fully inside one cell: both half-windows contribute t * c
         f = make_pcf([0.0, 10.0], [3.0])
@@ -57,19 +64,6 @@ class TestAverages:
 
 
 class TestHeatKernel:
-    def test_unit_time_peak(self):
-        assert heat_kernel_value(1.0, 0.0) == pytest.approx(
-            0.28209479177387814, abs=1e-16
-        )
-
-    def test_quarter_time_offset(self):
-        want = math.exp(-1.0) / math.sqrt(math.pi)
-        assert heat_kernel_value(0.25, 1.0) == pytest.approx(want, rel=1e-15)
-
-    def test_rejects_zero_time(self):
-        with pytest.raises(NonPositiveTime):
-            heat_kernel_value(0.0, 1.0)
-
     def test_unit_mass(self):
         total = gauss_legendre_integrate(
             lambda x: np.exp(-(x**2) / 4.0) / math.sqrt(4 * math.pi), -30.0, 30.0, 256
@@ -106,14 +100,14 @@ class TestHeatApply:
         # dyadic data keeps every shifted breakpoint exact, so the two
         # evaluations see bit-identical kernel arguments
         f = make_pcf([0.0, 0.25, 1.5], [1.0, -0.5])
-        g = pcf_shift(f, 2.5)
+        g = make_pcf([2.5, 2.75, 4.0], [1.0, -0.5])
         for x in (-0.125, 0.375, 1.0):
             assert heat_apply(g, 0.3, x + 2.5) == heat_apply(f, 0.3, x)
 
     def test_translation_equivariance_generic(self, rng, make_random_pcf):
         f = make_random_pcf()
         c = float(rng.uniform(-2, 2))
-        g = pcf_shift(f, c)
+        g = make_pcf([b + c for b in f.breakpoints], f.values)
         for x in rng.uniform(-3, 3, 20):
             assert heat_apply(g, 0.4, x + c) == pytest.approx(
                 heat_apply(f, 0.4, x), abs=1e-12
@@ -160,8 +154,8 @@ class TestHilbert:
 
 class TestFamilies:
     def test_average_family_values(self):
-        got = family_values(UNIT, OperatorFamily.AVERAGES, (2.0, 1.0), 0.0)
-        assert got == pytest.approx((0.5, 1.0), rel=1e-15)
+        got = family_value_matrix(UNIT, OperatorFamily.AVERAGES, (2.0, 1.0), [0.0])[0]
+        assert got.tolist() == pytest.approx([0.5, 1.0], rel=1e-15)
 
     def test_heat_family_matches_heat_apply(self, rng, make_random_pcf):
         f = make_random_pcf()
@@ -172,9 +166,9 @@ class TestFamilies:
             assert mat[:, col].tolist() == heat_apply_many(f, s, xs).tolist()
 
     def test_family_respects_given_order(self):
-        fwd = family_values(UNIT, OperatorFamily.AVERAGES, (2.0, 0.5), 0.5)
-        rev = family_values(UNIT, OperatorFamily.AVERAGES, (0.5, 2.0), 0.5)
-        assert fwd == tuple(reversed(rev))
+        fwd = family_value_matrix(UNIT, OperatorFamily.AVERAGES, (2.0, 0.5), [0.5])[0]
+        rev = family_value_matrix(UNIT, OperatorFamily.AVERAGES, (0.5, 2.0), [0.5])[0]
+        assert fwd.tolist() == rev[::-1].tolist()
 
 
 class TestGaussLegendre:
