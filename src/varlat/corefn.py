@@ -228,7 +228,19 @@ def make_profile(grid: SampleGrid, values: Iterable[float]) -> ScalarProfile:
     vals = _as_float_array(values, "profile values")
     if vals.size != len(grid.points):
         raise LengthMismatch("profile values must match the grid length")
-    return ScalarProfile(grid, tuple(vals.tolist()))
+    return _array_profile(grid, vals)
+
+
+def _array_profile(grid: SampleGrid, vals: np.ndarray) -> ScalarProfile:
+    """Profile over a fresh float array, with ``values_array`` already set.
+
+    cached_property keeps its value in the instance dict; filling it with the
+    array the tuple was made from spares readers the tuple-to-array round
+    trip (the same floats either way).
+    """
+    prof = ScalarProfile(grid, tuple(vals.tolist()))
+    prof.__dict__["values_array"] = vals
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -356,29 +368,30 @@ def bochner_norm(field: VectorField, p: float) -> float:
 def sliding_sup(profile: ScalarProfile, radius: float) -> ScalarProfile:
     """x -> max of the profile over grid points within ``radius`` of x.
 
-    Monotone-queue algorithm, O(n) over the whole grid.
+    The window of each grid point is an index range found by searchsorted.
+    A window of length L, with 2^k <= L < 2^(k+1), is the union of two
+    (possibly overlapping) blocks of 2^k values, so after k doubling steps
+    of block maxima every window at level k is one vectorized lookup.
+    O(n log w) time for the widest window of w points, O(n) memory.
     """
     if not radius > 0:
         raise NonPositiveRadius("window radius must be positive")
     pts = profile.grid.points_array
     vals = profile.values_array
-    n = pts.size
-    out = np.empty(n)
-    queue: list[int] = []  # indices with decreasing values
-    head = 0
-    hi = 0
-    for i in range(n):
-        upper = pts[i] + radius
-        while hi < n and pts[hi] <= upper:
-            while len(queue) > head and vals[queue[-1]] <= vals[hi]:
-                queue.pop()
-            queue.append(hi)
-            hi += 1
-        lower = pts[i] - radius
-        while pts[queue[head]] < lower:
-            head += 1
-        out[i] = vals[queue[head]]
-    return ScalarProfile(profile.grid, tuple(out.tolist()))
+    lo = np.searchsorted(pts, pts - radius, side="left")
+    hi = np.searchsorted(pts, pts + radius, side="right")
+    # every window holds its own point, so its length is at least 1
+    level = np.frexp(hi - lo)[1] - 1
+    out = np.empty(pts.size)
+    blocks = vals.copy()  # blocks[j]: max of vals[j : j + 2^k], cut at the end
+    for k, windows in enumerate(np.bincount(level).tolist()):
+        if k:
+            half = 1 << (k - 1)
+            np.maximum(blocks[:-half], blocks[half:], out=blocks[:-half])
+        if windows:
+            at = np.flatnonzero(level == k)
+            out[at] = np.maximum(blocks[lo[at]], blocks[hi[at] - (1 << k)])
+    return _array_profile(profile.grid, out)
 
 
 def sliding_power_sum(profile: ScalarProfile, radius: float, r: float) -> ScalarProfile:
@@ -396,7 +409,7 @@ def sliding_power_sum(profile: ScalarProfile, radius: float, r: float) -> Scalar
     lo = np.searchsorted(pts, pts - radius, side="left")
     hi = np.searchsorted(pts, pts + radius, side="right")
     out = (prefix[hi] - prefix[lo]) ** (1.0 / r)
-    return ScalarProfile(profile.grid, tuple(out.tolist()))
+    return _array_profile(profile.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,13 @@ from .errors import (
 )
 from .operators import (
     OperatorFamily,
+    _subordination_weight,
+    family_value_matrix,
     gauss_legendre_integrate,
 )
 from .variation import (
     RadiusSet,
-    maximal_profile,
-    variation_profile,
+    qvariation_rows,
     vector_variation_field,
 )
 from .witnesses import (
@@ -299,11 +300,7 @@ def exp_reduction_constant(quad_nodes: int = 2048) -> float:
     """
     if quad_nodes < 64:
         raise BadRange("reduction constant needs at least 64 quadrature nodes")
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (t * t / 2.0) / math.sqrt(4.0 * math.pi) * np.exp(-t * t / 4.0)
-
-    return gauss_legendre_integrate(integrand, 0.0, 20.0, quad_nodes)
+    return gauss_legendre_integrate(_subordination_weight, 0.0, 20.0, quad_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +384,16 @@ def _profile_bundle(
     weights[i0 + 1] = (points[i0 + 2] - points[i0 + 1]) / 2.0
     grid = make_grid(points, weights)
 
+    # one heat matrix on the core points feeds both profiles
     core_mask = np.abs(points) <= window
-    core_grid = make_grid(points[core_mask])
     J = geometric_radius_set(lac.a, lac.j0, j1)
     witness = lacunary_sign(lac.a, lac.k_min)
-    var_core = variation_profile(witness, OperatorFamily.HEAT, J, core_grid, config.q)
-    max_core = maximal_profile(witness, OperatorFamily.HEAT, J, core_grid)
+    matrix = family_value_matrix(witness, OperatorFamily.HEAT, J, points[core_mask])
 
     var_vals = np.zeros(points.size)
-    var_vals[core_mask] = var_core.values_array
+    var_vals[core_mask] = qvariation_rows(matrix, config.q)
     max_vals = np.zeros(points.size)
-    max_vals[core_mask] = max_core.values_array
+    max_vals[core_mask] = np.abs(matrix).max(axis=1)
     return grid, make_profile(grid, var_vals), make_profile(grid, max_vals)
 
 

@@ -171,17 +171,31 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_legendre_integrate(fn, a: float, b: float, n: int) -> float:
-    """Gauss-Legendre quadrature of a vectorized integrand on [a, b].
+#: Largest Gauss-Legendre rule used as one panel; numpy's eigenvalue-based
+#: node tables lose accuracy, and take long to build, past this size.
+MAX_PANEL_NODES = 256
 
-    The weighted terms are added with exact summation so the result is
-    correctly rounded; refinement comparisons then probe the rule itself
-    rather than accumulation noise.
+
+def gauss_legendre_integrate(fn, a: float, b: float, n: int) -> float:
+    """Composite Gauss-Legendre quadrature of a vectorized integrand on [a, b].
+
+    The n nodes go to ceil(n / MAX_PANEL_NODES) equal-width panels whose
+    node counts differ by at most one, so n <= MAX_PANEL_NODES is a single
+    rule.  The weighted terms of each panel, and then the panel sums, are
+    added with exact summation, so refinement comparisons probe the rule
+    itself rather than accumulation noise.
     """
-    nodes, weights = _leggauss(n)
-    half = (b - a) / 2.0
-    mid = (b + a) / 2.0
-    return half * math.fsum(weights * fn(mid + half * nodes))
+    if n < 1:
+        raise BadRange("quadrature needs at least one node")
+    pieces = -(-n // MAX_PANEL_NODES)
+    cuts = np.linspace(a, b, pieces + 1)
+    panels = []
+    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        nodes, weights = _leggauss(n // pieces + (k < n % pieces))
+        half = (hi - lo) / 2.0
+        mid = (hi + lo) / 2.0
+        panels.append(half * math.fsum(weights * fn(mid + half * nodes)))
+    return math.fsum(panels)
 
 
 def _subordination_weight(t: np.ndarray) -> np.ndarray:
@@ -195,8 +209,8 @@ def heat_integral_representation_check(
     """Residual of the identity  H_s f(x) = integral of A_{t sqrt(s)} f(x) dm(t).
 
     The weight m is the subordination profile; quadrature runs on
-    [0, REPRESENTATION_CUTOFF] with panels split where the averaging window
-    edge crosses a breakpoint of f, so each panel integrand is analytic.
+    [0, REPRESENTATION_CUTOFF] with spans split where the averaging window
+    edge crosses a breakpoint of f, so each span's integrand is analytic.
     """
     if not s > 0:
         raise NonPositiveTime("heat time must be positive")
@@ -216,16 +230,10 @@ def heat_integral_representation_check(
         return avg_apply_many(f, t * root, x) * _subordination_weight(t)
 
     total_width = sum(b - a for a, b in spans)
-    panels = []
+    parts = []
     for a, b in spans:
         n = max(16, int(round(quad_nodes * (b - a) / total_width)))
-        # round up to a power of two so node tables are shared across calls,
-        # then realize large budgets as composite panels of 256: the rule's
-        # own node tables lose accuracy past that size
+        # round up to a power of two so node tables are shared across calls
         n = 1 << (n - 1).bit_length()
-        pieces = max(1, n // 256)
-        cuts = np.linspace(a, b, pieces + 1)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            panels.append(gauss_legendre_integrate(integrand, lo, hi, min(n, 256)))
-    return abs(lhs - math.fsum(panels))
-
+        parts.append(gauss_legendre_integrate(integrand, a, b, n))
+    return abs(lhs - math.fsum(parts))

@@ -5,6 +5,12 @@ the largest value of (sum |v_{i_{k+1}} - v_{i_k}|^q)^(1/q) over increasing
 index subsequences.  A dynamic program finds it exactly in O(n^2) together
 with a witness subsequence; an exhaustive search over all subsequences backs
 it up for short inputs.
+
+Operator-family profiles need only the value, once per row of a family
+matrix, so they go through :func:`qvariation_rows`: the same O(m^2) program
+run on every row at once, looping over columns only.  Rows are not pruned
+there (on the witness profiles every point is a local extremum, so pruning
+saves nothing); :func:`prune_to_local_extrema` remains a 1-D helper.
 """
 from __future__ import annotations
 
@@ -40,6 +46,8 @@ __all__ = [
     "VariationCertificate",
     "make_radius_set",
     "qvariation",
+    "qvariation_rows",
+    "qvariation_value",
     "qvariation_bruteforce",
     "prune_to_local_extrema",
     "maximal",
@@ -138,20 +146,36 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     return VariationCertificate(float(best[j_star] ** (1.0 / q)), tuple(chain))
 
 
-def qvariation_value(values: Iterable[float], q: float) -> float:
-    """The variation value alone; skips witness bookkeeping."""
+def qvariation_rows(matrix, q: float) -> np.ndarray:
+    """Exact q-variation of every row of a matrix, values only.
+
+    Runs the recurrence of :func:`qvariation` on all rows at once, one
+    column at a time, so row i of the result equals
+    ``qvariation(matrix[i], q).value`` exactly.  The final root is taken on
+    Python floats: numpy's array power can differ from the scalar one in
+    the last ulp.
+    """
     if not q >= 1:
         raise InvalidQ("variation exponent must satisfy q >= 1")
-    v = _validated_values(values)
-    n = v.size
+    v = np.asarray(matrix, dtype=float)
+    if v.ndim != 2:
+        raise LengthMismatch("qvariation_rows needs a two-dimensional matrix")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteValue("variation input contains a NaN or infinity")
+    rows, n = v.shape
     if n < 2:
-        return 0.0
-    best = np.zeros(n)
+        return np.zeros(rows)
+    best = np.zeros((rows, n))
     for j in range(1, n):
-        best[j] = float(
-            np.max(best[:j] + _gap_powers(np.abs(v[j] - v[:j]), q))
-        )
-    return float(best.max() ** (1.0 / q))
+        gaps = np.abs(v[:, j, None] - v[:, :j])
+        best[:, j] = np.max(best[:, :j] + _gap_powers(gaps, q), axis=1)
+    root = 1.0 / q
+    return np.array([s ** root for s in best.max(axis=1).tolist()])
+
+
+def qvariation_value(values: Iterable[float], q: float) -> float:
+    """The variation value alone: :func:`qvariation_rows` on one row."""
+    return float(qvariation_rows([tuple(values)], q)[0])
 
 
 @lru_cache(maxsize=None)
@@ -224,16 +248,11 @@ def variation_profile(
 ) -> ScalarProfile:
     """q-variation of the operator family along its radii, per grid point.
 
-    Each row of family values is pruned to its local extrema first; pruning
-    preserves the variation exactly, so the dynamic program only sees the
-    oscillating skeleton.
+    One family matrix, then one :func:`qvariation_rows` call over all of its
+    rows; the rows are not pruned.
     """
     matrix = family_value_matrix(f, family, J, grid.points_array)
-    out = np.empty(matrix.shape[0])
-    for i, row in enumerate(matrix):
-        pruned, _ = prune_to_local_extrema(row)
-        out[i] = qvariation_value(pruned, q)
-    return make_profile(grid, out)
+    return make_profile(grid, qvariation_rows(matrix, q))
 
 
 def maximal_profile(
@@ -265,8 +284,7 @@ def vector_variation_field(
         raise LengthMismatch("one inner weight per coordinate function")
     if not fns:
         raise EmptyInput("vector variation needs at least one coordinate")
-    columns = [
-        variation_profile(f, family, J, x_grid, q).values_array for f in fns
-    ]
-    matrix = np.stack(columns, axis=1)
+    x = x_grid.points_array
+    stacked = np.concatenate([family_value_matrix(f, family, J, x) for f in fns])
+    matrix = qvariation_rows(stacked, q).reshape(len(fns), x.size).T
     return make_vector_field(x_grid, matrix, inner_norm, inner_weights)

@@ -225,6 +225,33 @@ class TestSlidingSup:
         assert got.tolist() == naive
 
 
+def _brute_window_max(pts, vals, radius):
+    return [vals[(pts >= x - radius) & (pts <= x + radius)].max() for x in pts]
+
+
+class TestSlidingSupBruteForce:
+    def test_one_point_grid(self):
+        prof = make_profile(make_grid([0.3], [1.0]), [-2.0])
+        assert sliding_sup(prof, 1.0).values_array.tolist() == [-2.0]
+        assert sliding_sup(prof, 1e-9).values_array.tolist() == [-2.0]
+
+    def test_radius_below_grid_spacing_is_identity(self, rng):
+        pts = np.cumsum(rng.uniform(0.1, 1.0, 50))
+        vals = rng.uniform(-3, 3, 50)
+        prof = make_profile(make_grid(pts), vals)
+        assert sliding_sup(prof, 0.05).values_array.tolist() == vals.tolist()
+
+    def test_matches_brute_force_across_radii(self, rng):
+        # a log-clustered grid gives windows from one point to the whole grid
+        for n in (2, 3, 17, 300):
+            pts = np.sort(np.concatenate((-np.geomspace(1e-6, 1.0, n), np.geomspace(1e-6, 2.0, n))))
+            vals = rng.choice([-1.0, 0.0, 0.5, 2.0], size=pts.size) * rng.uniform(0.5, 1.0, pts.size)
+            prof = make_profile(make_grid(pts), vals)
+            for radius in (1e-8, 1e-5, 0.01, 0.3, 1.0, 5.0):
+                got = sliding_sup(prof, radius).values_array.tolist()
+                assert got == _brute_window_max(pts, vals, radius)
+
+
 class TestSlidingPowerSum:
     def test_unit_profile_total_weight_two(self):
         pts = np.linspace(-1.0, 1.0, 21)

@@ -4,12 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from varlat import experiments
 from varlat import (
     BadRange,
     ExperimentConfig,
     GridSpec,
     InvalidQ,
     LacunaryParams,
+    OperatorFamily,
     default_lacunary,
     exp_key_estimate,
     exp_linf_blowup,
@@ -19,9 +21,13 @@ from varlat import (
     geometric_radius_set,
     hilbert_apply,
     hilbert_inner_norm,
+    lacunary_sign,
     lr_numerator,
+    make_grid,
+    maximal_profile,
     norm_transfer_pair,
     unit_indicator,
+    variation_profile,
 )
 from varlat.experiments import _lr_depth
 
@@ -134,6 +140,35 @@ class TestBlowupSmallRuns:
         contrast = exp_maximal_contrast(self.CONFIG, self.DEPTHS)
         assert contrast.maximal_spread < 0.25
         assert contrast.variation_growth > 1.2
+
+    def test_profile_bundle_builds_one_family_matrix_per_depth(self, monkeypatch):
+        calls = []
+        original = experiments.family_value_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "family_value_matrix", counting)
+        for j1 in self.DEPTHS:
+            # bypass the cache so every depth is built here
+            experiments._profile_bundle.__wrapped__(self.CONFIG, j1)
+        assert len(calls) == len(self.DEPTHS)
+
+    def test_bundle_profiles_match_standalone_profiles(self):
+        lac = self.CONFIG.lacunary
+        j1 = self.DEPTHS[-1]
+        grid, var, mx = experiments._profile_bundle(self.CONFIG, j1)
+        pts = grid.points_array
+        core = np.abs(pts) <= lac.a ** (-(j1 + 1.0))
+        core_grid = make_grid(pts[core])
+        J = geometric_radius_set(lac.a, lac.j0, j1)
+        witness = lacunary_sign(lac.a, lac.k_min)
+        want_var = variation_profile(witness, OperatorFamily.HEAT, J, core_grid, self.CONFIG.q)
+        want_max = maximal_profile(witness, OperatorFamily.HEAT, J, core_grid)
+        assert var.values_array[core].tolist() == want_var.values_array.tolist()
+        assert mx.values_array[core].tolist() == want_max.values_array.tolist()
+        assert not np.any(var.values_array[~core]) and not np.any(mx.values_array[~core])
 
     def test_depth_list_validation(self):
         with pytest.raises(BadRange):

@@ -181,6 +181,47 @@ class TestGaussLegendre:
         assert fwd == pytest.approx(math.e - 1.0 / math.e, rel=1e-14)
 
 
+class TestGaussLegendrePanels:
+    def test_small_rule_is_one_panel(self):
+        # n <= 256 is the plain rule, term for term
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        want = 1.5 * math.fsum(weights * np.exp(-(1.5 + 1.5 * nodes)))
+        assert gauss_legendre_integrate(lambda t: np.exp(-t), 0.0, 3.0, 200) == want
+
+    @pytest.mark.parametrize("n", [257, 300, 2048, 4096])
+    def test_large_budgets_stay_exact_on_polynomials(self, n):
+        # numpy's node tables carry ~1e-14 relative error at these sizes
+        got = gauss_legendre_integrate(lambda x: x**9, -1.0, 3.0, n)
+        assert got == pytest.approx((3.0**10 - 1.0) / 10.0, rel=1e-13)
+
+    def test_large_budget_is_split_into_panels(self, monkeypatch):
+        from varlat import operators
+
+        sizes = []
+        original = operators._leggauss
+
+        def recording(n):
+            sizes.append(n)
+            return original(n)
+
+        monkeypatch.setattr(operators, "_leggauss", recording)
+        gauss_legendre_integrate(np.cos, 0.0, 1.0, 1000)
+        assert sizes == [250, 250, 250, 250]
+        sizes.clear()
+        gauss_legendre_integrate(np.cos, 0.0, 1.0, 514)
+        assert sizes == [172, 171, 171]
+
+    def test_subordination_mass_at_2048_nodes(self):
+        def weight(t):
+            return (t * t / 2.0) / math.sqrt(4 * math.pi) * np.exp(-t * t / 4.0)
+
+        assert gauss_legendre_integrate(weight, 0.0, 20.0, 2048) == pytest.approx(0.5, abs=1e-15)
+
+    def test_rejects_empty_rule(self):
+        with pytest.raises(BadRange):
+            gauss_legendre_integrate(np.cos, 0.0, 1.0, 0)
+
+
 class TestRepresentation:
     def test_zero_function_zero_residual(self):
         z = make_pcf([0.0, 1.0], [0.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varlat import variation
 from varlat import (
     BadRange,
     EmptyInput,
@@ -21,6 +22,7 @@ from varlat import (
     prune_to_local_extrema,
     qvariation,
     qvariation_bruteforce,
+    qvariation_rows,
     qvariation_value,
     variation_profile,
     vector_variation_field,
@@ -74,6 +76,52 @@ class TestQVariationExamples:
             v = rng.uniform(-3, 3, int(rng.integers(2, 30)))
             for q in (1.0, 2.0, 3.5):
                 assert qvariation_value(v, q) == qvariation(v, q).value
+
+
+class TestQVariationRows:
+    @pytest.mark.parametrize("m", [1, 2, 3, 40])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    def test_each_row_matches_witness_dp_exactly(self, rng, m, q):
+        random = rng.uniform(-3, 3, (6, m))
+        ties = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(6, m))
+        runs = np.repeat(rng.uniform(-1, 1, (6, m)), 3, axis=1)[:, :m]
+        constant = np.full((2, m), 0.25)
+        matrix = np.concatenate((random, ties, runs, constant))
+        got = qvariation_rows(matrix, q)
+        assert got.shape == (matrix.shape[0],)
+        for row, value in zip(matrix, got):
+            assert value == qvariation(row, q).value
+
+    def test_no_rows(self):
+        assert qvariation_rows(np.empty((0, 5)), 2.0).shape == (0,)
+
+    def test_rejects_q_below_one(self):
+        with pytest.raises(InvalidQ):
+            qvariation_rows(np.zeros((2, 3)), 0.5)
+
+    def test_rejects_nan(self):
+        matrix = np.zeros((2, 3))
+        matrix[1, 2] = np.nan
+        with pytest.raises(NonFiniteValue):
+            qvariation_rows(matrix, 2.0)
+
+    def test_profile_rejects_q_below_one(self):
+        f = make_pcf([0.0, 1.0], [1.0])
+        grid = make_grid(np.linspace(-1, 2, 5))
+        with pytest.raises(InvalidQ):
+            variation_profile(f, OperatorFamily.HEAT, make_radius_set((1.0, 0.5)), grid, 0.5)
+
+    def test_profile_rejects_nan_family_values(self, monkeypatch):
+        def nan_matrix(f, family, J, xs):
+            out = np.ones((len(xs), len(J)))
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(variation, "family_value_matrix", nan_matrix)
+        f = make_pcf([0.0, 1.0], [1.0])
+        grid = make_grid(np.linspace(-1, 2, 5))
+        with pytest.raises(NonFiniteValue):
+            variation_profile(f, OperatorFamily.HEAT, make_radius_set((1.0, 0.5)), grid, 2.0)
 
 
 class TestCertificates:
@@ -238,6 +286,17 @@ class TestVectorVariation:
         )
         prof = variation_profile(f, OperatorFamily.HEAT, J, grid, 2.0)
         assert field.values_array[:, 0].tolist() == prof.values_array.tolist()
+
+    def test_each_column_matches_its_scalar_profile(self, make_random_pcf):
+        fns = [make_random_pcf() for _ in range(3)]
+        grid = make_grid(np.linspace(-2, 2, 11))
+        J = make_radius_set((2.0, 1.0, 0.5, 0.25))
+        field = vector_variation_field(
+            fns, OperatorFamily.AVERAGES, J, grid, 3.0, sequence_norm(2.0), [1.0] * 3
+        )
+        for k, f in enumerate(fns):
+            prof = variation_profile(f, OperatorFamily.AVERAGES, J, grid, 3.0)
+            assert field.values_array[:, k].tolist() == prof.values_array.tolist()
 
     def test_duplicated_coordinates_are_identical(self, make_random_pcf):
         f = make_random_pcf()
