@@ -16,213 +16,21 @@ The package is organized in layers:
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BadRange,
-    DegenerateInput,
-    EmptyInput,
-    FloatRangeExceeded,
-    InvalidBase,
-    InvalidQ,
-    KeyEstimateFailed,
-    LengthMismatch,
-    NoAdmissibleBase,
-    NonFiniteValue,
-    NonMonotoneBreakpoints,
-    NonPositiveRadius,
-    NonPositiveTime,
-    SingularPoint,
-    TooLong,
-    TruncationTooShallow,
-    VarlatError,
-)
-from .corefn import (
-    GrowthFit,
-    InnerNorm,
-    PiecewiseConstantFn,
-    SampleGrid,
-    ScalarProfile,
-    VectorField,
-    bochner_norm,
-    fit_power_law,
-    integral_norm,
-    make_grid,
-    make_pcf,
-    make_profile,
-    make_vector_field,
-    pcf_antiderivative_eval,
-    pcf_antiderivative_eval_many,
-    pcf_eval,
-    pcf_eval_many,
-    sequence_norm,
-    sliding_power_sum,
-    sliding_sup,
-    sup_norm,
-    trapezoid_weights,
-)
-from .operators import (
-    OperatorFamily,
-    avg_apply,
-    avg_apply_many,
-    family_value_matrix,
-    gauss_legendre_integrate,
-    heat_apply,
-    heat_apply_many,
-    heat_integral_representation_check,
-    hilbert_apply,
-    hilbert_apply_many,
-)
-from .variation import (
-    RadiusSet,
-    VariationCertificate,
-    make_radius_set,
-    maximal,
-    maximal_profile,
-    prune_to_local_extrema,
-    qvariation,
-    qvariation_bruteforce,
-    qvariation_rows,
-    qvariation_value,
-    variation_profile,
-    vector_variation_field,
-)
-from .witnesses import (
-    DEFAULT_BASE_CANDIDATES,
-    DEFAULT_J_WINDOW,
-    LacunaryParams,
-    delta_halving_radius,
-    geometric_radius_set,
-    heat_of_g_at,
-    heat_of_g_matrix,
-    key_estimate_table,
-    lacunary_sign,
-    search_key_params,
-    truncation_tail_bound,
-    unit_indicator,
-)
-from .experiments import (
-    BlowupResult,
-    ContrastPair,
-    ExperimentConfig,
-    GridSpec,
-    HilbertGrowthResult,
-    KeyEstimateResult,
-    LrGrowthResult,
-    MaximalContrastResult,
-    NormTransferResult,
-    RatioReport,
-    default_lacunary,
-    exp_hilbert_growth,
-    exp_key_estimate,
-    exp_linf_blowup,
-    exp_lr_growth,
-    exp_maximal_contrast,
-    exp_norm_transfer,
-    exp_reduction_constant,
-    hilbert_inner_norm,
-    lr_numerator,
-    norm_transfer_pair,
-)
+from . import corefn, errors, experiments, operators, variation, witnesses
+from .errors import *
+from .corefn import *
+from .operators import *
+from .variation import *
+from .witnesses import *
+from .experiments import *
 
+#: The public API: every module's own export list, in layer order.
 __all__ = [
     "__version__",
-    # errors
-    "VarlatError",
-    "BadRange",
-    "DegenerateInput",
-    "EmptyInput",
-    "FloatRangeExceeded",
-    "InvalidBase",
-    "InvalidQ",
-    "KeyEstimateFailed",
-    "LengthMismatch",
-    "NoAdmissibleBase",
-    "NonFiniteValue",
-    "NonMonotoneBreakpoints",
-    "NonPositiveRadius",
-    "NonPositiveTime",
-    "SingularPoint",
-    "TooLong",
-    "TruncationTooShallow",
-    # corefn
-    "PiecewiseConstantFn",
-    "make_pcf",
-    "pcf_eval",
-    "pcf_eval_many",
-    "pcf_antiderivative_eval",
-    "pcf_antiderivative_eval_many",
-    "trapezoid_weights",
-    "SampleGrid",
-    "make_grid",
-    "ScalarProfile",
-    "make_profile",
-    "InnerNorm",
-    "sup_norm",
-    "integral_norm",
-    "sequence_norm",
-    "VectorField",
-    "make_vector_field",
-    "bochner_norm",
-    "sliding_sup",
-    "sliding_power_sum",
-    "GrowthFit",
-    "fit_power_law",
-    # operators
-    "OperatorFamily",
-    "avg_apply",
-    "avg_apply_many",
-    "heat_apply",
-    "heat_apply_many",
-    "hilbert_apply",
-    "hilbert_apply_many",
-    "family_value_matrix",
-    "gauss_legendre_integrate",
-    "heat_integral_representation_check",
-    # variation
-    "RadiusSet",
-    "make_radius_set",
-    "VariationCertificate",
-    "qvariation",
-    "qvariation_rows",
-    "qvariation_value",
-    "qvariation_bruteforce",
-    "prune_to_local_extrema",
-    "maximal",
-    "variation_profile",
-    "maximal_profile",
-    "vector_variation_field",
-    # witnesses
-    "DEFAULT_BASE_CANDIDATES",
-    "DEFAULT_J_WINDOW",
-    "LacunaryParams",
-    "lacunary_sign",
-    "unit_indicator",
-    "heat_of_g_at",
-    "heat_of_g_matrix",
-    "truncation_tail_bound",
-    "key_estimate_table",
-    "search_key_params",
-    "geometric_radius_set",
-    "delta_halving_radius",
-    # experiments
-    "ExperimentConfig",
-    "GridSpec",
-    "default_lacunary",
-    "RatioReport",
-    "KeyEstimateResult",
-    "BlowupResult",
-    "ContrastPair",
-    "MaximalContrastResult",
-    "LrGrowthResult",
-    "HilbertGrowthResult",
-    "NormTransferResult",
-    "exp_reduction_constant",
-    "exp_key_estimate",
-    "exp_linf_blowup",
-    "exp_maximal_contrast",
-    "exp_lr_growth",
-    "exp_hilbert_growth",
-    "exp_norm_transfer",
-    "norm_transfer_pair",
-    "lr_numerator",
-    "hilbert_inner_norm",
+    *errors.__all__,
+    *corefn.__all__,
+    *operators.__all__,
+    *variation.__all__,
+    *witnesses.__all__,
+    *experiments.__all__,
 ]

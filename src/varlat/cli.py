@@ -307,8 +307,6 @@ def _config_payload(resolved: dict, config: ExperimentConfig | None) -> dict:
     }
     if config is not None:
         payload["key_constant"] = config.lacunary.key_constant
-        payload["grid"]["x_min"] = config.grid.x_min
-        payload["grid"]["x_max"] = config.grid.x_max
     return payload
 
 

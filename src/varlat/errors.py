@@ -5,6 +5,26 @@ callers can distinguish bad inputs from genuine numerical failures.
 """
 from __future__ import annotations
 
+__all__ = [
+    "VarlatError",
+    "BadRange",
+    "DegenerateInput",
+    "EmptyInput",
+    "FloatRangeExceeded",
+    "InvalidBase",
+    "InvalidQ",
+    "KeyEstimateFailed",
+    "LengthMismatch",
+    "NoAdmissibleBase",
+    "NonFiniteValue",
+    "NonMonotoneBreakpoints",
+    "NonPositiveRadius",
+    "NonPositiveTime",
+    "SingularPoint",
+    "TooLong",
+    "TruncationTooShallow",
+]
+
 
 class VarlatError(Exception):
     """Base class for all package-specific errors."""

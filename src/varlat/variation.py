@@ -52,6 +52,7 @@ __all__ = [
     "prune_to_local_extrema",
     "maximal",
     "variation_profile",
+    "maximal_profile",
     "vector_variation_field",
 ]
 

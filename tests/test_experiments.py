@@ -24,8 +24,12 @@ from varlat import (
     lacunary_sign,
     lr_numerator,
     make_grid,
+    make_profile,
     maximal_profile,
     norm_transfer_pair,
+    pcf_eval_many,
+    sliding_power_sum,
+    sliding_sup,
     unit_indicator,
     variation_profile,
 )
@@ -37,18 +41,20 @@ CERTIFIED_BASE2 = 0.0173073522282
 class TestConfigTypes:
     def test_grid_spec_defaults_valid(self):
         gs = GridSpec()
-        assert gs.x_min < 0 < 1 < gs.x_max
+        assert gs.lin_points == 1501
+        assert gs.log_points_per_decade == 32
 
-    def test_grid_spec_rejects_window_missing_unit_interval(self):
+    def test_grid_spec_rejects_coarse_grids(self):
         with pytest.raises(BadRange):
-            GridSpec(x_min=0.5)
+            GridSpec(lin_points=63)
+        with pytest.raises(BadRange):
+            GridSpec(log_points_per_decade=3)
 
     def test_grid_spec_doubling(self):
         gs = GridSpec(lin_points=101, log_points_per_decade=8)
         fine = gs.doubled()
         assert fine.lin_points == 201
         assert fine.log_points_per_decade == 16
-        assert fine.x_min == gs.x_min
 
     def test_config_rejects_small_q(self):
         with pytest.raises(InvalidQ):
@@ -151,8 +157,7 @@ class TestBlowupSmallRuns:
 
         monkeypatch.setattr(experiments, "family_value_matrix", counting)
         for j1 in self.DEPTHS:
-            # bypass the cache so every depth is built here
-            experiments._profile_bundle.__wrapped__(self.CONFIG, j1)
+            experiments._profile_bundle(self.CONFIG, j1)
         assert len(calls) == len(self.DEPTHS)
 
     def test_bundle_profiles_match_standalone_profiles(self):
@@ -179,6 +184,60 @@ class TestBlowupSmallRuns:
     def test_depths_must_exceed_j0(self):
         with pytest.raises(BadRange):
             exp_linf_blowup(self.CONFIG, (2, 4))
+
+
+class TestDenominators:
+    """The closed-form denominators against the exact plain norms of |G|.
+
+    Each must sit at or above the exact norm of the truncated witness (so a
+    ratio never gains from its denominator) and within 1e-14 of it; and it
+    must agree with the sampled pipeline it replaced, rebuilt here at eight
+    times the default linear resolution, to 1e-3, which catches a wrong
+    formula.
+    """
+
+    P_LIST = (1.5, 2.0, 3.0, 7.0, math.inf)
+    R_LIST = (1.5, 4.0, 16.0, 64.0)
+
+    @staticmethod
+    def _exact_norm(p: float, r: float | None) -> mpmath.mpf:
+        # |G| is 1 on [eps, 1) with eps = a^k_min; r=None is the sliding sup
+        lac = default_lacunary()
+        eps = mpmath.mpf(lac.a) ** lac.k_min
+        if r is None:
+            return mpmath.mpf(1) if p == math.inf else (3 - eps) ** (1 / mpmath.mpf(p))
+        if p == math.inf:
+            return (1 - eps) ** (1 / mpmath.mpf(r))
+        s = mpmath.mpf(p) / r
+        return ((1 - eps) ** s * (1 + eps) + 2 * (1 - eps) ** (1 + s) / (1 + s)) ** (1 / mpmath.mpf(p))
+
+    @staticmethod
+    def _sampled_norm(p: float, r: float | None) -> float:
+        lac = default_lacunary()
+        # the window [-1.1, 2.1] of the replaced pipeline, at 8x its resolution
+        pts = np.linspace(-1.1, 2.1, 8 * (GridSpec().lin_points - 1) + 1)
+        grid = make_grid(pts)
+        prof = make_profile(grid, np.abs(pcf_eval_many(lacunary_sign(lac.a, lac.k_min), pts)))
+        swept = sliding_sup(prof, 1.0) if r is None else sliding_power_sum(prof, 1.0, r)
+        v = swept.values_array
+        return float(v.max()) if p == math.inf else float((grid.weights_array @ v**p) ** (1.0 / p))
+
+    def _check(self, closed: float, p: float, r: float | None) -> None:
+        with mpmath.workdps(50):
+            exact = self._exact_norm(p, r)
+            assert mpmath.mpf(closed) >= exact
+            assert mpmath.mpf(closed) <= exact * (1 + mpmath.mpf("1e-14"))
+        sampled = self._sampled_norm(p, r)
+        assert sampled <= closed <= sampled * (1.0 + 1e-3)
+
+    @pytest.mark.parametrize("p", P_LIST)
+    def test_sup_denominator(self, p):
+        self._check(experiments._sup_denominator(ExperimentConfig(p=p)), p, None)
+
+    @pytest.mark.parametrize("p", P_LIST)
+    @pytest.mark.parametrize("r", R_LIST)
+    def test_power_denominator(self, p, r):
+        self._check(experiments._power_denominator(ExperimentConfig(p=p), r), p, r)
 
 
 class TestLrNumerator:

@@ -1,0 +1,30 @@
+"""Package-level checks: the public name list and the runnable demos."""
+import pathlib
+import runpy
+
+import pytest
+
+import varlat
+from varlat import corefn, errors, experiments, operators, variation, witnesses
+
+MODULES = (errors, corefn, operators, variation, witnesses, experiments)
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_every_package_name_comes_from_its_module_list():
+    for name in varlat.__all__:
+        if name == "__version__":
+            continue
+        owners = [m for m in MODULES if name in m.__all__]
+        assert len(owners) == 1, f"{name} listed by {len(owners)} modules"
+        assert getattr(varlat, name) is getattr(owners[0], name)
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()
