@@ -2,14 +2,17 @@
 sliding-window norm kernels.
 
 Everything in this module is pure: values are immutable after construction and
-all operations are safe to call concurrently.
+all operations are safe to call concurrently.  Each value type holds its data
+once, as read-only float64 arrays (``breakpoints_array``, ``values_array``,
+``points_array``, ``weights_array``, ``inner_weights_array``) copied from the
+caller's input when the ``make_*`` constructor validates it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -49,12 +52,26 @@ __all__ = [
 ]
 
 
-def _as_float_array(seq: Iterable[float], what: str) -> np.ndarray:
-    arr = np.asarray(tuple(seq), dtype=float)
-    if arr.ndim != 1:
-        raise LengthMismatch(f"{what} must be a flat sequence")
-    if arr.size and not np.all(np.isfinite(arr)):
+def _as_float_array(data: Iterable, what: str, ndim: int = 1) -> np.ndarray:
+    """A fresh, read-only, C-ordered float64 copy of ``data``.
+
+    ``data`` is any iterable (of rows, when ``ndim`` is 2); it must have
+    ``ndim`` dimensions and finite entries.
+    """
+    shape = "a flat sequence" if ndim == 1 else "a matrix with rows of equal length"
+    if not isinstance(data, np.ndarray):
+        try:
+            data = [tuple(row) for row in data] if ndim == 2 else tuple(data)
+        except TypeError:  # not iterable, or a row that is not
+            raise LengthMismatch(f"{what} must be {shape}") from None
+        if ndim == 2 and len({len(row) for row in data}) > 1:
+            raise LengthMismatch(f"{what} must be {shape}")
+    arr = np.array(data, dtype=float, order="C")
+    if arr.ndim != ndim:
+        raise LengthMismatch(f"{what} must be {shape}")
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{what} contains a NaN or infinity")
+    arr.flags.writeable = False
     return arr
 
 
@@ -66,41 +83,36 @@ def _as_float_array(seq: Iterable[float], what: str) -> np.ndarray:
 class PiecewiseConstantFn:
     """A compactly supported step function.
 
-    ``values[i]`` is the constant value on the half-open cell
-    ``[breakpoints[i], breakpoints[i+1])``; the function is 0 outside
-    ``[breakpoints[0], breakpoints[-1])``.  Build instances through
-    :func:`make_pcf`, which validates and normalizes.
+    ``values_array[i]`` is the constant value on the half-open cell
+    ``[breakpoints_array[i], breakpoints_array[i+1])``; the function is 0
+    outside ``[breakpoints_array[0], breakpoints_array[-1])``.  Build
+    instances through :func:`make_pcf`, which validates and normalizes.
     """
 
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
-
-    @cached_property
-    def breakpoints_array(self) -> np.ndarray:
-        return np.asarray(self.breakpoints, dtype=float)
-
-    @cached_property
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+    breakpoints_array: np.ndarray
+    values_array: np.ndarray
 
     @cached_property
     def cumulative_mass(self) -> np.ndarray:
-        """Antiderivative knots: ``F(breakpoints[i])`` for every breakpoint."""
+        """Antiderivative knots: ``F(breakpoints_array[i])`` for every breakpoint."""
         widths = np.diff(self.breakpoints_array)
-        return np.concatenate(([0.0], np.cumsum(widths * self.values_array)))
+        mass = np.concatenate(([0.0], np.cumsum(widths * self.values_array)))
+        mass.flags.writeable = False
+        return mass
 
     @property
     def support(self) -> tuple[float, float]:
-        return self.breakpoints[0], self.breakpoints[-1]
+        return float(self.breakpoints_array[0]), float(self.breakpoints_array[-1])
 
     @property
     def total_mass(self) -> float:
         return float(self.cumulative_mass[-1])
 
     def __repr__(self) -> str:  # keep huge witnesses readable in test output
-        n = len(self.values)
+        n = self.values_array.size
         if n <= 6:
-            return f"PiecewiseConstantFn(breakpoints={self.breakpoints}, values={self.values})"
+            bp, vals = tuple(self.breakpoints_array.tolist()), tuple(self.values_array.tolist())
+            return f"PiecewiseConstantFn(breakpoints={bp}, values={vals})"
         lo, hi = self.support
         return f"PiecewiseConstantFn(<{n} cells on [{lo!r}, {hi!r})>)"
 
@@ -117,28 +129,25 @@ def make_pcf(breakpoints: Iterable[float], values: Iterable[float]) -> Piecewise
         raise LengthMismatch("a piecewise-constant function needs at least one cell")
     if not np.all(np.diff(bp) > 0):
         raise NonMonotoneBreakpoints("breakpoints must be strictly increasing")
-    if vals.size > 1:
-        change = vals[1:] != vals[:-1]
-        if not np.all(change):
-            keep_bp = np.concatenate(([True], change, [True]))
-            bp = bp[keep_bp]
-            keep_val = np.concatenate(([True], change))
-            vals = vals[keep_val]
-    return PiecewiseConstantFn(tuple(bp.tolist()), tuple(vals.tolist()))
+    keep = np.concatenate(([True], vals[1:] != vals[:-1]))
+    if not np.all(keep):
+        bp = _as_float_array(bp[np.append(keep, True)], "breakpoints")
+        vals = _as_float_array(vals[keep], "values")
+    return PiecewiseConstantFn(bp, vals)
 
 
 def pcf_eval(f: PiecewiseConstantFn, x: float) -> float:
     """Value of ``f`` at ``x`` (cells are half open on the right)."""
     idx = int(np.searchsorted(f.breakpoints_array, x, side="right")) - 1
-    if 0 <= idx < len(f.values):
-        return f.values[idx]
+    if 0 <= idx < f.values_array.size:
+        return float(f.values_array[idx])
     return 0.0
 
 
 def pcf_eval_many(f: PiecewiseConstantFn, xs: Iterable[float]) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     idx = np.searchsorted(f.breakpoints_array, x, side="right") - 1
-    inside = (idx >= 0) & (idx < len(f.values))
+    inside = (idx >= 0) & (idx < f.values_array.size)
     out = np.zeros_like(x)
     out[inside] = f.values_array[idx[inside]]
     return out
@@ -161,22 +170,15 @@ def pcf_antiderivative_eval_many(f: PiecewiseConstantFn, xs: Iterable[float]) ->
 class SampleGrid:
     """Strictly increasing points with nonnegative quadrature weights."""
 
-    points: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    @cached_property
-    def points_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
-    @cached_property
-    def weights_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+    points_array: np.ndarray
+    weights_array: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points_array.size
 
     def __repr__(self) -> str:
-        return f"SampleGrid(<{len(self.points)} points on [{self.points[0]!r}, {self.points[-1]!r}]>)"
+        lo, hi = float(self.points_array[0]), float(self.points_array[-1])
+        return f"SampleGrid(<{len(self)} points on [{lo!r}, {hi!r}]>)"
 
 
 def trapezoid_weights(points: Iterable[float]) -> np.ndarray:
@@ -198,15 +200,12 @@ def make_grid(points: Iterable[float], weights: Iterable[float] | None = None) -
         raise EmptyInput("a grid needs at least one point")
     if not np.all(np.diff(pts) > 0):
         raise NonMonotoneBreakpoints("grid points must be strictly increasing")
-    if weights is None:
-        w = trapezoid_weights(pts)
-    else:
-        w = _as_float_array(weights, "grid weights")
-        if w.size != pts.size:
-            raise LengthMismatch("weights must match points in length")
-        if np.any(w < 0):
-            raise BadRange("grid weights must be nonnegative")
-    return SampleGrid(tuple(pts.tolist()), tuple(w.tolist()))
+    w = _as_float_array(trapezoid_weights(pts) if weights is None else weights, "grid weights")
+    if w.size != pts.size:
+        raise LengthMismatch("weights must match points in length")
+    if np.any(w < 0):
+        raise BadRange("grid weights must be nonnegative")
+    return SampleGrid(pts, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,33 +213,17 @@ class ScalarProfile:
     """Values of a derived quantity sampled on a grid."""
 
     grid: SampleGrid
-    values: tuple[float, ...]
-
-    @cached_property
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+    values_array: np.ndarray
 
     def __repr__(self) -> str:
-        return f"ScalarProfile(<{len(self.values)} samples>)"
+        return f"ScalarProfile(<{self.values_array.size} samples>)"
 
 
 def make_profile(grid: SampleGrid, values: Iterable[float]) -> ScalarProfile:
     vals = _as_float_array(values, "profile values")
-    if vals.size != len(grid.points):
+    if vals.size != len(grid):
         raise LengthMismatch("profile values must match the grid length")
-    return _array_profile(grid, vals)
-
-
-def _array_profile(grid: SampleGrid, vals: np.ndarray) -> ScalarProfile:
-    """Profile over a fresh float array, with ``values_array`` already set.
-
-    cached_property keeps its value in the instance dict; filling it with the
-    array the tuple was made from spares readers the tuple-to-array round
-    trip (the same floats either way).
-    """
-    prof = ScalarProfile(grid, tuple(vals.tolist()))
-    prof.__dict__["values_array"] = vals
-    return prof
+    return ScalarProfile(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +267,13 @@ class VectorField:
     """
 
     x_grid: SampleGrid
-    values: tuple[tuple[float, ...], ...]
+    values_array: np.ndarray
     inner_norm: InnerNorm
-    inner_weights: tuple[float, ...]
-
-    @cached_property
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    @cached_property
-    def inner_weights_array(self) -> np.ndarray:
-        return np.asarray(self.inner_weights, dtype=float)
+    inner_weights_array: np.ndarray
 
     @property
     def inner_dim(self) -> int:
-        return len(self.inner_weights)
+        return self.inner_weights_array.size
 
     def __repr__(self) -> str:
         return (
@@ -313,24 +288,15 @@ def make_vector_field(
     inner_norm: InnerNorm,
     inner_weights: Iterable[float],
 ) -> VectorField:
-    mat = np.asarray([tuple(row) for row in values], dtype=float)
-    if mat.ndim != 2:
-        raise LengthMismatch("vector field values must form a matrix")
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteValue("vector field values must be finite")
+    mat = _as_float_array(values, "vector field values", ndim=2)
     w = _as_float_array(inner_weights, "inner weights")
     if np.any(w < 0):
         raise BadRange("inner weights must be nonnegative")
-    if mat.shape[0] != len(x_grid.points) or mat.shape[1] != w.size:
+    if mat.shape != (len(x_grid), w.size):
         raise LengthMismatch(
-            f"value matrix {mat.shape} does not match grid {len(x_grid.points)} x weights {w.size}"
+            f"value matrix {mat.shape} does not match grid {len(x_grid)} x weights {w.size}"
         )
-    return VectorField(
-        x_grid,
-        tuple(tuple(row) for row in mat.tolist()),
-        inner_norm,
-        tuple(w.tolist()),
-    )
+    return VectorField(x_grid, mat, inner_norm, w)
 
 
 def _inner_norms(field: VectorField) -> np.ndarray:
@@ -391,7 +357,7 @@ def sliding_sup(profile: ScalarProfile, radius: float) -> ScalarProfile:
         if windows:
             at = np.flatnonzero(level == k)
             out[at] = np.maximum(blocks[lo[at]], blocks[hi[at] - (1 << k)])
-    return _array_profile(profile.grid, out)
+    return make_profile(profile.grid, out)
 
 
 def sliding_power_sum(profile: ScalarProfile, radius: float, r: float) -> ScalarProfile:
@@ -409,7 +375,7 @@ def sliding_power_sum(profile: ScalarProfile, radius: float, r: float) -> Scalar
     lo = np.searchsorted(pts, pts - radius, side="left")
     hi = np.searchsorted(pts, pts + radius, side="right")
     out = (prefix[hi] - prefix[lo]) ** (1.0 / r)
-    return _array_profile(profile.grid, out)
+    return make_profile(profile.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -138,19 +138,12 @@ def hilbert_apply_many(f: PiecewiseConstantFn, xs: Iterable[float]) -> np.ndarra
 # families
 
 
-def _radii_of(J) -> tuple[float, ...]:
-    radii = getattr(J, "radii", None)
-    if radii is None:
-        radii = tuple(J)
-    return tuple(float(t) for t in radii)
-
-
 def family_value_matrix(
     f: PiecewiseConstantFn, family: OperatorFamily, J, xs: Iterable[float]
 ) -> np.ndarray:
     """Matrix of family values, one row per point, one column per radius."""
     x = np.asarray(xs, dtype=float)
-    radii = _radii_of(J)
+    radii = tuple(float(t) for t in J)  # a RadiusSet or any iterable of radii
     out = np.empty((x.size, len(radii)))
     for col, t in enumerate(radii):
         if family is OperatorFamily.AVERAGES:

@@ -40,8 +40,8 @@ class TestMakePcf:
 
     def test_merges_adjacent_equal_values(self):
         f = make_pcf([0.0, 1.0, 2.0], [1.0, 1.0])
-        assert f.breakpoints == (0.0, 2.0)
-        assert f.values == (1.0,)
+        assert f.breakpoints_array.tolist() == [0.0, 2.0]
+        assert f.values_array.tolist() == [1.0]
 
     def test_rejects_decreasing_breakpoints(self):
         with pytest.raises(NonMonotoneBreakpoints):
@@ -111,10 +111,11 @@ class TestAntiderivative:
     def test_exact_on_breakpoints(self, make_random_pcf):
         for _ in range(20):
             f = make_random_pcf()
-            got = pcf_antiderivative_eval(f, f.breakpoints[-1])
+            bps = f.breakpoints_array.tolist()
+            got = pcf_antiderivative_eval(f, bps[-1])
             want = sum(
                 c * (b1 - b0)
-                for c, b0, b1 in zip(f.values, f.breakpoints, f.breakpoints[1:])
+                for c, b0, b1 in zip(f.values_array.tolist(), bps, bps[1:])
             )
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -176,6 +177,20 @@ class TestBochnerNorm:
         mat = rng.uniform(-5, 5, (6, 3))
         field = make_vector_field(grid, mat, sup_norm(), [1.0, 1.0, 1.0])
         assert bochner_norm(field, math.inf) == pytest.approx(np.abs(mat).max())
+
+    def test_fortran_ordered_input_gives_identical_norms(self, rng):
+        # the stored matrix is C-ordered whatever the input layout, so the
+        # matrix-vector products sum in the same order bit for bit
+        grid = make_grid(np.sort(rng.uniform(0, 1, 300)))
+        for _ in range(5):
+            mat = rng.uniform(-2, 2, (300, 7))
+            w = rng.uniform(0.1, 1.0, 7)
+            for norm in (integral_norm(3.0), integral_norm(1.5), sequence_norm(2.0)):
+                c_field = make_vector_field(grid, mat, norm, w)
+                f_field = make_vector_field(grid, np.asfortranarray(mat), norm, w)
+                assert f_field.values_array.flags.c_contiguous
+                for p in (1.0, 2.0, 3.5):
+                    assert bochner_norm(f_field, p) == bochner_norm(c_field, p)
 
     def test_integral_norm_requires_r_above_one(self):
         with pytest.raises(BadRange):
@@ -351,3 +366,88 @@ class TestFitPowerLaw:
         with pytest.raises(DegenerateInput):
             fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
 
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: make_vector_field(g, [[1.0, 2.0], [3.0]], sup_norm(), [1.0, 1.0]),
+            lambda g: make_vector_field(g, [1.0, 2.0], sup_norm(), [1.0]),
+            lambda g: make_vector_field(g, 5.0, sup_norm(), [1.0]),
+            lambda g: make_vector_field(g, [[1.0], [2.0]], sup_norm(), 1.0),
+            lambda g: make_grid(5.0),
+            lambda g: make_grid([[0.0, 1.0], [2.0, 3.0]]),
+            lambda g: make_grid([0.0, 1.0], 1.0),
+            lambda g: make_pcf(1.0, [1.0]),
+            lambda g: make_profile(g, 3.0),
+            lambda g: fit_power_law(3.0, [1.0, 2.0, 3.0]),
+        ],
+        ids=[
+            "ragged-rows",
+            "rows-not-iterable",
+            "matrix-not-iterable",
+            "inner-weights-not-iterable",
+            "grid-not-iterable",
+            "grid-not-flat",
+            "weights-not-iterable",
+            "breakpoints-not-iterable",
+            "profile-not-iterable",
+            "fit-not-iterable",
+        ],
+    )
+    def test_raises_length_mismatch(self, build):
+        with pytest.raises(LengthMismatch):
+            build(make_grid([0.0, 1.0]))
+
+    def test_accepts_generators(self):
+        grid = make_grid(float(k) for k in range(4))
+        field = make_vector_field(grid, ((k, -k) for k in range(4)), sup_norm(), iter([1, 1]))
+        assert grid.points_array.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert field.values_array[:, 1].tolist() == [0.0, -1.0, -2.0, -3.0]
+
+
+class TestReadOnlyStorage:
+    def test_stored_arrays_are_read_only_copies(self):
+        bps, vals = np.array([0.0, 1.0, 3.0]), np.array([2.0, -1.0])
+        pts, w = np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.0, 0.5])
+        prof_vals, mat, inner = np.array([1.0, 2.0, 3.0]), np.ones((3, 2)), np.array([1.0, 2.0])
+        f = make_pcf(bps, vals)
+        grid = make_grid(pts, w)
+        prof = make_profile(grid, prof_vals)
+        field = make_vector_field(grid, mat, integral_norm(2.0), inner)
+        stored = {
+            "pcf.breakpoints": f.breakpoints_array,
+            "pcf.values": f.values_array,
+            "pcf.cumulative_mass": f.cumulative_mass,
+            "grid.points": grid.points_array,
+            "grid.weights": grid.weights_array,
+            "default weights": make_grid([0.0, 1.0]).weights_array,
+            "merged pcf": make_pcf([0.0, 1.0, 2.0], [1.0, 1.0]).values_array,
+            "profile": prof.values_array,
+            "sliding_sup": sliding_sup(prof, 1.0).values_array,
+            "sliding_power_sum": sliding_power_sum(prof, 1.0, 2.0).values_array,
+            "field.values": field.values_array,
+            "field.inner_weights": field.inner_weights_array,
+        }
+        for name, arr in stored.items():
+            assert arr.dtype == np.float64, name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+
+        for caller_input in (bps, vals, pts, w, prof_vals, mat, inner):
+            caller_input[0] = 99.0
+        assert f.breakpoints_array.tolist() == [0.0, 1.0, 3.0]
+        assert f.values_array.tolist() == [2.0, -1.0]
+        assert grid.points_array.tolist() == [0.0, 1.0, 2.0]
+        assert grid.weights_array.tolist() == [0.5, 1.0, 0.5]
+        assert prof.values_array.tolist() == [1.0, 2.0, 3.0]
+        assert field.values_array.tolist() == [[1.0, 1.0]] * 3
+        assert field.inner_weights_array.tolist() == [1.0, 2.0]
+
+    def test_scalar_readers_return_python_floats(self):
+        f = make_pcf(np.array([0.0, 1.0, 3.0]), np.array([2.0, -1.0]))
+        assert type(pcf_eval(f, 0.5)) is float and pcf_eval(f, 0.5) == 2.0
+        assert type(pcf_eval(f, 5.0)) is float
+        assert all(type(end) is float for end in f.support)
+        assert type(f.total_mass) is float and f.total_mass == 0.0

@@ -78,7 +78,7 @@ class TestHeatApply:
 
     def test_approximate_identity(self, make_random_pcf):
         f = make_random_pcf()
-        bps = np.asarray(f.breakpoints)
+        bps = f.breakpoints_array
         mids = (bps[:-1] + bps[1:]) / 2.0
         for x in mids:
             assert heat_apply(f, 1e-6, x) == pytest.approx(
@@ -91,7 +91,7 @@ class TestHeatApply:
 
     def test_sup_contraction(self, rng, make_random_pcf):
         f = make_random_pcf()
-        bound = max(abs(v) for v in f.values)
+        bound = np.abs(f.values_array).max()
         xs = rng.uniform(-4, 4, 200)
         for s in (0.01, 0.5, 3.0):
             assert np.all(np.abs(heat_apply_many(f, s, xs)) <= bound + 1e-12)
@@ -107,7 +107,7 @@ class TestHeatApply:
     def test_translation_equivariance_generic(self, rng, make_random_pcf):
         f = make_random_pcf()
         c = float(rng.uniform(-2, 2))
-        g = make_pcf([b + c for b in f.breakpoints], f.values)
+        g = make_pcf(f.breakpoints_array + c, f.values_array)
         for x in rng.uniform(-3, 3, 20):
             assert heat_apply(g, 0.4, x + c) == pytest.approx(
                 heat_apply(f, 0.4, x), abs=1e-12

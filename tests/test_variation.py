@@ -263,8 +263,8 @@ class TestProfiles:
         grid = make_grid(np.sort(rng.uniform(-2, 2, 20)))
         J = make_radius_set((2.0, 1.0, 0.5, 0.25))
         prof = variation_profile(f, OperatorFamily.HEAT, J, grid, 3.0)
-        big = np.array([heat_apply(f, 2.0, x) for x in grid.points])
-        small = np.array([heat_apply(f, 0.25, x) for x in grid.points])
+        big = np.array([heat_apply(f, 2.0, x) for x in grid.points_array.tolist()])
+        small = np.array([heat_apply(f, 0.25, x) for x in grid.points_array.tolist()])
         assert np.all(prof.values_array >= np.abs(big - small) - 1e-12)
 
     def test_maximal_profile_single_radius_is_absolute_value(self, make_random_pcf):
@@ -272,7 +272,7 @@ class TestProfiles:
         grid = make_grid(np.linspace(-2, 2, 15))
         J = make_radius_set((0.7,))
         prof = maximal_profile(f, OperatorFamily.HEAT, J, grid)
-        want = np.abs([heat_apply(f, 0.7, x) for x in grid.points])
+        want = np.abs([heat_apply(f, 0.7, x) for x in grid.points_array.tolist()])
         assert prof.values_array == pytest.approx(want, rel=1e-14)
 
 

@@ -43,22 +43,23 @@ CERTIFIED_BASE2 = 0.0173073522282
 class TestLacunarySign:
     def test_one_cell(self):
         g = lacunary_sign(2.0, -1)
-        assert g.breakpoints == (0.5, 1.0)
-        assert g.values == (1.0,)
+        assert g.breakpoints_array.tolist() == [0.5, 1.0]
+        assert g.values_array.tolist() == [1.0]
 
     def test_two_cells_alternate(self):
         g = lacunary_sign(2.0, -2)
         assert pcf_eval(g, 0.3) == -1.0
         assert pcf_eval(g, 0.7) == 1.0
-        assert g.breakpoints == (0.25, 0.5, 1.0)
+        assert g.breakpoints_array.tolist() == [0.25, 0.5, 1.0]
 
     def test_deep_truncation_structure(self):
         g = lacunary_sign(3.0, -40)
-        assert len(g.values) == 40
-        assert set(g.values) == {-1.0, 1.0}
+        vals = g.values_array.tolist()
+        assert len(vals) == 40
+        assert set(vals) == {-1.0, 1.0}
         # cells alternate and the last one (just below 1) is positive
-        assert g.values[-1] == 1.0
-        assert all(v1 == -v0 for v0, v1 in zip(g.values, g.values[1:]))
+        assert vals[-1] == 1.0
+        assert all(v1 == -v0 for v0, v1 in zip(vals, vals[1:]))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidBase):
@@ -68,8 +69,8 @@ class TestLacunarySign:
 
     def test_unit_indicator(self):
         u = unit_indicator()
-        assert u.breakpoints == (0.0, 1.0)
-        assert u.values == (1.0,)
+        assert u.breakpoints_array.tolist() == [0.0, 1.0]
+        assert u.values_array.tolist() == [1.0]
 
 
 class TestHeatOfSign:
