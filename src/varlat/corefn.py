@@ -55,18 +55,21 @@ __all__ = [
 def _as_float_array(data: Iterable, what: str, ndim: int = 1) -> np.ndarray:
     """A fresh, read-only, C-ordered float64 copy of ``data``.
 
-    ``data`` is any iterable (of rows, when ``ndim`` is 2); it must have
-    ``ndim`` dimensions and finite entries.
+    ``data`` is any iterable of real numbers (of rows, when ``ndim`` is 2)
+    other than a string; it must have ``ndim`` dimensions and finite entries.
     """
-    shape = "a flat sequence" if ndim == 1 else "a matrix with rows of equal length"
-    if not isinstance(data, np.ndarray):
-        try:
+    shape = "a flat sequence" if ndim == 1 else "a matrix (rows of equal length)"
+    try:
+        if isinstance(data, (str, bytes, bytearray)):  # iterable, but of characters
+            raise TypeError
+        if not isinstance(data, np.ndarray):
             data = [tuple(row) for row in data] if ndim == 2 else tuple(data)
-        except TypeError:  # not iterable, or a row that is not
-            raise LengthMismatch(f"{what} must be {shape}") from None
-        if ndim == 2 and len({len(row) for row in data}) > 1:
-            raise LengthMismatch(f"{what} must be {shape}")
-    arr = np.array(data, dtype=float, order="C")
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "biufO":  # strings among the entries
+            raise TypeError
+        arr = np.array(arr, dtype=float, order="C")
+    except (TypeError, ValueError):  # not iterable, ragged, or not numbers
+        raise LengthMismatch(f"{what} must be {shape} of real numbers") from None
     if arr.ndim != ndim:
         raise LengthMismatch(f"{what} must be {shape}")
     if not np.all(np.isfinite(arr)):

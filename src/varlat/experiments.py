@@ -4,10 +4,12 @@ Every experiment reports a ratio numerator/denominator in which the numerator
 is a Bochner norm of a variation (or maximal) profile and the denominator is
 the corresponding norm of the plain witness data.  The denominators are
 closed forms at or above the exact plain norm (the exact ones rounded up),
-so they never flatter a ratio.  The numerators are trapezoid estimates on a
-grid; they are grid-converged, not one-sided: doubling the grid moves every
-ratio by less than 1% (acceptance criterion 10), but a coarser grid can give
-a larger numerator as well as a smaller one.
+so they never flatter a ratio.  The Hilbert numerator is a closed form
+rounded down, so the hilbert-growth ratios are certified lower bounds.  The
+other numerators are trapezoid estimates on a grid; they are grid-converged,
+not one-sided: doubling the grid moves every ratio by less than 1%
+(acceptance criterion 10), but a coarser grid can give a larger numerator as
+well as a smaller one.
 
 The key restriction, used by the sup-norm and power-sum experiments: the
 variation profile of the lacunary witness is evaluated only on the core
@@ -127,8 +129,7 @@ class GridSpec:
     """Resolution knobs shared by the experiment grids.
 
     lin_points controls the linear cover of the unit interval; the
-    per-decade count controls every logarithmic refinement (near the origin,
-    and near 0/1 for the singular-integral grids).
+    per-decade count controls the logarithmic refinement near the origin.
     """
 
     lin_points: int = 1501
@@ -331,10 +332,6 @@ def exp_key_estimate(config: ExperimentConfig, j_max: int = 30) -> KeyEstimateRe
 # witness profiles shared by the blow-up experiments
 
 
-def _core_window(lac: LacunaryParams, j1: int) -> float:
-    return lac.a ** (-(j1 + 1.0))
-
-
 def _profile_bundle(
     config: ExperimentConfig, j1: int, min_scale: float | None = None
 ) -> tuple[SampleGrid, ScalarProfile, ScalarProfile]:
@@ -353,7 +350,7 @@ def _profile_bundle(
     if j1 > MAX_J1_FACTOR * lac.j0:
         raise BadRange(f"j1 capped at {MAX_J1_FACTOR} * j0")
     _require_admissible(lac.a, lac.k_min, j1)
-    window = _core_window(lac, j1)
+    window = lac.a ** (-(j1 + 1.0))
     floor = lac.a ** (-(j1 + 4.0)) if min_scale is None else float(min_scale)
     if not 0.0 < floor < window:
         raise BadRange("innermost core scale must sit inside the core window")
@@ -563,42 +560,43 @@ def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:
 # Hilbert transform growth
 
 
-def _hilbert_half_grid(gs: GridSpec, depth: float) -> SampleGrid:
-    """Grid on (0, 1/2], linear in the bulk, log-refined toward zero.
+def _eta_weights(n: int) -> tuple[float, ...]:
+    # Algorithm 1 of Cohen, Rodriguez Villegas and Zagier, "Convergence
+    # acceleration of alternating series", Experiment. Math. 9 (2000): weight
+    # k is (-1)^k (d_(k+1) + ... + d_n) / (d_0 + ... + d_n) with the integers
+    # d_m = n/(n+m) C(n+m, 2m) 4^m; integer division rounds it once.  For a
+    # completely monotone a_k, sum_k weight_k a_k is within 2 (3 + sqrt 8)^-n
+    # of sum_k (-1)^k a_k, relatively: below 1e-24 at n = 32.
+    d = [n * math.comb(n + m, 2 * m) * 4**m // (n + m) for m in range(n + 1)]
+    return tuple((-1) ** k * sum(d[k + 1 :]) / sum(d) for k in range(n))
 
-    Zero itself is excluded (the integrand is singular there); refinement
-    reaches exp(-depth), deep enough that the omitted mass is negligible for
-    every exponent the depth was chosen for.
+
+_ETA_WEIGHTS = _eta_weights(32)
+
+#: Relative nudge that rounds the closed-form Hilbert numerator down.  With
+#: u = 2^-53 and 1 <= r <= 64, the float value of (2 r Gamma(r) eta(r))^(1/r)
+#: errs by at most 52u.  The eta terms err by 4u (weight, power, product)
+#: times sum_k |weight_k| / (k+1) <= 3.72; over eta >= ln 2, and with u for
+#: fsum, that is 22.5u.  CPython's tgamma is within 10 ulps (20u); the factor
+#: r, kept out of the argument so that r + 1 is never rounded, and the product
+#: with eta add u each.  The root divides these 45u by r >= 1 and adds 2u,
+#: rounding 1/r adds u ln(norm) <= 3.3u, and this nudge adds u.  2^-44 = 512u
+#: is nearly ten times that budget.
+_ROUND_DOWN = 1.0 - 2.0**-44
+
+
+def hilbert_inner_norm(r: float) -> float:
+    """L^r norm over (0, 1) of the Hilbert transform of the unit indicator,
+    rounded down.
+
+    The transform is ln|u / (u - 1)|; substituting u = 1/(1 + e^t) gives
+    integral_0^1 |ln(u / (1 - u))|^r du = 2 Gamma(r + 1) eta(r), with the
+    Dirichlet eta(r) = sum_k (-1)^k (k+1)^-r summed by _ETA_WEIGHTS.
     """
-    n_lin = gs.lin_points
-    h = 0.5 / n_lin
-    linear = np.linspace(h / 2.0, 0.5, n_lin)
-    decades = math.log10(0.2) + depth * math.log10(math.e)
-    n_log = max(8, int(math.ceil(decades * gs.log_points_per_decade)))
-    cluster = np.geomspace(math.exp(-depth), 0.2, n_log)
-    pts = np.unique(np.concatenate((linear, cluster)))
-    if pts.size > MAX_GRID_POINTS:
-        raise BadRange(f"singular grid capped at {MAX_GRID_POINTS} points")
-    return make_grid(pts)
-
-
-def hilbert_inner_norm(r: float, grid_spec: GridSpec | None = None) -> float:
-    """L^r norm over (0, 1) of the Hilbert transform of the unit indicator.
-
-    The transform is ln|u / (u - 1)|, symmetric under u -> 1 - u, so the
-    quadrature runs over (0, 1/2] and doubles.  Working on the half interval
-    keeps 1 - u away from zero in floating point (the mirrored cluster would
-    otherwise round onto u = 1 exactly once its distance drops below the
-    double-precision ulp).  The grid is log-refined toward the singularity
-    to depth max(30, 3r) e-foldings.
-    """
-    if not r >= 1:
-        raise BadRange("inner exponent must satisfy r >= 1")
-    gs = grid_spec or GridSpec()
-    grid = _hilbert_half_grid(gs, max(30.0, 3.0 * r))
-    u = grid.points_array
-    integrand = np.abs(np.log(u) - np.log1p(-u)) ** r
-    return float((2.0 * (grid.weights_array @ integrand)) ** (1.0 / r))
+    if not 1.0 <= r <= MAX_POWER_EXPONENT:
+        raise BadRange(f"inner exponent must satisfy 1 <= r <= {MAX_POWER_EXPONENT}")
+    eta = math.fsum(w * (k + 1.0) ** -r for k, w in enumerate(_ETA_WEIGHTS))
+    return (2.0 * r * math.gamma(r) * eta) ** (1.0 / r) * _ROUND_DOWN
 
 
 def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
@@ -607,19 +605,18 @@ def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
     numerator: L^p over the unit interval of the inner L^r norm of the
     transform of the unit indicator over the window (u in the unit interval;
     for every x in [0, 1] the radius-1 window covers all of it, so the outer
-    integral collapses to the constant inner norm).  denominator: the closed
-    form 2^(1/r) 3^(1/p), an upper bound for the plain norm of the sheared
-    indicator, so the reported ratio stays a certified lower bound.  The
+    integral collapses to the constant inner norm), in closed form rounded
+    down.  denominator: the closed form 2^(1/r) 3^(1/p), an upper bound for
+    the plain norm of the sheared indicator.  Both are one-sided, so every
+    ratio is a certified lower bound, and none depends on the grid.  The
     ratio must grow linearly in r and clear r / (2e * denominator).
     """
-
-    def task(r: float) -> RatioReport:
+    reports = []
+    for r in config.r_list:
         t0 = time.perf_counter()
-        num = hilbert_inner_norm(r, config.grid)
+        num = hilbert_inner_norm(r)
         den = 2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p)
-        return _make_report(r, num, den, time.perf_counter() - t0)
-
-    reports = tuple(_map_ordered(task, config.r_list))
+        reports.append(_make_report(r, num, den, time.perf_counter() - t0))
     fit = None
     if len(reports) >= 3:
         fit = fit_power_law(config.r_list, [rep.ratio for rep in reports])
@@ -630,7 +627,7 @@ def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
     above = all(rep.ratio >= b for rep, b in zip(reports, bounds))
     lo, hi = HILBERT_SLOPE_WINDOW
     slope_ok = fit is not None and lo <= fit.slope <= hi
-    return HilbertGrowthResult(reports, fit, bounds, above and slope_ok)
+    return HilbertGrowthResult(tuple(reports), fit, bounds, above and slope_ok)
 
 
 # ---------------------------------------------------------------------------

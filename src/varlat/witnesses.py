@@ -8,7 +8,10 @@ experiment downstream.
 
 Two independent evaluation routes exist on purpose: the generic closed form in
 operators.heat_apply, and the direct error-function sum here.  Tests hold them
-to 1e-12 of each other; nothing in the package collapses them into one.
+to 1e-12 of each other; nothing in the package collapses them into one.  They
+share only the kernel CDF, operators._kernel_cdf: the generic route sums it
+over the jumps of an arbitrary step function, this one over the cells of G
+with their signs, so the two sums are still formed independently.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .corefn import PiecewiseConstantFn, make_pcf
 from .errors import (
@@ -28,6 +30,7 @@ from .errors import (
     NoAdmissibleBase,
     TruncationTooShallow,
 )
+from .operators import _kernel_cdf
 from .variation import RadiusSet, make_radius_set
 
 __all__ = [
@@ -101,10 +104,6 @@ def lacunary_sign(a: float, k_min: int) -> PiecewiseConstantFn:
 def unit_indicator() -> PiecewiseConstantFn:
     """The indicator of [0, 1)."""
     return make_pcf((0.0, 1.0), (1.0,))
-
-
-def _kernel_cdf(w: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(np.asarray(w) / 2.0))
 
 
 def heat_of_g_matrix(

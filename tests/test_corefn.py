@@ -381,6 +381,14 @@ class TestMalformedInput:
             lambda g: make_pcf(1.0, [1.0]),
             lambda g: make_profile(g, 3.0),
             lambda g: fit_power_law(3.0, [1.0, 2.0, 3.0]),
+            lambda g: make_grid("123"),
+            lambda g: make_grid(b"12"),
+            lambda g: make_grid(["a", "b"]),
+            lambda g: make_grid(["1", "2"]),
+            lambda g: make_grid(np.array(["1", "2"])),
+            lambda g: make_grid([object(), 1.0]),
+            lambda g: make_grid([1.0, [2.0, 3.0]]),
+            lambda g: make_vector_field(g, ["ab", "cd"], sup_norm(), [1.0, 1.0]),
         ],
         ids=[
             "ragged-rows",
@@ -393,6 +401,14 @@ class TestMalformedInput:
             "breakpoints-not-iterable",
             "profile-not-iterable",
             "fit-not-iterable",
+            "grid-is-a-string",
+            "grid-is-bytes",
+            "grid-of-letters",
+            "grid-of-digit-strings",
+            "grid-of-numpy-strings",
+            "grid-of-objects",
+            "grid-with-nested-entry",
+            "rows-are-strings",
         ],
     )
     def test_raises_length_mismatch(self, build):

@@ -13,6 +13,7 @@ from varlat import (
     LacunaryParams,
     OperatorFamily,
     default_lacunary,
+    exp_hilbert_growth,
     exp_key_estimate,
     exp_linf_blowup,
     exp_maximal_contrast,
@@ -267,10 +268,16 @@ class TestHilbertNorms:
         )
 
     def test_factorial_eta_closed_form(self):
-        mpmath.mp.dps = 30
-        for r in (8.0, 16.0, 32.0):
-            want = float((2 * mpmath.gamma(r + 1) * mpmath.altzeta(r)) ** (1 / mpmath.mpf(r)))
-            assert hilbert_inner_norm(r) == pytest.approx(want, rel=5e-4)
+        # the exact norm is (2 Gamma(r+1) eta(r))^(1/r); the float value must
+        # sit at or below it (a one-sided numerator) and within 1e-13
+        named = (1.0, 1.0001, 1.5, 2.0, 3.0, 8.0, 16.0, 32.0, 63.5, 64.0)
+        dense = np.concatenate((1.0 + np.geomspace(1e-12, 0.5, 40), np.linspace(1.5, 64.0, 360)))
+        with mpmath.workdps(50):
+            for r in (*named, *dense.tolist()):
+                exact = (2 * mpmath.gamma(r + 1) * mpmath.altzeta(r)) ** (1 / mpmath.mpf(r))
+                got = mpmath.mpf(hilbert_inner_norm(r))
+                assert got <= exact, r
+                assert got >= exact * (1 - mpmath.mpf("1e-13")), r
 
     def test_pointwise_log_lower_bound(self):
         u = unit_indicator()
@@ -280,6 +287,16 @@ class TestHilbertNorms:
     def test_rejects_r_below_one(self):
         with pytest.raises(BadRange):
             hilbert_inner_norm(0.5)
+
+    def test_rejects_r_above_cap(self):
+        with pytest.raises(BadRange):
+            hilbert_inner_norm(64.5)
+
+    def test_growth_ignores_the_grid(self):
+        coarse = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec(lin_points=64))
+        fine = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec().doubled())
+        ratios = [[rep.ratio for rep in exp_hilbert_growth(c).reports] for c in (coarse, fine)]
+        assert ratios[0] == ratios[1]
 
 
 class TestNormTransfer:

@@ -1,4 +1,5 @@
-"""Package-level checks: the public name list and the runnable demos."""
+"""Package-level checks: the public name list, imports and the runnable demos."""
+import ast
 import pathlib
 import runpy
 
@@ -18,6 +19,23 @@ def test_every_package_name_comes_from_its_module_list():
         owners = [m for m in MODULES if name in m.__all__]
         assert len(owners) == 1, f"{name} listed by {len(owners)} modules"
         assert getattr(varlat, name) is getattr(owners[0], name)
+
+
+def test_only_operators_imports_scipy():
+    # erf is the only scipy function in use; keeping it behind one module
+    # lets a replacement swap it in one place
+    importers = set()
+    for path in pathlib.Path(varlat.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"operators"}
 
 
 def test_demos_found():
