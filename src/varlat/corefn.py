@@ -52,6 +52,13 @@ __all__ = [
 ]
 
 
+def _not_text(data):
+    """``data`` itself, unless it is a string or bytes (iterable, but of characters)."""
+    if isinstance(data, (str, bytes, bytearray)):
+        raise TypeError
+    return data
+
+
 def _as_float_array(data: Iterable, what: str, ndim: int = 1) -> np.ndarray:
     """A fresh, read-only, C-ordered float64 copy of ``data``.
 
@@ -60,13 +67,14 @@ def _as_float_array(data: Iterable, what: str, ndim: int = 1) -> np.ndarray:
     """
     shape = "a flat sequence" if ndim == 1 else "a matrix (rows of equal length)"
     try:
-        if isinstance(data, (str, bytes, bytearray)):  # iterable, but of characters
-            raise TypeError
         if not isinstance(data, np.ndarray):
-            data = [tuple(row) for row in data] if ndim == 2 else tuple(data)
+            data = [tuple(_not_text(row)) for row in data] if ndim == 2 else tuple(_not_text(data))
         arr = np.asarray(data)
         if arr.dtype.kind not in "biufO":  # strings among the entries
             raise TypeError
+        if arr.dtype.kind == "O":  # float() would parse a digit string
+            for entry in arr.flat:
+                _not_text(entry)
         arr = np.array(arr, dtype=float, order="C")
     except (TypeError, ValueError):  # not iterable, ragged, or not numbers
         raise LengthMismatch(f"{what} must be {shape} of real numbers") from None

@@ -226,17 +226,26 @@ def geometric_radius_set(a: float, j0: int, j1: int) -> RadiusSet:
 #: Probe density for the halving-radius scan, per decade of |y|.
 _PROBES_PER_DECADE = 8
 
+#: Probes evaluated per heat call of the halving-radius scan, innermost first.
+_PROBE_BLOCK = 16
+
 
 def delta_halving_radius(a: float, k_min: int, j0: int, j1: int) -> float:
     """Largest probed radius rho with D_j(y) >= D_j(0)/2 for all |y| <= rho.
 
     Probes sit on the fixed decade ladder 10^(-i/8), extended down past
     a^-(j1+6); the answer is the longest all-passing prefix of that ladder,
-    over every scale index j in [j0, j1].  Keeping the ladder independent of
-    j1 (deeper runs only append smaller probes) makes the certified radius
-    weakly decreasing in j1.  The origin itself always passes, so continuity
-    guarantees rho > 0; if even the innermost probe fails, no radius is
-    certified.
+    counted from the innermost probe, over every scale index j in [j0, j1].
+    Keeping the ladder independent of j1 (deeper runs only append smaller
+    probes) makes the certified radius weakly decreasing in j1.  The origin
+    itself always passes, so continuity guarantees rho > 0; if even the
+    innermost probe fails, no radius is certified.
+
+    The ladder is scanned inside-out in blocks of ``_PROBE_BLOCK`` probes,
+    one heat evaluation at +-probes per block, and the scan stops at the
+    first block that holds a failure.  A probe's verdict depends only on its
+    own heat values, and probes past the first failure cannot change the
+    prefix, so the radius is the one a full-ladder evaluation gives.
     """
     if j0 < 1 or j0 > j1:
         raise BadRange(f"scale range [{j0}, {j1}] is empty or starts below 1")
@@ -251,15 +260,16 @@ def delta_halving_radius(a: float, k_min: int, j0: int, j1: int) -> float:
     decades = (j1 + 6) * math.log10(a)
     count = max(16, int(math.ceil(decades * _PROBES_PER_DECADE)))
     probes = 10.0 ** (-np.arange(count, -1, -1) / _PROBES_PER_DECADE)
-    values = heat_of_g_matrix(a, k_min, js, np.concatenate((probes, -probes)))
-    d_probe = np.abs(np.diff(values, axis=0))
-    d_pos, d_neg = d_probe[:, : probes.size], d_probe[:, probes.size :]
-    ok = np.all(
-        (d_pos >= d_zero[:, None] / 2.0) & (d_neg >= d_zero[:, None] / 2.0), axis=0
-    )
-    if not ok[0]:
-        raise KeyEstimateFailed(
-            "oscillation halves inside the innermost probe; no radius certified"
-        )
-    first_bad = int(np.argmin(ok)) if not ok.all() else probes.size
-    return float(probes[first_bad - 1])
+    for start in range(0, probes.size, _PROBE_BLOCK):
+        block = probes[start : start + _PROBE_BLOCK]
+        values = heat_of_g_matrix(a, k_min, js, np.concatenate((block, -block)))
+        holds = np.abs(np.diff(values, axis=0)) >= d_zero[:, None] / 2.0
+        ok = np.all(holds[:, : block.size] & holds[:, block.size :], axis=0)
+        if not ok.all():
+            first_bad = start + int(np.argmin(ok))
+            if first_bad == 0:
+                raise KeyEstimateFailed(
+                    "oscillation halves inside the innermost probe; no radius certified"
+                )
+            return float(probes[first_bad - 1])
+    return float(probes[-1])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -389,6 +390,9 @@ class TestMalformedInput:
             lambda g: make_grid([object(), 1.0]),
             lambda g: make_grid([1.0, [2.0, 3.0]]),
             lambda g: make_vector_field(g, ["ab", "cd"], sup_norm(), [1.0, 1.0]),
+            lambda g: make_vector_field(g, [b"12", b"34"], sup_norm(), [1.0, 1.0]),
+            lambda g: make_grid([Fraction(1, 2), "3"]),
+            lambda g: make_grid(np.array([Fraction(1, 2), b"3"], dtype=object)),
         ],
         ids=[
             "ragged-rows",
@@ -409,6 +413,9 @@ class TestMalformedInput:
             "grid-of-objects",
             "grid-with-nested-entry",
             "rows-are-strings",
+            "rows-are-bytes",
+            "grid-mixes-numbers-and-digit-strings",
+            "grid-mixes-numbers-and-bytes",
         ],
     )
     def test_raises_length_mismatch(self, build):
@@ -420,6 +427,10 @@ class TestMalformedInput:
         field = make_vector_field(grid, ((k, -k) for k in range(4)), sup_norm(), iter([1, 1]))
         assert grid.points_array.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert field.values_array[:, 1].tolist() == [0.0, -1.0, -2.0, -3.0]
+
+    def test_accepts_mixed_number_types(self):
+        grid = make_grid([Fraction(1, 2), 1, np.float32(1.5)])
+        assert grid.points_array.tolist() == [0.5, 1.0, 1.5]
 
 
 class TestReadOnlyStorage:

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from varlat import witnesses
 from varlat import (
     BadRange,
     DEFAULT_BASE_CANDIDATES,
@@ -27,6 +29,32 @@ from varlat import (
 )
 
 A, K_MIN = 2.0, -120
+
+# (k_min, j1) pairs at base 2, j0 = 2, on which the block scan of
+# delta_halving_radius is checked against the full-ladder evaluation
+HALVING_CASES = [(-120, 8), (-120, 16), (-120, 64), (-300, 6), (-300, 34), (-300, 128), (-300, 258)]
+
+
+@functools.cache
+def full_ladder_first_failure(k_min, j1):
+    """Index of the first failing probe on the whole ladder, and the ladder.
+
+    The reference for the block scan: every probe at every scale in one heat
+    call, then the first failure counted from the inside.
+    """
+    js = range(2, j1 + 2)
+    at_zero = heat_of_g_matrix(A, k_min, js, (0.0,))[:, 0]
+    d_zero = np.abs(np.diff(at_zero))
+    count = max(16, int(math.ceil((j1 + 6) * math.log10(A) * 8)))
+    probes = 10.0 ** (-np.arange(count, -1, -1) / 8)
+    values = heat_of_g_matrix(A, k_min, js, np.concatenate((probes, -probes)))
+    d_probe = np.abs(np.diff(values, axis=0))
+    d_pos, d_neg = d_probe[:, : probes.size], d_probe[:, probes.size :]
+    ok = np.all(
+        (d_pos >= d_zero[:, None] / 2.0) & (d_neg >= d_zero[:, None] / 2.0), axis=0
+    )
+    first_bad = int(np.argmin(ok)) if not ok.all() else probes.size
+    return first_bad, probes
 
 # oscillation table for base 2, frozen from a 40-digit arbitrary-precision
 # evaluation of the error-function sums
@@ -222,3 +250,51 @@ class TestDeltaHalving:
     def test_requires_adequate_truncation(self):
         with pytest.raises(TruncationTooShallow):
             delta_halving_radius(2.0, -4, 2, 30)
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 3])
+    @pytest.mark.parametrize("k_min, j1", HALVING_CASES)
+    def test_block_scan_matches_full_ladder(self, monkeypatch, k_min, j1, block):
+        if block is not None:
+            monkeypatch.setattr(witnesses, "_PROBE_BLOCK", block)
+        first_bad, probes = full_ladder_first_failure(k_min, j1)
+        assert 0 < first_bad < probes.size
+        assert delta_halving_radius(A, k_min, 2, j1) == float(probes[first_bad - 1])
+
+    @pytest.mark.parametrize("k_min, j1", HALVING_CASES)
+    def test_block_sizes_put_the_failure_on_and_inside_a_block(self, k_min, j1):
+        first_bad, _ = full_ladder_first_failure(k_min, j1)
+        starts_a_block = {first_bad % block == 0 for block in (1, 2, 3, 16)}
+        assert starts_a_block == {True, False}
+
+    def test_scan_stops_after_the_failing_block(self, monkeypatch):
+        seen = []
+
+        def counting(a, k_min, js, ys):
+            ys = tuple(ys)
+            seen.append(len(ys))
+            return heat_of_g_matrix(a, k_min, js, ys)
+
+        monkeypatch.setattr(witnesses, "heat_of_g_matrix", counting)
+        assert delta_halving_radius(2.0, -300, 2, 128) > 0
+        # the origin, then at most two blocks of 16 probes at +-y
+        assert sum(seen) <= 1 + 2 * (2 * 16)
+
+    def test_all_passing_ladder_returns_outermost_probe(self, monkeypatch):
+        # heat values that do not depend on y: every probe passes
+        def flat(a, k_min, js, ys):
+            return np.outer(np.arange(len(js)) ** 2.0, np.ones(len(tuple(ys))))
+
+        monkeypatch.setattr(witnesses, "heat_of_g_matrix", flat)
+        assert delta_halving_radius(A, K_MIN, 2, 8) == 1.0
+
+    @pytest.mark.parametrize("block", [1, 16])
+    def test_innermost_failure_certifies_nothing(self, monkeypatch, block):
+        # oscillation collapses away from the origin: the innermost probe fails
+        def peaked(a, k_min, js, ys):
+            ys = np.asarray(tuple(ys))
+            return np.outer(np.arange(len(js)) ** 2.0, (ys == 0.0).astype(float))
+
+        monkeypatch.setattr(witnesses, "_PROBE_BLOCK", block)
+        monkeypatch.setattr(witnesses, "heat_of_g_matrix", peaked)
+        with pytest.raises(KeyEstimateFailed):
+            delta_halving_radius(A, K_MIN, 2, 8)
