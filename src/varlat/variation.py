@@ -2,15 +2,18 @@
 
 The central quantity: for a finite sequence v_1, ..., v_n the q-variation is
 the largest value of (sum |v_{i_{k+1}} - v_{i_k}|^q)^(1/q) over increasing
-index subsequences.  A dynamic program finds it exactly in O(n^2) together
-with a witness subsequence; an exhaustive search over all subsequences backs
-it up for short inputs.
+index subsequences.  :func:`qvariation` finds it exactly together with a
+witness subsequence, by a dynamic program over the strict turning points
+that looks back only at the few predecessors an optimal chain can use; an
+exhaustive search over all subsequences backs it up for short inputs.  At
+q = 1 the value is the total variation, a closed form.
 
 Operator-family profiles need only the value, once per row of a family
-matrix, so they go through :func:`qvariation_rows`: the same O(m^2) program
-run on every row at once, looping over columns only.  Rows are not pruned
-there (on the witness profiles every point is a local extremum, so pruning
-saves nothing); :func:`prune_to_local_extrema` remains a 1-D helper.
+matrix, so they go through :func:`qvariation_rows`.  At q > 1 it runs the
+plain O(m^2) recurrence over every predecessor on all rows at once, looping
+over columns only; with no pruning and no candidate rule it is also the
+tests' value oracle for :func:`qvariation`.  On the witness profiles every
+point is a local extremum, so pruning would save nothing there.
 """
 from __future__ import annotations
 
@@ -116,27 +119,104 @@ def _gap_powers(gaps: np.ndarray, q: float) -> np.ndarray:
     return out**q
 
 
-def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
-    """Exact q-variation by dynamic programming.
+def _turning_points(v: np.ndarray) -> np.ndarray:
+    """Indices of the strict turning points of v, both ends included.
 
-    best[j] = max over i < j of best[i] + |v_j - v_i|^q, initialized to 0;
-    the certificate value is (max_j best[j])^(1/q).  Ties resolve to the
-    first optimum found in the left-to-right scan.
+    Each run of equal values keeps its first index; of the rest, only the
+    interior points where the direction changes stay.  Sequences of at most
+    two values are kept whole.
+    """
+    n = v.size
+    if n <= 2:
+        return np.arange(n)
+    idx = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    if idx.size <= 2:
+        return idx
+    d = np.sign(np.diff(v[idx]))
+    return idx[np.concatenate(([True], d[:-1] != d[1:], [True]))]
+
+
+def _total_variation(v: np.ndarray) -> np.ndarray:
+    """Sum of the floored |steps| along each row: the q = 1 variation."""
+    return _gap_powers(np.abs(np.diff(v, axis=1)), 1.0).sum(axis=1)
+
+
+def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
+    """Exact q-variation with a witness subsequence.
+
+    At q = 1 the value is the total variation and the witness is the strict
+    turning points (empty when the value is 0).
+
+    For q > 1 the sequence is first cut to its strict turning points, a
+    zigzag w of alternating peaks and troughs; points inside a monotone run
+    never help, as |a - c|^q >= |a - b|^q + |b - c|^q for b between a and c.
+    Then best[j] = max over candidates i of best[i] + |w_j - w_i|^q,
+    initialized to 0, and the value is (max_j best[j])^(1/q).  For a peak j
+    the candidates are the troughs i that
+
+    - lie strictly below every later value up to j (they are kept on a
+      monotone stack), and
+    - come after the last peak p < j with w_p > w_j;
+
+    for a trough the roles of peaks and troughs swap.  This is exact: in a
+    best chain ending at j, the last step (i, j) has w_i = min w[i..j] and
+    w_j = max w[i..j], since inserting a point outside that range would
+    raise the sum strictly when q > 1; and an earlier trough with a value
+    equal to a later one's is beaten by the later one, which can collect
+    the peak between them first.  Among the candidates, ties resolve to the
+    earliest.  A point left out can tie with a candidate only by rounding:
+    on (0, 1e-10, 0, 1) at q = 3 the chains (0, 3) and (0, 1, 2, 3) both sum
+    to 1.0 in floating point, and the witness is the second, which is larger
+    in exact arithmetic.  The value is the same either way.
     """
     if not q >= 1:
         raise InvalidQ("variation exponent must satisfy q >= 1")
     v = _validated_values(values)
-    n = v.size
-    if n < 2:
+    if v.size < 2:
         return VariationCertificate(0.0, ())
-    best = np.zeros(n)
-    pred = np.full(n, -1, dtype=int)
-    for j in range(1, n):
-        cand = best[:j] + _gap_powers(np.abs(v[j] - v[:j]), q)
-        i = int(np.argmax(cand))
-        if cand[i] > 0.0:
-            best[j] = cand[i]
-            pred[j] = i
+    kept = _turning_points(v)
+    if q == 1.0:
+        total = float(_total_variation(v[None, :])[0])
+        return VariationCertificate(total, tuple(kept.tolist()) if total > 0.0 else ())
+    w = v[kept]
+    m = w.size
+    best = np.zeros(m)
+    pred = np.full(m, -1, dtype=np.intp)
+    # one monotone stack per type, oldest entry first: troughs (type 0) with
+    # strictly increasing values, peaks (type 1) with strictly decreasing
+    # ones; each keeps its entries' indices, values and best sums side by
+    # side, so the candidates of a point are views of one slice
+    stack_idx = (np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp))
+    stack_val = (np.empty(m), np.empty(m))
+    stack_best = (np.empty(m), np.empty(m))
+    tops = [0, 0]
+    wl = w.tolist()
+    first_is_peak = m > 1 and wl[0] > wl[1]
+    for j in range(m):
+        wj = wl[j]
+        own = int((j % 2 == 0) == first_is_peak)
+        other = 1 - own
+        idx, top = stack_idx[own], tops[own]
+        if own:
+            while top and wl[idx[top - 1]] <= wj:
+                top -= 1
+        else:
+            while top and wl[idx[top - 1]] >= wj:
+                top -= 1
+        overshoot = idx[top - 1] if top else -1
+        end = tops[other]
+        start = stack_idx[other][:end].searchsorted(overshoot, "right")
+        if start < end:
+            gaps = np.abs(wj - stack_val[other][start:end])
+            cand = stack_best[other][start:end] + _gap_powers(gaps, q)
+            k = cand.argmax()
+            if cand[k] > 0.0:
+                best[j] = cand[k]
+                pred[j] = stack_idx[other][start + k]
+        idx[top] = j
+        stack_val[own][top] = wj
+        stack_best[own][top] = best[j]
+        tops[own] = top + 1
     j_star = int(np.argmax(best))
     if best[j_star] <= 0.0:
         return VariationCertificate(0.0, ())
@@ -144,15 +224,17 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     while pred[chain[-1]] >= 0:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
-    return VariationCertificate(float(best[j_star] ** (1.0 / q)), tuple(chain))
+    return VariationCertificate(float(best[j_star] ** (1.0 / q)), tuple(kept[chain].tolist()))
 
 
 def qvariation_rows(matrix, q: float) -> np.ndarray:
     """Exact q-variation of every row of a matrix, values only.
 
-    Runs the recurrence of :func:`qvariation` on all rows at once, one
-    column at a time, so row i of the result equals
-    ``qvariation(matrix[i], q).value`` exactly.  The final root is taken on
+    At q = 1 this is the total variation of each row, as in
+    :func:`qvariation`.  For q > 1 it runs the plain recurrence
+    best[j] = max over all i < j of best[i] + |v_j - v_i|^q on all rows at
+    once, one column at a time, with no pruning and no candidate rule, so it
+    checks :func:`qvariation` independently.  The final root is taken on
     Python floats: numpy's array power can differ from the scalar one in
     the last ulp.
     """
@@ -166,6 +248,8 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
     rows, n = v.shape
     if n < 2:
         return np.zeros(rows)
+    if q == 1.0:
+        return _total_variation(v)
     best = np.zeros((rows, n))
     for j in range(1, n):
         gaps = np.abs(v[:, j, None] - v[:, :j])
@@ -217,19 +301,8 @@ def prune_to_local_extrema(values: Iterable[float]) -> tuple[tuple[float, ...], 
     between a and c, so monotone interior points never help the variation.
     """
     v = np.asarray(tuple(values), dtype=float)
-    n = v.size
-    if n <= 2:
-        return tuple(v.tolist()), tuple(range(n))
-    run_keep = np.concatenate(([True], v[1:] != v[:-1]))
-    idx = np.flatnonzero(run_keep)
-    w = v[idx]
-    if w.size <= 2:
-        out = idx
-    else:
-        d = np.sign(np.diff(w))
-        turn = d[:-1] != d[1:]
-        out = idx[np.concatenate(([True], turn, [True]))]
-    return tuple(v[out].tolist()), tuple(int(i) for i in out)
+    out = _turning_points(v)
+    return tuple(v[out].tolist()), tuple(out.tolist())
 
 
 def maximal(values: Iterable[float]) -> float:

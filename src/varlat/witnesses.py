@@ -64,6 +64,10 @@ KEY_THRESHOLD = 1e-4
 #: underflow to zero on the reciprocal side.
 _LN_DOUBLE_MAX = 708.0
 
+#: Entries of the (scale, point, cell) tensor that heat_of_g_matrix builds
+#: per chunk of points; it bounds the temporaries at a few MB each.
+_HEAT_CHUNK = 262_144
+
 
 @dataclass(frozen=True)
 class LacunaryParams:
@@ -130,12 +134,16 @@ def heat_of_g_matrix(
     scale = np.power(a, j_arr)[:, None, None]
     out = np.empty((j_arr.size, y_arr.size))
     # chunk the point axis so the (j, y, cell) tensor stays modest
-    step = max(1, 2_000_000 // max(1, j_arr.size * ks.size))
+    step = max(1, _HEAT_CHUNK // max(1, j_arr.size * ks.size))
     for start in range(0, y_arr.size, step):
         block = y_arr[start : start + step]
         args_lo = (block[None, :, None] - lower[None, None, :]) * scale
         args_hi = (block[None, :, None] - upper[None, None, :]) * scale
-        out[:, start : start + step] = (_kernel_cdf(args_lo) - _kernel_cdf(args_hi)) @ signs
+        terms = _kernel_cdf(args_lo) - _kernel_cdf(args_hi)
+        terms *= signs
+        # a plain sum over the cells: unlike a BLAS product, it gives each
+        # value independently of the other points and of the chunking
+        out[:, start : start + step] = terms.sum(axis=-1)
     return out
 
 

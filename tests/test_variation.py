@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlat import variation
+from varlat.variation import GAP_FLOOR, VariationCertificate
 from varlat import (
     BadRange,
     EmptyInput,
@@ -30,6 +31,47 @@ from varlat import (
 )
 
 EXAMPLE = (0.0, 1.0, 0.9, 2.0)
+
+
+def floored_powers(gaps, q):
+    return np.where(gaps < GAP_FLOOR, 0.0, gaps) ** q
+
+
+def witness_dp_oracle(values, q):
+    """The O(n^2) witness DP over every point and every predecessor.
+
+    best[j] = max over all i < j of best[i] + |v_j - v_i|^q, ties to the
+    first optimum; the oracle for the candidate rule of qvariation.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    if n < 2:
+        return VariationCertificate(0.0, ())
+    best = np.zeros(n)
+    pred = np.full(n, -1, dtype=int)
+    for j in range(1, n):
+        cand = best[:j] + floored_powers(np.abs(v[j] - v[:j]), q)
+        i = int(np.argmax(cand))
+        if cand[i] > 0.0:
+            best[j] = cand[i]
+            pred[j] = i
+    j_star = int(np.argmax(best))
+    if best[j_star] <= 0.0:
+        return VariationCertificate(0.0, ())
+    chain = [j_star]
+    while pred[chain[-1]] >= 0:
+        chain.append(int(pred[chain[-1]]))
+    chain.reverse()
+    return VariationCertificate(float(best[j_star] ** (1.0 / q)), tuple(chain))
+
+
+def dp_chain_sum(values, chain, q):
+    """Sum of floored gap powers along a chain, added in the DP's order."""
+    v = np.asarray(values, dtype=float)
+    total = 0.0
+    for power in floored_powers(np.abs(np.diff(v[list(chain)])), q).tolist():
+        total += power
+    return total
 
 
 class TestQVariationExamples:
@@ -139,6 +181,123 @@ class TestCertificates:
             v = rng.uniform(-1, 1, 25)
             cert = qvariation(v, 2.0)
             assert list(cert.subsequence) == sorted(set(cert.subsequence))
+
+
+class TestCandidateRuleAgainstOracle:
+    """qvariation's turning-point DP against the full O(n^2) witness DP."""
+
+    @given(
+        st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), max_size=60),
+        st.sampled_from([1.5, 2.0, 3.0, 5.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_discrete_values_match_oracle(self, raw, q):
+        assert qvariation(raw, q) == witness_dp_oracle(raw, q)
+
+    @given(
+        st.lists(st.floats(-10, 10), max_size=60),
+        st.sampled_from([1.5, 2.0, 3.0, 5.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_values_match_oracle(self, raw, q):
+        got, want = qvariation(raw, q), witness_dp_oracle(raw, q)
+        assert got.value == want.value
+        if got.subsequence != want.subsequence:
+            # only where two chains tie in floating point: both then reach
+            # the same sum in the DP's own arithmetic
+            assert dp_chain_sum(raw, got.subsequence, q) == dp_chain_sum(raw, want.subsequence, q)
+
+    def test_exact_tie_goes_to_the_earliest_candidate(self):
+        # (0, 3) and (0, 1, 2, 3) both sum to 9 at q = 2
+        values = (0.0, 2.0, 1.0, 3.0)
+        assert qvariation(values, 2.0) == VariationCertificate(3.0, (0, 3))
+        assert witness_dp_oracle(values, 2.0) == VariationCertificate(3.0, (0, 3))
+
+    def test_float_tie_keeps_the_later_chain(self):
+        # the chains (0, 3) and (0, 1, 2, 3) both sum to 1.0 in floating
+        # point; the second is larger by 2e-30 in exact arithmetic
+        values = (0.0, 1e-10, 0.0, 1.0)
+        assert witness_dp_oracle(values, 3.0).subsequence == (0, 3)
+        assert qvariation(values, 3.0) == VariationCertificate(1.0, (0, 1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "shape", ["rising_sawtooth", "damped_alternation", "uptrend_noise", "plateaus"]
+    )
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 5.0])
+    def test_adversarial_shapes_match_oracle(self, rng, shape, q):
+        n = 2000
+        k = np.arange(n)
+        values = {
+            # every peak a new record and the troughs rising: no candidate is
+            # ever dropped for a peak, the worst case for the stacks
+            "rising_sawtooth": k / 2.0 + np.where(k % 2 == 1, 1.0, 0.0),
+            "damped_alternation": np.where(k % 2 == 0, 1.0, -1.0) * 0.995**k,
+            "uptrend_noise": 0.01 * k + rng.normal(0.0, 1.0, n),
+            "plateaus": np.repeat(rng.normal(0.0, 1.0, n // 5), 5),
+        }[shape]
+        assert qvariation(values, q) == witness_dp_oracle(values, q)
+
+    @pytest.mark.parametrize("shape", ["normals", "converging_zigzag", "repeated_zigzag"])
+    def test_candidate_work_stays_linear(self, monkeypatch, shape):
+        seen = []
+
+        def counting(gaps, q):
+            seen.append(gaps.size)
+            return floored_powers(gaps, q)
+
+        monkeypatch.setattr(variation, "_gap_powers", counting)
+        n = 20_000
+        k = np.arange(n)
+        values = {
+            "normals": np.random.default_rng(0).standard_normal(n),
+            # rising troughs all stay on their stack: the overshoot rule
+            # alone keeps each peak to one candidate
+            "converging_zigzag": np.where(k % 2 == 0, 1.0, -1.0) * 0.9999**k,
+            # equal troughs and equal peaks: the strict stacks keep one each
+            "repeated_zigzag": (k % 2).astype(float),
+        }[shape]
+        qvariation(values, 3.0)
+        # the full DP would pass n(n-1)/2 = 2e8 gaps
+        assert 0 < sum(seen) < 10 * n
+
+
+class TestTotalVariation:
+    """At q = 1 the variation is the sum of the floored |steps|."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 200, 4097])
+    def test_matches_rows_exactly(self, rng, n):
+        matrix = np.concatenate(
+            (
+                rng.normal(size=(3, n)),
+                rng.choice([-1.0, 0.0, 0.5, 1.0], size=(3, n)),
+                np.repeat(rng.normal(size=(3, n)), 4, axis=1)[:, :n],
+            )
+        )
+        rows = qvariation_rows(matrix, 1.0)
+        for row, value in zip(matrix, rows):
+            assert qvariation(row, 1.0).value == value
+            assert value == float(np.sum(np.abs(np.diff(row))))
+
+    def test_matches_bruteforce(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(2, 13))
+            v = rng.choice([-1.0, 0.0, 0.5, 1.0], size=n) if trial % 2 else rng.uniform(-2, 2, n)
+            assert qvariation(v, 1.0).value == pytest.approx(
+                qvariation_bruteforce(v, 1.0).value, rel=1e-12, abs=1e-15
+            )
+
+    def test_witness_is_the_turning_points(self, rng):
+        for _ in range(100):
+            v = rng.choice([-1.0, 0.0, 0.5, 1.0], size=int(rng.integers(2, 40)))
+            cert = qvariation(v, 1.0)
+            _, turning = prune_to_local_extrema(v)
+            assert cert.subsequence == (turning if cert.value > 0 else ())
+            along = v[list(cert.subsequence)]
+            assert float(np.sum(np.abs(np.diff(along)))) == pytest.approx(cert.value, rel=1e-12)
+
+    def test_constant_and_subfloor_inputs_are_zero(self):
+        assert qvariation((2.0, 2.0, 2.0), 1.0) == VariationCertificate(0.0, ())
+        assert qvariation((0.0, 1e-310, 0.0), 1.0) == VariationCertificate(0.0, ())
 
 
 class TestBruteforceAgreement:

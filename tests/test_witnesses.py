@@ -114,6 +114,14 @@ class TestHeatOfSign:
             for c, y in enumerate((0.0, 0.1)):
                 assert mat[r, c] == heat_of_g_at(A, K_MIN, j, y)
 
+    def test_chunked_call_matches_single_points(self):
+        js, k_min = range(40), -300
+        per_chunk = witnesses._HEAT_CHUNK // (len(js) * -k_min)
+        ys = np.linspace(-1.5, 1.5, 3 * per_chunk + 5)
+        mat = heat_of_g_matrix(A, k_min, js, ys)
+        for c, y in enumerate(ys.tolist()):
+            assert mat[:, c].tolist() == heat_of_g_matrix(A, k_min, js, (y,))[:, 0].tolist()
+
     def test_agrees_with_generic_heat_route(self, rng):
         # the direct error-function sum and the generic operator path are
         # independent implementations of the same convolution
