@@ -656,7 +656,13 @@ def run(argv: Sequence[str]) -> int:
         cache = os.environ.get(_CACHE_ENV)
         if cache and outcome.passed and outcome.cache is not None:
             _write_json(cache, outcome.cache)
-        print(command.summary(outcome))
+        try:
+            print(command.summary(outcome), flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early (`| head`): that ends the output,
+            # not the run, so say nothing and point stdout at devnull, where
+            # the interpreter's final flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except VarlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

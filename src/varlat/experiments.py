@@ -23,12 +23,10 @@ exposing the (j1 - j0)^(1/q) growth.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -273,13 +271,6 @@ class NormTransferResult:
 # small shared helpers
 
 
-def _map_ordered(task: Callable, params: Sequence) -> list:
-    # numpy and scipy release the GIL inside their array kernels, so the rows
-    # overlap on one thread per CPU
-    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        return list(pool.map(task, params))
-
-
 def _masked_p_norm(grid: SampleGrid, values: np.ndarray, mask: np.ndarray, p: float) -> float:
     v = np.abs(values[mask])
     if p == math.inf:
@@ -460,7 +451,7 @@ def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> BlowupR
         # so downstream plots fit the same quantity this function reports.
         return _make_report(j1 - config.lacunary.j0, num, den, time.perf_counter() - t0)
 
-    reports = tuple(_map_ordered(task, depths))
+    reports = tuple(task(j1) for j1 in depths)
     ratios = [rep.ratio for rep in reports]
     fit = None
     if len(reports) >= 3:
@@ -490,7 +481,7 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ma
         report = _make_report(j1 - config.lacunary.j0, num_max, den, time.perf_counter() - t0)
         return ContrastPair(j1, num_var / den, num_max / den), report
 
-    rows = _map_ordered(task, depths)
+    rows = [task(j1) for j1 in depths]
     pairs = tuple(pair for pair, _ in rows)
     reports = tuple(report for _, report in rows)
     max_ratios = [pair.maximal_ratio for pair in pairs]
@@ -538,7 +529,7 @@ def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:
         den = _power_denominator(config, r)
         return _make_report(r, num, den, time.perf_counter() - t0)
 
-    reports = tuple(_map_ordered(task, config.r_list))
+    reports = tuple(task(r) for r in config.r_list)
     fit = None
     if len(reports) >= 3:
         fit = fit_power_law(config.r_list, [rep.ratio for rep in reports])

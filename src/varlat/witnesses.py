@@ -10,8 +10,9 @@ Two independent evaluation routes exist on purpose: the generic closed form in
 operators.heat_apply, and the direct error-function sum here.  Tests hold them
 to 1e-12 of each other; nothing in the package collapses them into one.  They
 share only the kernel CDF, operators._kernel_cdf: the generic route sums it
-over the jumps of an arbitrary step function, this one over the cells of G
-with their signs, so the two sums are still formed independently.
+over a scale-local window of the jumps of an arbitrary step function, this
+one over every cell edge of G with the cells' signs, so the two sums are
+still formed independently.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ KEY_THRESHOLD = 1e-4
 #: underflow to zero on the reciprocal side.
 _LN_DOUBLE_MAX = 708.0
 
-#: Entries of the (scale, point, cell) tensor that heat_of_g_matrix builds
+#: Entries of the (scale, point, edge) tensor that heat_of_g_matrix builds
 #: per chunk of points; it bounds the temporaries at a few MB each.
 _HEAT_CHUNK = 262_144
 
@@ -129,17 +130,17 @@ def heat_of_g_matrix(
     y_arr = np.asarray(tuple(ys), dtype=float)
     ks = np.arange(k_min, 0)
     signs = np.where(ks % 2 == 0, -1.0, 1.0)
-    lower = np.power(a, ks.astype(float))
-    upper = np.power(a, (ks + 1).astype(float))
+    # cell k is [edge k, edge k+1); neighbouring cells share an edge, so Phi
+    # is evaluated once per edge and differenced
+    edges = np.power(a, np.arange(k_min, 1).astype(float))
     scale = np.power(a, j_arr)[:, None, None]
     out = np.empty((j_arr.size, y_arr.size))
-    # chunk the point axis so the (j, y, cell) tensor stays modest
-    step = max(1, _HEAT_CHUNK // max(1, j_arr.size * ks.size))
+    # chunk the point axis so the (j, y, edge) tensor stays modest
+    step = max(1, _HEAT_CHUNK // max(1, j_arr.size * edges.size))
     for start in range(0, y_arr.size, step):
         block = y_arr[start : start + step]
-        args_lo = (block[None, :, None] - lower[None, None, :]) * scale
-        args_hi = (block[None, :, None] - upper[None, None, :]) * scale
-        terms = _kernel_cdf(args_lo) - _kernel_cdf(args_hi)
+        cdf = _kernel_cdf((block[None, :, None] - edges[None, None, :]) * scale)
+        terms = cdf[..., :-1] - cdf[..., 1:]
         terms *= signs
         # a plain sum over the cells: unlike a BLAS product, it gives each
         # value independently of the other points and of the chunking

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import random
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -24,7 +27,7 @@ class TestExitCodes:
 
     def test_unknown_flag(self):
         assert run(["reduction-constant", "--does-not-exist", "1"]) == 2
-        # the thread count is os.cpu_count(), not an option
+        # there is no thread pool to size
         assert run(["linf-blowup", "--workers", "2"]) == 2
 
     def test_variation_requires_values(self):
@@ -71,6 +74,27 @@ class TestVariationCommand:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["variation", "--values", str(tmp_path / "nope.txt")]) == 2
+
+    def test_reader_closing_the_pipe_early_is_not_an_error(self, tmp_path):
+        # like `varlat variation ... | head -c 10`: the output is cut short,
+        # the run itself still succeeded
+        r = random.Random(0)
+        values = tmp_path / "normals.txt"
+        values.write_text("\n".join(repr(r.gauss(0.0, 1.0)) for _ in range(200_000)))
+        src = os.path.dirname(os.path.dirname(varlat.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "varlat.cli", "variation", "--values", str(values), "--q", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert len(head) == 10
+        assert err == b""
 
 
 class TestReductionCommand:

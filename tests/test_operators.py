@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from varlat import (
@@ -15,14 +17,17 @@ from varlat import (
     avg_apply_many,
     family_value_matrix,
     gauss_legendre_integrate,
+    geometric_radius_set,
     heat_apply,
     heat_apply_many,
     heat_integral_representation_check,
     hilbert_apply,
     hilbert_apply_many,
+    lacunary_sign,
     make_pcf,
     pcf_eval,
 )
+from varlat import cli, operators
 
 UNIT = make_pcf([0.0, 1.0], [1.0])
 
@@ -125,6 +130,110 @@ class TestHeatApply:
             direct = heat_apply(UNIT, s1 + s2, x)
             two_step = heat_apply(refit, s2, x)
             assert two_step == pytest.approx(direct, abs=1e-3)
+
+
+def dense_heat(f, s, xs):
+    """The full erf sum over every breakpoint: the windowed route's oracle."""
+    args = (np.asarray(xs, dtype=float)[:, None] - f.breakpoints_array[None, :]) / math.sqrt(s)
+    return operators._kernel_cdf(args) @ operators._jump_coefficients(f)
+
+
+# breakpoints as a start plus gaps spread over 14 decades, so that some
+# leading clusters collapse and some windows hold every breakpoint
+step_functions = st.builds(
+    lambda start, gaps, values: make_pcf(start + np.cumsum([0.0] + gaps), values[: len(gaps)]),
+    st.floats(-3.0, 3.0),
+    st.lists(st.floats(-14.0, 0.0).map(lambda e: 10.0**e), min_size=1, max_size=12),
+    st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+)
+
+
+class TestWindowedHeat:
+    @given(
+        f=step_functions,
+        log_s=st.floats(-12.0, 12.0),
+        xs=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_sum(self, f, log_s, xs):
+        s = 10.0**log_s
+        xs = xs + f.breakpoints_array[:2].tolist()
+        got = heat_apply_many(f, s, xs)
+        assert np.all(np.abs(got - dense_heat(f, s, xs)) <= 1e-13)
+
+    def test_lacunary_witness_against_mpmath(self):
+        # 40-digit sum of the same erf terms; the dense float sum is off by
+        # up to ~9e-14 here, from cancellation over ~600 jumps of +-1 and +-2
+        g = lacunary_sign(2.0, -300)
+        bps = [mpmath.mpf(float(b)) for b in g.breakpoints_array]
+        coef = [mpmath.mpf(float(c)) for c in operators._jump_coefficients(g)]
+        for j in (2, 6, 20, 60, 128, 250):
+            s = 2.0 ** (-2 * j)
+            r = 2.0**-j
+            xs = [0.0, 1e-9 * r, -0.3 * r, 0.77 * r, r, 3.0 * r, -5.0 * r, 20.0 * r, 0.5]
+            got = heat_apply_many(g, s, xs)
+            for x, value in zip(xs, got.tolist()):
+                with mpmath.workdps(40):
+                    want = mpmath.fsum(
+                        c * (1 + mpmath.erf((x - b) / r / 2)) / 2 for b, c in zip(bps, coef)
+                    )
+                assert abs(value - float(want)) <= 2e-15
+
+    def test_collapse_bound_at_cli_depths(self):
+        # every heat time of the depth-sweep run: a = 2, k_min = -300, j <= 258
+        g = lacunary_sign(2.0, -300)
+        times = np.array(geometric_radius_set(2.0, 2, 258).radii)
+        bound = operators._collapse_bound(g, times)
+        assert bound.shape == times.shape
+        assert np.all(bound > 0.0)
+        assert bound.max() <= 1e-17
+
+    def test_every_breakpoint_saturated(self):
+        f = make_pcf([0.0, 1.0, 2.5], [3.0, -1.5])
+        xs = [-1.0, 0.5, 1.75, 4.0]
+        got = heat_apply_many(f, 1e-4, xs)
+        assert got.tolist() == [0.0, 3.0, -1.5, 0.0]
+
+    def test_point_on_a_breakpoint(self):
+        f = make_pcf([0.0, 1.0, 2.5], [3.0, -1.5])
+        for s in (1e-6, 0.1, 10.0):
+            got = heat_apply_many(f, s, f.breakpoints_array)
+            assert got == pytest.approx(dense_heat(f, s, f.breakpoints_array), abs=1e-14)
+        assert heat_apply(f, 1e-8, 1.0) == pytest.approx(0.75, abs=1e-14)
+
+    def test_empty_points(self):
+        assert heat_apply_many(UNIT, 0.5, []).shape == (0,)
+        assert family_value_matrix(UNIT, OperatorFamily.HEAT, (1.0, 0.5), []).shape == (0, 2)
+
+    def test_every_breakpoint_in_the_cluster(self):
+        f = make_pcf([0.0, 0.25, 0.5, 1.0], [1.0, -2.0, 0.5])
+        s = 1e20  # 2^-28 sqrt(s) is about 37, past the last breakpoint
+        assert 0.0 < operators._collapse_bound(f, [s])[0] <= 1e-20
+        xs = [-1e10, -3.0, 0.0, 0.6, 2.0, 1e10]
+        assert heat_apply_many(f, s, xs) == pytest.approx(dense_heat(f, s, xs), abs=1e-15)
+
+    def test_nan_point_stays_nan(self):
+        got = heat_apply_many(UNIT, 0.5, [0.5, math.nan])
+        assert math.isnan(got[1]) and not math.isnan(got[0])
+
+    def test_rejects_nonpositive_time_among_many(self):
+        with pytest.raises(NonPositiveTime):
+            family_value_matrix(UNIT, OperatorFamily.HEAT, (1.0, 0.0), [0.5])
+
+    def test_depth_sweep_erf_count(self, tmp_path, monkeypatch):
+        # the dense sum took 9,150,400 terms on this run
+        count = 0
+        original = operators._kernel_cdf
+
+        def counting(w):
+            nonlocal count
+            count += w.size
+            return original(w)
+
+        monkeypatch.setattr(operators, "_kernel_cdf", counting)
+        argv = ["linf-blowup", "--kmin", "-300", "--j1-list", "6,10,18,34,66,130,258"]
+        assert cli.run(argv + ["--out", str(tmp_path)]) == 0
+        assert 0 < count <= 1_200_000
 
 
 class TestHilbert:

@@ -101,6 +101,19 @@ class TestLacunarySign:
         assert u.values_array.tolist() == [1.0]
 
 
+def two_evaluation_heat(a, k_min, js, ys):
+    """The cell-by-cell formula, Phi at both ends of every cell."""
+    ks = np.arange(k_min, 0)
+    signs = np.where(ks % 2 == 0, -1.0, 1.0)
+    lower = np.power(a, ks.astype(float))
+    upper = np.power(a, (ks + 1).astype(float))
+    scale = np.power(a, np.asarray(js, dtype=float))[:, None, None]
+    y = np.asarray(ys, dtype=float)[None, :, None]
+    terms = witnesses._kernel_cdf((y - lower) * scale) - witnesses._kernel_cdf((y - upper) * scale)
+    terms *= signs
+    return terms.sum(axis=-1)
+
+
 class TestHeatOfSign:
     def test_shallow_value_against_closed_form(self):
         # one cell [1/2, 1), unit heat time: (erf(1/2) - erf(1/4)) / 2
@@ -121,6 +134,15 @@ class TestHeatOfSign:
         mat = heat_of_g_matrix(A, k_min, js, ys)
         for c, y in enumerate(ys.tolist()):
             assert mat[:, c].tolist() == heat_of_g_matrix(A, k_min, js, (y,))[:, 0].tolist()
+
+    @pytest.mark.parametrize("a", [2.0, math.e, 1.5, 3.0])
+    @pytest.mark.parametrize("k_min", [-1, -40, -300])
+    def test_shared_edges_match_two_evaluations(self, a, k_min):
+        # one Phi per cell edge, differenced, is the same float as two per cell
+        js = (0, 1, 5, 20, 60)
+        ys = np.concatenate((np.linspace(-1.5, 1.5, 401), [0.0, a**k_min, 1.0]))
+        got = heat_of_g_matrix(a, k_min, js, ys)
+        assert got.tolist() == two_evaluation_heat(a, k_min, js, ys).tolist()
 
     def test_agrees_with_generic_heat_route(self, rng):
         # the direct error-function sum and the generic operator path are
