@@ -36,7 +36,6 @@ __all__ = [
     "make_pcf",
     "pcf_eval",
     "pcf_eval_many",
-    "pcf_antiderivative_eval",
     "pcf_antiderivative_eval_many",
     "trapezoid_weights",
     "make_grid",
@@ -164,12 +163,8 @@ def pcf_eval_many(f: PiecewiseConstantFn, xs: Iterable[float]) -> np.ndarray:
     return out
 
 
-def pcf_antiderivative_eval(f: PiecewiseConstantFn, x: float) -> float:
-    """F(x) = integral of f over (-inf, x]; continuous and piecewise linear."""
-    return float(np.interp(x, f.breakpoints_array, f.cumulative_mass))
-
-
 def pcf_antiderivative_eval_many(f: PiecewiseConstantFn, xs: Iterable[float]) -> np.ndarray:
+    """F(x) = integral of f over (-inf, x] at each point; continuous and piecewise linear."""
     return np.interp(np.asarray(xs, dtype=float), f.breakpoints_array, f.cumulative_mass)
 
 

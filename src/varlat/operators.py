@@ -249,10 +249,7 @@ def family_value_matrix(
         return _heat_matrix(f, radii, x)
     if family is not OperatorFamily.AVERAGES:
         raise BadRange(f"unknown operator family {family!r}")
-    out = np.empty((x.size, radii.size))
-    for col, t in enumerate(radii):
-        out[:, col] = avg_apply_many(f, t, x)
-    return out
+    return avg_apply_many(f, radii, x[:, None])
 
 
 # ---------------------------------------------------------------------------

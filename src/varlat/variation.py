@@ -30,6 +30,7 @@ from .corefn import (
     ScalarProfile,
     InnerNorm,
     VectorField,
+    _as_float_array,
     make_profile,
     make_vector_field,
 )
@@ -107,13 +108,6 @@ class VariationCertificate:
     subsequence: tuple[int, ...]
 
 
-def _validated_values(values: Iterable[float]) -> np.ndarray:
-    v = np.asarray(tuple(values), dtype=float)
-    if v.size and not np.all(np.isfinite(v)):
-        raise NonFiniteValue("variation input contains a NaN or infinity")
-    return v
-
-
 def _gap_powers(gaps: np.ndarray, q: float) -> np.ndarray:
     out = np.where(gaps < GAP_FLOOR, 0.0, gaps)
     return out**q
@@ -171,7 +165,7 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     """
     if not q >= 1:
         raise InvalidQ("variation exponent must satisfy q >= 1")
-    v = _validated_values(values)
+    v = _as_float_array(values, "variation input")
     if v.size < 2:
         return VariationCertificate(0.0, ())
     kept = _turning_points(v)
@@ -240,11 +234,7 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
     """
     if not q >= 1:
         raise InvalidQ("variation exponent must satisfy q >= 1")
-    v = np.asarray(matrix, dtype=float)
-    if v.ndim != 2:
-        raise LengthMismatch("qvariation_rows needs a two-dimensional matrix")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteValue("variation input contains a NaN or infinity")
+    v = _as_float_array(matrix, "variation input", ndim=2)
     rows, n = v.shape
     if n < 2:
         return np.zeros(rows)
@@ -272,7 +262,7 @@ def qvariation_bruteforce(values: Iterable[float], q: float) -> VariationCertifi
     """Exhaustive maximum over every increasing subsequence; n <= 20 only."""
     if not q >= 1:
         raise InvalidQ("variation exponent must satisfy q >= 1")
-    v = _validated_values(values)
+    v = _as_float_array(values, "variation input")
     n = v.size
     if n > BRUTEFORCE_MAX:
         raise TooLong(f"exhaustive search accepts at most {BRUTEFORCE_MAX} values, got {n}")
@@ -300,14 +290,14 @@ def prune_to_local_extrema(values: Iterable[float]) -> tuple[tuple[float, ...], 
     Valid for any q >= 1: |a - c|^q >= |a - b|^q + |b - c|^q whenever b lies
     between a and c, so monotone interior points never help the variation.
     """
-    v = np.asarray(tuple(values), dtype=float)
+    v = _as_float_array(values, "variation input")
     out = _turning_points(v)
     return tuple(v[out].tolist()), tuple(out.tolist())
 
 
 def maximal(values: Iterable[float]) -> float:
     """Largest absolute value; the maximal-operator analogue of variation."""
-    v = _validated_values(values)
+    v = _as_float_array(values, "variation input")
     if v.size == 0:
         raise EmptyInput("maximal needs at least one value")
     return float(np.abs(v).max())

@@ -12,7 +12,8 @@ to 1e-12 of each other; nothing in the package collapses them into one.  They
 share only the kernel CDF, operators._kernel_cdf: the generic route sums it
 over a scale-local window of the jumps of an arbitrary step function, this
 one over every cell edge of G with the cells' signs, so the two sums are
-still formed independently.
+still formed independently.  The sum here runs edge by edge into one
+(scale x point) accumulator, so its memory is the size of its output.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ __all__ = [
     "DEFAULT_J_WINDOW",
     "lacunary_sign",
     "unit_indicator",
-    "heat_of_g_at",
     "heat_of_g_matrix",
     "truncation_tail_bound",
     "key_estimate_table",
@@ -64,10 +64,6 @@ KEY_THRESHOLD = 1e-4
 #: ln of the largest representable double, with headroom; exponents past this
 #: underflow to zero on the reciprocal side.
 _LN_DOUBLE_MAX = 708.0
-
-#: Entries of the (scale, point, edge) tensor that heat_of_g_matrix builds
-#: per chunk of points; it bounds the temporaries at a few MB each.
-_HEAT_CHUNK = 262_144
 
 
 @dataclass(frozen=True)
@@ -119,6 +115,10 @@ def heat_of_g_matrix(
     Direct error-function sum over the cells, independent of the generic
     operator route: H_{a^(-2j)} G(y) =
     sum_k (-1)^(k+1) [Phi((y - a^k) a^j) - Phi((y - a^(k+1)) a^j)].
+    The cells are added one at a time, deepest first, into a single
+    (scale x point) array: Phi is evaluated once per cell edge and
+    differenced with the previous edge's, so memory stays at scales x points
+    and each value depends only on its own point and scale.
     """
     if not a > 1:
         raise InvalidBase("lacunary base must satisfy a > 1")
@@ -128,29 +128,16 @@ def heat_of_g_matrix(
     if np.any(j_arr < 0):
         raise BadRange("heat scale indices must be nonnegative")
     y_arr = np.asarray(tuple(ys), dtype=float)
-    ks = np.arange(k_min, 0)
-    signs = np.where(ks % 2 == 0, -1.0, 1.0)
-    # cell k is [edge k, edge k+1); neighbouring cells share an edge, so Phi
-    # is evaluated once per edge and differenced
+    scale = np.power(a, j_arr)[:, None]
     edges = np.power(a, np.arange(k_min, 1).astype(float))
-    scale = np.power(a, j_arr)[:, None, None]
-    out = np.empty((j_arr.size, y_arr.size))
-    # chunk the point axis so the (j, y, edge) tensor stays modest
-    step = max(1, _HEAT_CHUNK // max(1, j_arr.size * edges.size))
-    for start in range(0, y_arr.size, step):
-        block = y_arr[start : start + step]
-        cdf = _kernel_cdf((block[None, :, None] - edges[None, None, :]) * scale)
-        terms = cdf[..., :-1] - cdf[..., 1:]
-        terms *= signs
-        # a plain sum over the cells: unlike a BLAS product, it gives each
-        # value independently of the other points and of the chunking
-        out[:, start : start + step] = terms.sum(axis=-1)
+    out = np.zeros((j_arr.size, y_arr.size))
+    lower = _kernel_cdf((y_arr - edges[0]) * scale)
+    # cell k is [edge k, edge k+1) with sign (-1)^(k+1)
+    for k, edge in zip(range(k_min, 0), edges[1:].tolist()):
+        upper = _kernel_cdf((y_arr - edge) * scale)
+        out += (lower - upper) * (-1.0 if k % 2 == 0 else 1.0)
+        lower = upper
     return out
-
-
-def heat_of_g_at(a: float, k_min: int, j: int, y: float) -> float:
-    """Single heat value of the sign function at scale index j and point y."""
-    return float(heat_of_g_matrix(a, k_min, (j,), (y,))[0, 0])
 
 
 def truncation_tail_bound(a: float, k_min: int, j: int) -> float:

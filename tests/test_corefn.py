@@ -21,7 +21,6 @@ from varlat import (
     make_pcf,
     make_profile,
     make_vector_field,
-    pcf_antiderivative_eval,
     pcf_antiderivative_eval_many,
     pcf_eval,
     pcf_eval_many,
@@ -88,19 +87,19 @@ class TestPcfEval:
 class TestAntiderivative:
     def test_total_mass(self):
         f = make_pcf([0.0, 1.0], [1.0])
-        assert pcf_antiderivative_eval(f, 2.0) == 1.0
+        assert pcf_antiderivative_eval_many(f, [2.0])[0] == 1.0
 
     def test_half_mass(self):
         f = make_pcf([0.0, 1.0], [1.0])
-        assert pcf_antiderivative_eval(f, 0.5) == 0.5
+        assert pcf_antiderivative_eval_many(f, [0.5])[0] == 0.5
 
     def test_cancellation(self):
         f = make_pcf([0.0, 1.0, 2.0], [1.0, -1.0])
-        assert pcf_antiderivative_eval(f, 2.0) == 0.0
+        assert pcf_antiderivative_eval_many(f, [2.0])[0] == 0.0
 
     def test_zero_left_of_support(self):
         f = make_pcf([0.0, 1.0], [1.0])
-        assert pcf_antiderivative_eval(f, -3.0) == 0.0
+        assert pcf_antiderivative_eval_many(f, [-3.0])[0] == 0.0
 
     def test_monotone_for_nonnegative_values(self, rng):
         bps = np.sort(rng.uniform(-2, 2, 7))
@@ -113,7 +112,7 @@ class TestAntiderivative:
         for _ in range(20):
             f = make_random_pcf()
             bps = f.breakpoints_array.tolist()
-            got = pcf_antiderivative_eval(f, bps[-1])
+            got = pcf_antiderivative_eval_many(f, [bps[-1]])[0]
             want = sum(
                 c * (b1 - b0)
                 for c, b0, b1 in zip(f.values_array.tolist(), bps, bps[1:])

@@ -266,13 +266,21 @@ class TestFamilies:
         got = family_value_matrix(UNIT, OperatorFamily.AVERAGES, (2.0, 1.0), [0.0])[0]
         assert got.tolist() == pytest.approx([0.5, 1.0], rel=1e-15)
 
-    def test_heat_family_matches_heat_apply(self, rng, make_random_pcf):
+    @pytest.mark.parametrize(
+        "family, one_radius",
+        [
+            pytest.param(OperatorFamily.HEAT, heat_apply_many, id="heat"),
+            pytest.param(OperatorFamily.AVERAGES, avg_apply_many, id="averages"),
+        ],
+    )
+    def test_heat_family_matches_heat_apply(self, rng, make_random_pcf, family, one_radius):
+        # each column is the one-radius evaluation, bit for bit
         f = make_random_pcf()
         radii = (1.0, 0.25, 0.0625)
         xs = rng.uniform(-2, 2, 15)
-        mat = family_value_matrix(f, OperatorFamily.HEAT, radii, xs)
-        for col, s in enumerate(radii):
-            assert mat[:, col].tolist() == heat_apply_many(f, s, xs).tolist()
+        mat = family_value_matrix(f, family, radii, xs)
+        for col, t in enumerate(radii):
+            assert mat[:, col].tolist() == one_radius(f, t, xs).tolist()
 
     def test_family_respects_given_order(self):
         fwd = family_value_matrix(UNIT, OperatorFamily.AVERAGES, (2.0, 0.5), [0.5])[0]

@@ -11,6 +11,7 @@ from varlat import (
     BadRange,
     EmptyInput,
     InvalidQ,
+    LengthMismatch,
     NonFiniteValue,
     OperatorFamily,
     TooLong,
@@ -384,6 +385,34 @@ class TestMaximal:
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
             maximal(())
+
+
+class TestMalformedInput:
+    # every entry point validates through corefn._as_float_array: text is not
+    # a sequence of numbers, ragged input is not a flat sequence or matrix
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            pytest.param(lambda: qvariation("123", 2.0), LengthMismatch, id="text"),
+            pytest.param(lambda: qvariation(b"\x00\x05", 2.0), LengthMismatch, id="bytes"),
+            pytest.param(lambda: qvariation(["1", "3"], 2.0), LengthMismatch, id="digit-strings"),
+            pytest.param(lambda: qvariation([1, [2, 3]], 2.0), LengthMismatch, id="ragged"),
+            pytest.param(lambda: qvariation_value("12", 2.0), LengthMismatch, id="value-text"),
+            pytest.param(
+                lambda: qvariation_bruteforce("12", 2.0), LengthMismatch, id="bruteforce-text"
+            ),
+            pytest.param(lambda: qvariation_rows([["a", "b"]], 2.0), LengthMismatch, id="rows-text"),
+            pytest.param(lambda: maximal("9"), LengthMismatch, id="maximal-text"),
+            pytest.param(
+                lambda: prune_to_local_extrema([0.0, float("nan"), 1.0]),
+                NonFiniteValue,
+                id="prune-nan",
+            ),
+        ],
+    )
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestRadiusSet:

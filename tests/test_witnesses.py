@@ -18,7 +18,6 @@ from varlat import (
     delta_halving_radius,
     geometric_radius_set,
     heat_apply,
-    heat_of_g_at,
     heat_of_g_matrix,
     key_estimate_table,
     lacunary_sign,
@@ -102,22 +101,28 @@ class TestLacunarySign:
 
 
 def two_evaluation_heat(a, k_min, js, ys):
-    """The cell-by-cell formula, Phi at both ends of every cell."""
+    """The cell-by-cell formula, Phi at both ends of every cell.
+
+    The cells are added one at a time, deepest first, the order the package
+    sums them in.
+    """
     ks = np.arange(k_min, 0)
     signs = np.where(ks % 2 == 0, -1.0, 1.0)
     lower = np.power(a, ks.astype(float))
     upper = np.power(a, (ks + 1).astype(float))
-    scale = np.power(a, np.asarray(js, dtype=float))[:, None, None]
-    y = np.asarray(ys, dtype=float)[None, :, None]
-    terms = witnesses._kernel_cdf((y - lower) * scale) - witnesses._kernel_cdf((y - upper) * scale)
-    terms *= signs
-    return terms.sum(axis=-1)
+    scale = np.power(a, np.asarray(js, dtype=float))[:, None]
+    y = np.asarray(ys, dtype=float)
+    out = np.zeros((scale.size, y.size))
+    for lo, hi, sign in zip(lower, upper, signs):
+        terms = witnesses._kernel_cdf((y - lo) * scale) - witnesses._kernel_cdf((y - hi) * scale)
+        out += terms * sign
+    return out
 
 
 class TestHeatOfSign:
     def test_shallow_value_against_closed_form(self):
         # one cell [1/2, 1), unit heat time: (erf(1/2) - erf(1/4)) / 2
-        assert heat_of_g_at(2.0, -1, 0, 0.0) == pytest.approx(
+        assert heat_of_g_matrix(2.0, -1, (0,), (0.0,))[0, 0] == pytest.approx(
             0.1220867438, abs=1e-10
         )
 
@@ -125,15 +130,29 @@ class TestHeatOfSign:
         mat = heat_of_g_matrix(A, K_MIN, (0, 1, 2), (0.0, 0.1))
         for r, j in enumerate((0, 1, 2)):
             for c, y in enumerate((0.0, 0.1)):
-                assert mat[r, c] == heat_of_g_at(A, K_MIN, j, y)
+                assert mat[r, c] == heat_of_g_matrix(A, K_MIN, (j,), (y,))[0, 0]
 
     def test_chunked_call_matches_single_points(self):
         js, k_min = range(40), -300
-        per_chunk = witnesses._HEAT_CHUNK // (len(js) * -k_min)
-        ys = np.linspace(-1.5, 1.5, 3 * per_chunk + 5)
+        ys = np.linspace(-1.5, 1.5, 68)
         mat = heat_of_g_matrix(A, k_min, js, ys)
         for c, y in enumerate(ys.tolist()):
             assert mat[:, c].tolist() == heat_of_g_matrix(A, k_min, js, (y,))[:, 0].tolist()
+
+    def test_memory_is_scales_times_points(self, monkeypatch):
+        # the cells are summed edge by edge into one (scale x point) array;
+        # no Phi argument spans the edges as well
+        sizes = []
+
+        def recording(w):
+            sizes.append(np.size(w))
+            return kernel_cdf(w)
+
+        kernel_cdf = witnesses._kernel_cdf
+        monkeypatch.setattr(witnesses, "_kernel_cdf", recording)
+        js, ys = range(40), np.linspace(-1.5, 1.5, 68)
+        heat_of_g_matrix(A, -300, js, ys)
+        assert sizes and max(sizes) <= len(js) * ys.size
 
     @pytest.mark.parametrize("a", [2.0, math.e, 1.5, 3.0])
     @pytest.mark.parametrize("k_min", [-1, -40, -300])
@@ -154,7 +173,7 @@ class TestHeatOfSign:
             for _ in range(100)
         ]
         for j, y in cases:
-            via_matrix = heat_of_g_at(A, -30, j, y)
+            via_matrix = heat_of_g_matrix(A, -30, (j,), (y,))[0, 0]
             via_operator = heat_apply(g, A ** (-2.0 * j), y)
             assert via_matrix == pytest.approx(via_operator, abs=1e-12)
 
