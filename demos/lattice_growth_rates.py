@@ -15,6 +15,7 @@ Second: the singular-integral route.  The inner L^r norm of the transform of
 the unit indicator grows linearly in r, which rules out any uniform bound.
 """
 from varlat import (
+    HILBERT_R_LIST,
     ExperimentConfig,
     GridSpec,
     exp_hilbert_growth,
@@ -31,7 +32,7 @@ for rep, bound in zip(lr.reports, lr.bound_values):
 print(f"fitted exponent {lr.fit.slope:.4f} vs 1/q = {1.0 / config.q:.4f}")
 print(f"oscillation survives within radius {lr.delta_radius:.3e} of the origin")
 
-hil = exp_hilbert_growth(ExperimentConfig(r_list=(8.0, 16.0, 32.0, 64.0)))
+hil = exp_hilbert_growth(ExperimentConfig(r_list=HILBERT_R_LIST))
 print("\nsingular-integral growth:")
 for rep, bound in zip(hil.reports, hil.bound_values):
     print(f"  r={rep.param:4.0f}  ratio={rep.ratio:.6f}  (floor {bound:.6f})")

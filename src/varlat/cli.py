@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -22,12 +23,13 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
-from .corefn import GrowthFit, fit_power_law
+from .corefn import MIN_FIT_POINTS, GrowthFit, fit_power_law
 from .errors import BadRange, EmptyInput, TruncationTooShallow, VarlatError
 from .experiments import (
+    HILBERT_R_LIST,
     REDUCTION_TARGET,
     TRANSFER_TOLERANCE,
     ExperimentConfig,
@@ -43,7 +45,7 @@ from .experiments import (
     exp_reduction_constant,
 )
 from .variation import qvariation
-from .witnesses import LacunaryParams, key_estimate_table
+from .witnesses import DEFAULT_J_WINDOW, LacunaryParams, key_estimate_table
 
 __all__ = ["run", "main", "RunManifest", "REPORT_SCHEMA", "emit_svg_loglog", "SUBCOMMANDS"]
 
@@ -111,34 +113,42 @@ class RunManifest:
 
 _CACHE_ENV = "VARLAT_CACHE"
 
-_KINDS: dict[str, type] = {
-    **dict.fromkeys(("kmin", "j0", "grid_points", "log_per_decade", "seed", "nodes", "trials", "j_max"), int),
-    **dict.fromkeys(("p", "q", "a"), float),
-    "r_list": float,
-    "j1_list": int,
-}
 
-#: Built-in defaults shared by every subcommand; the r-list comes from the
-#: command table.  None marks a value filled in from the cache or from
-#: default_lacunary() (a, kmin, j0) or from j0 (j1_list).
-_DEFAULTS: dict = {
-    "p": 2.0,
-    "q": 3.0,
-    "a": None,
-    "kmin": None,
-    "j0": None,
-    "j1_list": None,
-    "grid_points": 1501,
-    "log_per_decade": 32,
-    "seed": 0,
-    "nodes": 2048,
-    "trials": 100,
-    "j_max": 30,
-    "out": ".",
-}
+class _Param(NamedTuple):
+    """One configuration key: the type of its value (of each entry, for a
+    list key), its built-in default, its flag's help text and the one
+    subcommand its flag is limited to, if any."""
 
-#: Points a power-law fit needs before its slope means anything.
-_MIN_FIT_POINTS = 3
+    kind: type
+    default: object
+    help: str | None = None
+    only: str | None = None
+
+
+#: Every key a flag or a config file sets, in --help order.  A default the
+#: library states is read from the library.  None marks a value filled in
+#: from the cache or from default_lacunary() (a, kmin, j0) or from j0
+#: (j1_list).  A command may override the r-list default.
+_PARAMS: dict[str, _Param] = {
+    "p": _Param(float, ExperimentConfig.p),
+    "q": _Param(float, ExperimentConfig.q),
+    "a": _Param(float, None),
+    "kmin": _Param(int, None),
+    "j0": _Param(int, None),
+    "r_list": _Param(float, ExperimentConfig.r_list, "comma-separated exponents"),
+    "j1_list": _Param(int, None, "comma-separated depths"),
+    "grid_points": _Param(
+        int,
+        GridSpec.lin_points,
+        "for N, the profile grids put max(65, N // 3) linear points on [0, 1]",
+    ),
+    "log_per_decade": _Param(int, GridSpec.log_points_per_decade),
+    "seed": _Param(int, 0),
+    "out": _Param(str, "."),
+    "nodes": _Param(int, inspect.signature(exp_reduction_constant).parameters["quad_nodes"].default),
+    "trials": _Param(int, 100, only="norm-transfer"),
+    "j_max": _Param(int, DEFAULT_J_WINDOW[1], only="key-estimate"),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -148,28 +158,15 @@ def _parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         sub = subs.add_parser(name)
         sub.add_argument("--config", help="key=value file, one pair per line")
-        sub.add_argument("--p", type=float)
-        sub.add_argument("--q", type=float)
-        sub.add_argument("--a", type=float)
-        sub.add_argument("--kmin", type=int)
-        sub.add_argument("--j0", type=int)
-        sub.add_argument("--r-list", dest="r_list", help="comma-separated exponents")
-        sub.add_argument("--j1-list", dest="j1_list", help="comma-separated depths")
-        sub.add_argument("--grid-points", dest="grid_points", type=int)
-        sub.add_argument("--log-per-decade", dest="log_per_decade", type=int)
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--out")
-        sub.add_argument("--nodes", type=int)
-        if name == "norm-transfer":
-            sub.add_argument("--trials", type=int)
-        if name == "key-estimate":
-            sub.add_argument("--j-max", dest="j_max", type=int)
+        for key, param in _PARAMS.items():
+            if param.only in (None, name):
+                sub.add_argument("--" + key.replace("_", "-"), help=param.help)
         if name == "variation":
             sub.add_argument("--values", required=True, help="file of comma/space separated values")
     return top
 
 
-def _numbers(kind: type, tokens: Sequence[str], where: str) -> list:
+def _converted(kind: type, tokens: Sequence[str], where: str) -> list:
     try:
         return [kind(tok) for tok in tokens]
     except ValueError as exc:
@@ -178,14 +175,12 @@ def _numbers(kind: type, tokens: Sequence[str], where: str) -> list:
 
 def _parse_value(key: str, raw: str, where: str):
     """Convert one raw flag or config value to its key's type."""
-    if key == "out":
-        return raw
-    kind = _KINDS.get(key)
-    if kind is None:
+    param = _PARAMS.get(key)
+    if param is None:
         raise BadRange(f"{where}: unknown configuration key {key!r}")
     if not key.endswith("_list"):
-        return _numbers(kind, [raw], where)[0]
-    values = tuple(_numbers(kind, [tok for tok in raw.split(",") if tok], where))
+        return _converted(param.kind, [raw], where)[0]
+    values = tuple(_converted(param.kind, [tok for tok in raw.split(",") if tok], where))
     if not values:
         raise BadRange(f"{where}: {key} is empty")
     return values
@@ -212,51 +207,47 @@ def _cache_overlay(resolved: dict) -> None:
         resolved[dst] = value
 
 
-def _config_file_overlay(resolved: dict, path: str) -> None:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise BadRange(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            key = key.replace("-", "_")
-            resolved[key] = _parse_value(key, raw, f"{path}:{lineno}")
-
-
-def _flag_overlay(resolved: dict, args: argparse.Namespace) -> None:
-    for key, value in vars(args).items():
-        if value is None or key in ("subcommand", "config"):
-            continue
-        if key.endswith("_list"):
-            value = _parse_value(key, value, "--" + key.replace("_", "-"))
-        resolved[key] = value
+def _raw_values(args: argparse.Namespace) -> Iterator[tuple[str, str, str]]:
+    """(key, raw value, where it came from): config file lines, then flags."""
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                stripped = line.split("#", 1)[0].strip()
+                if not stripped:
+                    continue
+                where = f"{args.config}:{lineno}"
+                if "=" not in stripped:
+                    raise BadRange(f"{where}: expected key=value, got {stripped!r}")
+                key, raw = (part.strip() for part in stripped.split("=", 1))
+                yield key.replace("-", "_"), raw, where
+    for key, raw in vars(args).items():
+        if key in _PARAMS and raw is not None:
+            yield key, raw, "--" + key.replace("_", "-")
 
 
 def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     """Layer the parameter sources and reject values no run can use."""
-    resolved = {**_DEFAULTS, "r_list": command.r_list}
+    resolved = {**{key: param.default for key, param in _PARAMS.items()}, **command.defaults}
     _cache_overlay(resolved)
-    if args.config:
-        _config_file_overlay(resolved, args.config)
-    _flag_overlay(resolved, args)
+    for key, raw, where in _raw_values(args):
+        resolved[key] = _parse_value(key, raw, where)
+    resolved["values"] = getattr(args, "values", None)  # the variation input file
     if None in (resolved["a"], resolved["kmin"], resolved["j0"]):
         base = default_lacunary()
         for key, value in (("a", base.a), ("kmin", base.k_min), ("j0", base.j0)):
             if resolved[key] is None:
                 resolved[key] = value
     if resolved["j1_list"] is None:
-        resolved["j1_list"] = tuple(int(resolved["j0"]) + gap for gap in (4, 8, 16, 32, 64))
+        resolved["j1_list"] = tuple(resolved["j0"] + gap for gap in (4, 8, 16, 32, 64))
 
     if resolved["trials"] < 1:
         raise BadRange(f"trials must be at least 1, got {resolved['trials']}")
     if resolved["seed"] < 0:
         raise BadRange(f"seed must be nonnegative, got {resolved['seed']}")
-    if command.fit_over is not None and len(resolved[command.fit_over]) < _MIN_FIT_POINTS:
+    if command.fit_over is not None and len(resolved[command.fit_over]) < MIN_FIT_POINTS:
         flag = "--" + command.fit_over.replace("_", "-")
         raise BadRange(
-            f"{args.subcommand} fits a power law and needs at least {_MIN_FIT_POINTS} "
+            f"{args.subcommand} fits a power law and needs at least {MIN_FIT_POINTS} "
             f"{flag} points, got {len(resolved[command.fit_over])}"
         )
     return resolved
@@ -268,43 +259,30 @@ def _certified_constant(resolved: dict) -> float:
 
 
 def _experiment_config(resolved: dict) -> ExperimentConfig:
+    # every value already has its table type; only a cached base may be an int
     lac = LacunaryParams(
         a=float(resolved["a"]),
-        k_min=int(resolved["kmin"]),
-        j0=int(resolved["j0"]),
+        k_min=resolved["kmin"],
+        j0=resolved["j0"],
         key_constant=_certified_constant(resolved),
     )
-    grid = GridSpec(
-        lin_points=int(resolved["grid_points"]),
-        log_points_per_decade=int(resolved["log_per_decade"]),
-    )
+    grid = GridSpec(resolved["grid_points"], resolved["log_per_decade"])
     return ExperimentConfig(
-        p=float(resolved["p"]),
-        q=float(resolved["q"]),
-        lacunary=lac,
-        grid=grid,
-        r_list=tuple(resolved["r_list"]),
+        p=resolved["p"], q=resolved["q"], lacunary=lac, grid=grid, r_list=resolved["r_list"]
     )
 
 
 def _config_payload(resolved: dict, config: ExperimentConfig | None) -> dict:
-    payload = {
-        "p": resolved["p"],
-        "q": resolved["q"],
-        "a": resolved["a"],
-        "k_min": resolved["kmin"],
-        "j0": resolved["j0"],
-        "r_list": list(resolved["r_list"]),
-        "j1_list": list(resolved["j1_list"]),
-        "grid": {
+    payload = {key: resolved[key] for key in ("p", "q", "a", "j0", "seed", "nodes", "trials", "j_max")}
+    payload.update(
+        k_min=resolved["kmin"],
+        r_list=list(resolved["r_list"]),
+        j1_list=list(resolved["j1_list"]),
+        grid={
             "lin_points": resolved["grid_points"],
             "log_points_per_decade": resolved["log_per_decade"],
         },
-        "seed": resolved["seed"],
-        "nodes": resolved["nodes"],
-        "trials": resolved["trials"],
-        "j_max": resolved["j_max"],
-    }
+    )
     if config is not None:
         payload["key_constant"] = config.lacunary.key_constant
     return payload
@@ -354,7 +332,7 @@ def emit_svg_loglog(reports: Sequence[RatioReport], path: str) -> None:
         raise EmptyInput("an SVG plot needs at least two reports")
     lx = [math.log(rep.param) for rep in reports]
     ly = [math.log(rep.ratio) for rep in reports]
-    if len(reports) >= 3:
+    if len(reports) >= MIN_FIT_POINTS:
         fit = fit_power_law([rep.param for rep in reports], [rep.ratio for rep in reports])
         slope, intercept = fit.slope, fit.intercept
     else:
@@ -416,8 +394,8 @@ def _write_reports(name: str, command: "Command", resolved: dict, outcome: "Outc
     manifest = RunManifest(
         subcommand=name,
         config=_config_payload(resolved, config),
-        seed=int(resolved["seed"]),
-        out_dir=str(resolved["out"]),
+        seed=resolved["seed"],
+        out_dir=resolved["out"],
         version=__version__,
         wall_clock_seconds=time.perf_counter() - t0,
     )
@@ -460,7 +438,8 @@ class Command:
 
     run: Callable[[dict], Outcome]
     summary: Callable[[Outcome], str]
-    r_list: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0)
+    #: parameter defaults that replace the table's for this command
+    defaults: dict = field(default_factory=dict)
     plots: bool = False
     #: resolved key whose points the pass condition fits a power law over
     fit_over: str | None = None
@@ -470,7 +449,7 @@ class Command:
 
 def _reduction_constant(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
-    nodes = int(resolved["nodes"])
+    nodes = resolved["nodes"]
     value = exp_reduction_constant(nodes)
     report = RatioReport(float(nodes), value, REDUCTION_TARGET, value / REDUCTION_TARGET, 0.0)
     return Outcome(
@@ -493,7 +472,7 @@ def _key_estimate(resolved: dict) -> Outcome:
             certified_c=0.0,
             csv=("j,D_j", []),
         )
-    result = exp_key_estimate(config, int(resolved["j_max"]))
+    result = exp_key_estimate(config, resolved["j_max"])
     return Outcome(
         result.passed,
         extras={"a": result.a, "j0": result.j0, "reason": result.reason},
@@ -527,7 +506,7 @@ def _maximal_contrast(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
     result = exp_maximal_contrast(config, resolved["j1_list"])
     variation_fit = None
-    if len(result.pairs) >= _MIN_FIT_POINTS:
+    if len(result.pairs) >= MIN_FIT_POINTS:
         variation_fit = fit_power_law(
             [pair.j1 - config.lacunary.j0 for pair in result.pairs],
             [pair.variation_ratio for pair in result.pairs],
@@ -556,8 +535,7 @@ def _hilbert_growth(resolved: dict) -> Outcome:
 
 def _norm_transfer(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
-    seed = int(resolved["seed"])
-    trials = int(resolved["trials"])
+    seed, trials = resolved["seed"], resolved["trials"]
     reports = []
     worst = 0.0
     for trial_seed in range(seed, seed + trials):
@@ -583,7 +561,7 @@ def _variation(resolved: dict) -> Outcome:
         tokens = [tok for tok in re.split(r"[,\s]+", fh.read().strip()) if tok]
     if not tokens:
         raise EmptyInput(f"no values found in {path}")
-    certificate = qvariation(_numbers(float, tokens, path), float(resolved["q"]))
+    certificate = qvariation(_converted(float, tokens, path), resolved["q"])
     return Outcome(True, extras={"value": certificate.value, "subsequence": certificate.subsequence})
 
 
@@ -611,7 +589,7 @@ _COMMANDS: dict[str, Command] = {
     "hilbert-growth": Command(
         _hilbert_growth,
         _slope_summary("hilbert-growth", lambda c: 1.0),
-        r_list=(8.0, 16.0, 32.0, 64.0),
+        defaults={"r_list": HILBERT_R_LIST},
         plots=True,
         fit_over="r_list",
     ),

@@ -47,6 +47,7 @@ __all__ = [
     "bochner_norm",
     "sliding_sup",
     "sliding_power_sum",
+    "MIN_FIT_POINTS",
     "fit_power_law",
 ]
 
@@ -397,13 +398,17 @@ class GrowthFit:
     r_squared: float
 
 
+#: Points a power-law fit needs before its slope means anything.
+MIN_FIT_POINTS = 3
+
+
 def fit_power_law(xs: Iterable[float], ys: Iterable[float]) -> GrowthFit:
     x = _as_float_array(xs, "xs")
     y = _as_float_array(ys, "ys")
     if x.size != y.size:
         raise LengthMismatch("xs and ys must have equal length")
-    if x.size < 3:
-        raise DegenerateInput("power-law fit needs at least three points")
+    if x.size < MIN_FIT_POINTS:
+        raise DegenerateInput(f"power-law fit needs at least {MIN_FIT_POINTS} points")
     if np.any(x <= 0) or np.any(y <= 0):
         raise DegenerateInput("power-law fit needs strictly positive data")
     lx = np.log(x)

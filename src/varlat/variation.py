@@ -18,6 +18,7 @@ point is a local extremum, so pruning would save nothing there.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -37,6 +38,7 @@ from .corefn import (
 from .errors import (
     BadRange,
     EmptyInput,
+    FloatRangeExceeded,
     InvalidQ,
     LengthMismatch,
     NonFiniteValue,
@@ -113,6 +115,31 @@ def _gap_powers(gaps: np.ndarray, q: float) -> np.ndarray:
     return out**q
 
 
+def _rescaled(v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of v times 2^-e, and the exponents e.
+
+    e is 0, so the row and its value stay as they are, when the row's
+    largest gap is below GAP_FLOOR or has a normal q-th power.  Otherwise
+    e puts the largest gap in [1, 2), where its power is at least 1 and,
+    for q below 1024, finite.  The variation is homogeneous and 2^-e is
+    exact, so :func:`_scale_back` by e gives the value.
+    """
+    half_span = v.max(axis=1) / 2 - v.min(axis=1) / 2
+    span = 2 * half_span
+    power = span**q
+    in_range = (power >= np.finfo(float).smallest_normal) & (power < math.inf)
+    shifts = np.where((span >= GAP_FLOOR) & ~in_range, np.frexp(half_span)[1], 0)
+    return np.ldexp(v, -shifts[:, None]), shifts
+
+
+def _scale_back(values, shifts, q: float):
+    """values * 2^shifts, or FloatRangeExceeded where no double holds it."""
+    out = np.ldexp(values, shifts)
+    if not np.all(np.isfinite(out)):
+        raise FloatRangeExceeded(f"the q = {q:g} variation or its gap powers leave the double range")
+    return out
+
+
 def _turning_points(v: np.ndarray) -> np.ndarray:
     """Indices of the strict turning points of v, both ends included.
 
@@ -135,6 +162,7 @@ def _total_variation(v: np.ndarray) -> np.ndarray:
     return _gap_powers(np.abs(np.diff(v, axis=1)), 1.0).sum(axis=1)
 
 
+@np.errstate(over="ignore")
 def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     """Exact q-variation with a witness subsequence.
 
@@ -162,17 +190,21 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     on (0, 1e-10, 0, 1) at q = 3 the chains (0, 3) and (0, 1, 2, 3) both sum
     to 1.0 in floating point, and the witness is the second, which is larger
     in exact arithmetic.  The value is the same either way.
+
+    A sequence whose largest gap's q-th power is not a normal double runs
+    rescaled by a power of two; what still leaves the double range raises
+    FloatRangeExceeded.
     """
-    if not q >= 1:
-        raise InvalidQ("variation exponent must satisfy q >= 1")
+    if not 1 <= q < math.inf:
+        raise InvalidQ("variation exponent must satisfy 1 <= q < inf")
     v = _as_float_array(values, "variation input")
     if v.size < 2:
         return VariationCertificate(0.0, ())
     kept = _turning_points(v)
     if q == 1.0:
-        total = float(_total_variation(v[None, :])[0])
+        total = float(qvariation_rows(v[None, :], 1.0)[0])
         return VariationCertificate(total, tuple(kept.tolist()) if total > 0.0 else ())
-    w = v[kept]
+    (w,), (shift,) = _rescaled(v[None, kept], q)
     m = w.size
     best = np.zeros(m)
     pred = np.full(m, -1, dtype=np.intp)
@@ -218,9 +250,11 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     while pred[chain[-1]] >= 0:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
-    return VariationCertificate(float(best[j_star] ** (1.0 / q)), tuple(kept[chain].tolist()))
+    value = float(_scale_back(best[j_star] ** (1.0 / q), shift, q))
+    return VariationCertificate(value, tuple(kept[chain].tolist()))
 
 
+@np.errstate(over="ignore")
 def qvariation_rows(matrix, q: float) -> np.ndarray:
     """Exact q-variation of every row of a matrix, values only.
 
@@ -230,22 +264,24 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
     once, one column at a time, with no pruning and no candidate rule, so it
     checks :func:`qvariation` independently.  The final root is taken on
     Python floats: numpy's array power can differ from the scalar one in
-    the last ulp.
+    the last ulp.  Rows out of the double range are rescaled as in
+    :func:`qvariation`.
     """
-    if not q >= 1:
-        raise InvalidQ("variation exponent must satisfy q >= 1")
+    if not 1 <= q < math.inf:
+        raise InvalidQ("variation exponent must satisfy 1 <= q < inf")
     v = _as_float_array(matrix, "variation input", ndim=2)
     rows, n = v.shape
     if n < 2:
         return np.zeros(rows)
+    v, shifts = _rescaled(v, q)
     if q == 1.0:
-        return _total_variation(v)
+        return _scale_back(_total_variation(v), shifts, q)
     best = np.zeros((rows, n))
     for j in range(1, n):
         gaps = np.abs(v[:, j, None] - v[:, :j])
         best[:, j] = np.max(best[:, :j] + _gap_powers(gaps, q), axis=1)
     root = 1.0 / q
-    return np.array([s ** root for s in best.max(axis=1).tolist()])
+    return _scale_back([s ** root for s in best.max(axis=1).tolist()], shifts, q)
 
 
 def qvariation_value(values: Iterable[float], q: float) -> float:
@@ -258,16 +294,18 @@ def _index_combinations(n: int, k: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
 
 
+@np.errstate(over="ignore")
 def qvariation_bruteforce(values: Iterable[float], q: float) -> VariationCertificate:
     """Exhaustive maximum over every increasing subsequence; n <= 20 only."""
-    if not q >= 1:
-        raise InvalidQ("variation exponent must satisfy q >= 1")
+    if not 1 <= q < math.inf:
+        raise InvalidQ("variation exponent must satisfy 1 <= q < inf")
     v = _as_float_array(values, "variation input")
     n = v.size
     if n > BRUTEFORCE_MAX:
         raise TooLong(f"exhaustive search accepts at most {BRUTEFORCE_MAX} values, got {n}")
     if n < 2:
         return VariationCertificate(0.0, ())
+    (v,), (shift,) = _rescaled(v[None, :], q)
     best_sum = 0.0
     best_combo: tuple[int, ...] = ()
     for k in range(2, n + 1):
@@ -280,7 +318,7 @@ def qvariation_bruteforce(values: Iterable[float], q: float) -> VariationCertifi
             best_combo = tuple(int(i) for i in idx[m])
     if best_sum <= 0.0:
         return VariationCertificate(0.0, ())
-    return VariationCertificate(best_sum ** (1.0 / q), best_combo)
+    return VariationCertificate(float(_scale_back(best_sum ** (1.0 / q), shift, q)), best_combo)
 
 
 def prune_to_local_extrema(values: Iterable[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -9,8 +10,17 @@ import jsonschema
 import pytest
 
 import varlat
-from varlat import EmptyInput, RatioReport
-from varlat.cli import REPORT_SCHEMA, emit_svg_loglog, run
+from varlat import (
+    DEFAULT_J_WINDOW,
+    HILBERT_R_LIST,
+    EmptyInput,
+    ExperimentConfig,
+    GridSpec,
+    RatioReport,
+    default_lacunary,
+    exp_reduction_constant,
+)
+from varlat.cli import REPORT_SCHEMA, SUBCOMMANDS, emit_svg_loglog, run
 
 
 def _read_json(path):
@@ -71,6 +81,29 @@ class TestVariationCommand:
         values.write_text("0 1 two 3")
         assert run(["variation", "--values", str(values)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "values, q, code, out",
+        [
+            ("0 3 1 2", "inf", 2, None),
+            ("0 3 1 2", "1e308", 2, None),
+            ("0 0.5 0.1 0.4", "2000", 0, (0.5, "0 1")),
+            ("0 1e-120 0", "3", 0, (2.0 ** (1 / 3) * 1e-120, "0 1 2")),
+        ],
+        ids=["q-inf", "q-1e308", "q-2000", "cubes-underflow"],
+    )
+    def test_out_of_range_powers(self, tmp_path, capsys, values, q, code, out):
+        path = tmp_path / "values.txt"
+        path.write_text(values)
+        assert run(["variation", "--values", str(path), "--q", q]) == code
+        captured = capsys.readouterr()
+        if out is None:
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+            return
+        value, witness = captured.out.splitlines()
+        assert float(value) == pytest.approx(out[0], rel=1e-11)
+        assert witness == out[1]
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["variation", "--values", str(tmp_path / "nope.txt")]) == 2
@@ -319,12 +352,22 @@ class TestMalformedInput:
         "flags, config, cache",
         [
             (["--r-list", "4,abc"], None, None),
+            (["--p", "x"], None, None),
+            (["--kmin", "1.5"], None, None),
             (["--seed", "-1"], None, None),
             ([], "p = x\n", None),
             ([], None, "{not json"),
             ([], None, '{"a": "two"}'),
         ],
-        ids=["r-list-token", "negative-seed", "config-value", "cache-json", "cache-value"],
+        ids=[
+            "r-list-token",
+            "p-token",
+            "kmin-token",
+            "negative-seed",
+            "config-value",
+            "cache-json",
+            "cache-value",
+        ],
     )
     def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, flags, config, cache):
         argv = ["lr-growth", *flags, "--out", str(tmp_path / "out")]
@@ -386,3 +429,22 @@ class TestExperimentCommands:
         assert "pass=True" in capsys.readouterr().out
         report = _read_json(tmp_path / "hilbert-growth.json")
         assert report["config"]["r_list"] == [8.0, 16.0, 32.0, 64.0]
+
+
+class TestDefaultsComeFromTheLibrary:
+    @pytest.mark.parametrize("name", [name for name in SUBCOMMANDS if name != "variation"])
+    def test_bare_run_config(self, tmp_path, name):
+        assert run([name, "--out", str(tmp_path)]) == 0
+        config = _read_json(tmp_path / f"{name}.json")["config"]
+        lib, grid, lac = ExperimentConfig(), GridSpec(), default_lacunary()
+        assert (config["p"], config["q"]) == (lib.p, lib.q)
+        assert config["grid"] == {
+            "lin_points": grid.lin_points,
+            "log_points_per_decade": grid.log_points_per_decade,
+        }
+        r_list = HILBERT_R_LIST if name == "hilbert-growth" else lib.r_list
+        assert config["r_list"] == list(r_list)
+        assert (config["a"], config["k_min"], config["j0"]) == (lac.a, lac.k_min, lac.j0)
+        nodes = inspect.signature(exp_reduction_constant).parameters["quad_nodes"].default
+        assert config["nodes"] == nodes
+        assert config["j_max"] == DEFAULT_J_WINDOW[1]

@@ -6,6 +6,7 @@ import pytest
 
 from varlat import experiments
 from varlat import (
+    HILBERT_R_LIST,
     BadRange,
     ExperimentConfig,
     GridSpec,
@@ -291,6 +292,11 @@ class TestHilbertNorms:
     def test_rejects_r_above_cap(self):
         with pytest.raises(BadRange):
             hilbert_inner_norm(64.5)
+
+    def test_library_hilbert_r_list_passes(self):
+        # the r-list the CLI defaults hilbert-growth to certifies in the
+        # library too; the ExperimentConfig default does not reach it
+        assert exp_hilbert_growth(ExperimentConfig(r_list=HILBERT_R_LIST)).passed
 
     def test_growth_ignores_the_grid(self):
         coarse = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec(lin_points=64))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from varlat.variation import GAP_FLOOR, VariationCertificate
 from varlat import (
     BadRange,
     EmptyInput,
+    FloatRangeExceeded,
     InvalidQ,
     LengthMismatch,
     NonFiniteValue,
@@ -42,12 +44,20 @@ def witness_dp_oracle(values, q):
     """The O(n^2) witness DP over every point and every predecessor.
 
     best[j] = max over all i < j of best[i] + |v_j - v_i|^q, ties to the
-    first optimum; the oracle for the candidate rule of qvariation.
+    first optimum; the oracle for the candidate rule of qvariation.  Like
+    qvariation, it runs a sequence whose largest gap's q-th power is not a
+    normal double on v * 2^-e, with e the binary exponent of half the span,
+    and scales the value back by 2^e.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     if n < 2:
         return VariationCertificate(0.0, ())
+    shift = 0
+    span = v.max() - v.min()
+    if span >= GAP_FLOOR and not sys.float_info.min <= span**q < math.inf:
+        shift = math.frexp(v.max() / 2 - v.min() / 2)[1]
+        v = np.ldexp(v, -shift)
     best = np.zeros(n)
     pred = np.full(n, -1, dtype=int)
     for j in range(1, n):
@@ -63,7 +73,7 @@ def witness_dp_oracle(values, q):
     while pred[chain[-1]] >= 0:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
-    return VariationCertificate(float(best[j_star] ** (1.0 / q)), tuple(chain))
+    return VariationCertificate(math.ldexp(float(best[j_star] ** (1.0 / q)), shift), tuple(chain))
 
 
 def dp_chain_sum(values, chain, q):
@@ -413,6 +423,36 @@ class TestMalformedInput:
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
+
+
+class TestGapPowersOutOfRange:
+    # q-th powers of the gaps that overflow or underflow doubles: the exact
+    # value, or a typed error, never a silent 0, inf or 1
+    @pytest.mark.parametrize(
+        "values, q, expected, witness",
+        [
+            pytest.param((0.0, 3.0, 1.0, 2.0), math.inf, InvalidQ, None, id="q-inf"),
+            pytest.param((0.0, 3.0, 1.0, 2.0), 1e308, FloatRangeExceeded, None, id="q-1e308"),
+            pytest.param((0.0, 0.5, 0.1, 0.4), 2000.0, 0.5, (0, 1), id="q-2000-underflow"),
+            pytest.param((0.0, 1e-120, 0.0), 3.0, 2.0 ** (1 / 3) * 1e-120, (0, 1, 2), id="cubes-underflow"),
+            pytest.param((0.0, 1e300, 0.0), 3.0, 2.0 ** (1 / 3) * 1e300, (0, 1, 2), id="cubes-overflow"),
+            pytest.param((1e308, -1e308), 1.0, FloatRangeExceeded, None, id="value-overflow"),
+        ],
+    )
+    def test_exact_value_or_typed_error(self, values, q, expected, witness):
+        calls = {
+            "qvariation": lambda: qvariation(values, q),
+            "rows": lambda: VariationCertificate(qvariation_rows([values], q)[0], witness),
+            "bruteforce": lambda: qvariation_bruteforce(values, q),
+        }
+        for name, call in calls.items():
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    call()
+                continue
+            cert = call()
+            assert cert.value == pytest.approx(expected, rel=1e-14), name
+            assert cert.subsequence == witness, name
 
 
 class TestRadiusSet:
