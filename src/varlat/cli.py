@@ -25,6 +25,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from . import __version__
 from .corefn import MIN_FIT_POINTS, GrowthFit, fit_power_law
 from .errors import BadRange, EmptyInput, TruncationTooShallow, VarlatError
@@ -561,7 +563,11 @@ def _variation(resolved: dict) -> Outcome:
         tokens = [tok for tok in re.split(r"[,\s]+", fh.read().strip()) if tok]
     if not tokens:
         raise EmptyInput(f"no values found in {path}")
-    certificate = qvariation(_converted(float, tokens, path), resolved["q"])
+    # the file text is gone and the tokens go before the DP runs, so the
+    # command's peak memory is the larger of the parse and the DP
+    values = np.array(_converted(float, tokens, path))
+    del tokens
+    certificate = qvariation(values, resolved["q"])
     return Outcome(True, extras={"value": certificate.value, "subsequence": certificate.subsequence})
 
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -70,6 +71,14 @@ GAP_FLOOR = 1e-300
 #: no longer desk-scale.
 BRUTEFORCE_MAX = 20
 
+#: A column of the witness DP with at most this many candidates settles on
+#: Python floats; a wider one runs on numpy.
+_NARROW = 32
+
+#: The witness DP takes the powers of its narrow columns' gaps in one
+#: :func:`_gap_powers` call once this many are pending.
+_POWER_BATCH = 256
+
 
 @dataclass(frozen=True)
 class RadiusSet:
@@ -115,20 +124,27 @@ def _gap_powers(gaps: np.ndarray, q: float) -> np.ndarray:
     return out**q
 
 
-def _rescaled(v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+def _rescaled(v: np.ndarray, q: float, sums: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Each row of v times 2^-e, and the exponents e.
 
     e is 0, so the row and its value stay as they are, when the row's
     largest gap is below GAP_FLOOR or has a normal q-th power.  Otherwise
     e puts the largest gap in [1, 2), where its power is at least 1 and,
-    for q below 1024, finite.  The variation is homogeneous and 2^-e is
-    exact, so :func:`_scale_back` by e gives the value.
+    for q below 1024, finite.  With ``sums``, for a row whose chain sum
+    overflowed, e puts the largest gap in [2^-c, 2^(1-c)), where 2^(cq)
+    exceeds the row length, so that no chain's sum of powers reaches 2^q.
+    The variation is homogeneous and 2^-e is exact, so :func:`_scale_back`
+    by e gives the value.
     """
     half_span = v.max(axis=1) / 2 - v.min(axis=1) / 2
-    span = 2 * half_span
-    power = span**q
-    in_range = (power >= np.finfo(float).smallest_normal) & (power < math.inf)
-    shifts = np.where((span >= GAP_FLOOR) & ~in_range, np.frexp(half_span)[1], 0)
+    exponents = np.frexp(half_span)[1]
+    if sums:
+        shifts = exponents + math.ceil(v.shape[1].bit_length() / q)
+    else:
+        span = 2 * half_span
+        power = span**q
+        in_range = (power >= np.finfo(float).smallest_normal) & (power < math.inf)
+        shifts = np.where((span >= GAP_FLOOR) & ~in_range, exponents, 0)
     return np.ldexp(v, -shifts[:, None]), shifts
 
 
@@ -138,6 +154,15 @@ def _scale_back(values, shifts, q: float):
     if not np.all(np.isfinite(out)):
         raise FloatRangeExceeded(f"the q = {q:g} variation or its gap powers leave the double range")
     return out
+
+
+def _check_rerun(sums, q: float) -> None:
+    """FloatRangeExceeded unless every sum of a rescaled rerun is a normal
+    double: at such q no power of two keeps both the largest gap's power
+    and the chain sums in range."""
+    sums = np.asarray(sums)
+    if not np.all((sums >= np.finfo(float).smallest_normal) & (sums < math.inf)):
+        raise FloatRangeExceeded(f"the q = {q:g} variation or its gap powers leave the double range")
 
 
 def _turning_points(v: np.ndarray) -> np.ndarray:
@@ -160,6 +185,112 @@ def _turning_points(v: np.ndarray) -> np.ndarray:
 def _total_variation(v: np.ndarray) -> np.ndarray:
     """Sum of the floored |steps| along each row: the q = 1 variation."""
     return _gap_powers(np.abs(np.diff(v, axis=1)), 1.0).sum(axis=1)
+
+
+def _certified(
+    run: Callable[[np.ndarray], tuple[float, Sequence[int]]], v: np.ndarray, q: float
+) -> VariationCertificate:
+    """The certificate of one sequence from run(w) -> (chain sum, witness).
+
+    run sees v as :func:`_rescaled` puts it; when its chain sum overflows,
+    it runs again on v rescaled so that no chain sum can.
+    """
+    (w,), (shift,) = _rescaled(v[None, :], q)
+    total, witness = run(w)
+    if total == math.inf:
+        (w,), (shift,) = _rescaled(v[None, :], q, sums=True)
+        total, witness = run(w)
+        _check_rerun(total, q)
+    if total <= 0.0:
+        return VariationCertificate(0.0, ())
+    return VariationCertificate(float(_scale_back(total ** (1.0 / q), shift, q)), tuple(witness))
+
+
+def _witness_dp(w: list[float], q: float) -> tuple[float, list[int]]:
+    """Largest chain sum over the zigzag w and a chain attaining it.
+
+    The loop of :func:`qvariation` for q > 1; see there.
+    """
+    m = len(w)
+    best = [0.0] * m
+    pred = [-1] * m
+    # the monotone stacks, troughs (type 0) and peaks (type 1), as indices,
+    # oldest first; a wide column reads its candidates from numpy mirrors
+    # of their values and best sums, of which the first synced[t] entries
+    # match stack t
+    stacks: tuple[list[int], list[int]] = ([], [])
+    mirror_val = (np.empty(m), np.empty(m))
+    mirror_best = (np.empty(m), np.empty(m))
+    synced = [0, 0]
+    # the narrow columns whose gap powers are pending, as (j, candidates)
+    # in column order, and the number of their gaps
+    columns: list[tuple[int, list[int]]] = []
+    pending = 0
+
+    def pending_gaps() -> list[float]:
+        return [abs(w[j] - w[i]) for j, candidates in columns for i in candidates]
+
+    def settle(powers: list[float]) -> None:
+        k = 0
+        for j, candidates in columns:
+            top, arg = 0.0, -1
+            for i in candidates:
+                total = best[i] + powers[k]
+                k += 1
+                if total > top:
+                    top, arg = total, i
+            if arg >= 0:
+                best[j], pred[j] = top, arg
+        columns.clear()
+
+    first_is_peak = int(m > 1 and w[0] > w[1])
+    for j, wj in enumerate(w):
+        own = (j & 1) ^ first_is_peak
+        stack, other = stacks[own], stacks[own ^ 1]
+        if own:
+            while stack and w[stack[-1]] <= wj:
+                stack.pop()
+        else:
+            while stack and w[stack[-1]] >= wj:
+                stack.pop()
+        if len(stack) < synced[own]:
+            synced[own] = len(stack)
+        start = bisect_right(other, stack[-1]) if stack else 0
+        end = len(other)
+        if end - start > _NARROW:
+            # the pending gaps come first: their powers share this call
+            t = own ^ 1
+            fresh = other[synced[t] :]
+            mirror_val[t][synced[t] : end] = [w[i] for i in fresh]
+            buf = np.empty(pending + end - start)
+            buf[:pending] = pending_gaps()
+            np.subtract(wj, mirror_val[t][start:end], out=buf[pending:])
+            np.abs(buf[pending:], out=buf[pending:])
+            powers = _gap_powers(buf, q)
+            settle(powers[:pending].tolist())
+            mirror_best[t][synced[t] : end] = [best[i] for i in fresh]
+            synced[t] = end
+            cand = powers[pending:]
+            cand += mirror_best[t][start:end]
+            k = int(cand.argmax())
+            if cand[k] > 0.0:
+                best[j], pred[j] = float(cand[k]), other[start + k]
+            pending = 0
+        elif start < end:
+            columns.append((j, other[start:]))
+            pending += end - start
+            if pending >= _POWER_BATCH:
+                settle(_gap_powers(np.array(pending_gaps()), q).tolist())
+                pending = 0
+        stack.append(j)
+    if columns:
+        settle(_gap_powers(np.array(pending_gaps()), q).tolist())
+    top = max(best)
+    chain = [best.index(top)]
+    while pred[chain[-1]] >= 0:
+        chain.append(pred[chain[-1]])
+    chain.reverse()
+    return top, chain
 
 
 @np.errstate(over="ignore")
@@ -186,13 +317,27 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     raise the sum strictly when q > 1; and an earlier trough with a value
     equal to a later one's is beaten by the later one, which can collect
     the peak between them first.  Among the candidates, ties resolve to the
-    earliest.  A point left out can tie with a candidate only by rounding:
-    on (0, 1e-10, 0, 1) at q = 3 the chains (0, 3) and (0, 1, 2, 3) both sum
-    to 1.0 in floating point, and the witness is the second, which is larger
-    in exact arithmetic.  The value is the same either way.
+    earliest, and a candidate counts only when its sum is above 0.  A point
+    left out can tie with a candidate only by rounding: on (0, 1e-10, 0, 1)
+    at q = 3 the chains (0, 3) and (0, 1, 2, 3) both sum to 1.0 in floating
+    point, and the witness is the second, which is larger in exact
+    arithmetic.  The value is the same either way.
+
+    The loop keeps both stacks as Python lists of indices, and best as a
+    Python list.  The candidates depend on the values only, never on best,
+    so a column with at most ``_NARROW`` candidates only records them.  The
+    q-th powers of the recorded gaps come in one :func:`_gap_powers` call
+    per ``_POWER_BATCH`` gaps, always through numpy's array power (Python's
+    ``**`` can differ from it in the last ulp); the recorded columns are
+    then settled in column order on Python floats.  A wider column (on a
+    rising sawtooth every peak has all earlier troughs) takes the recorded
+    gaps' powers and its own in one call, settles the recorded columns, and
+    finds its maximum with numpy, on mirrors of the stack's values and best
+    sums that are brought up to date only there.
 
     A sequence whose largest gap's q-th power is not a normal double runs
-    rescaled by a power of two; what still leaves the double range raises
+    rescaled by a power of two, and so does one whose chain sum overflows
+    although the value may fit; what still leaves the double range raises
     FloatRangeExceeded.
     """
     if not 1 <= q < math.inf:
@@ -204,54 +349,12 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     if q == 1.0:
         total = float(qvariation_rows(v[None, :], 1.0)[0])
         return VariationCertificate(total, tuple(kept.tolist()) if total > 0.0 else ())
-    (w,), (shift,) = _rescaled(v[None, kept], q)
-    m = w.size
-    best = np.zeros(m)
-    pred = np.full(m, -1, dtype=np.intp)
-    # one monotone stack per type, oldest entry first: troughs (type 0) with
-    # strictly increasing values, peaks (type 1) with strictly decreasing
-    # ones; each keeps its entries' indices, values and best sums side by
-    # side, so the candidates of a point are views of one slice
-    stack_idx = (np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp))
-    stack_val = (np.empty(m), np.empty(m))
-    stack_best = (np.empty(m), np.empty(m))
-    tops = [0, 0]
-    wl = w.tolist()
-    first_is_peak = m > 1 and wl[0] > wl[1]
-    for j in range(m):
-        wj = wl[j]
-        own = int((j % 2 == 0) == first_is_peak)
-        other = 1 - own
-        idx, top = stack_idx[own], tops[own]
-        if own:
-            while top and wl[idx[top - 1]] <= wj:
-                top -= 1
-        else:
-            while top and wl[idx[top - 1]] >= wj:
-                top -= 1
-        overshoot = idx[top - 1] if top else -1
-        end = tops[other]
-        start = stack_idx[other][:end].searchsorted(overshoot, "right")
-        if start < end:
-            gaps = np.abs(wj - stack_val[other][start:end])
-            cand = stack_best[other][start:end] + _gap_powers(gaps, q)
-            k = cand.argmax()
-            if cand[k] > 0.0:
-                best[j] = cand[k]
-                pred[j] = stack_idx[other][start + k]
-        idx[top] = j
-        stack_val[own][top] = wj
-        stack_best[own][top] = best[j]
-        tops[own] = top + 1
-    j_star = int(np.argmax(best))
-    if best[j_star] <= 0.0:
-        return VariationCertificate(0.0, ())
-    chain = [j_star]
-    while pred[chain[-1]] >= 0:
-        chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    value = float(_scale_back(best[j_star] ** (1.0 / q), shift, q))
-    return VariationCertificate(value, tuple(kept[chain].tolist()))
+
+    def run(w: np.ndarray) -> tuple[float, list[int]]:
+        total, chain = _witness_dp(w.tolist(), q)
+        return total, kept[chain].tolist()
+
+    return _certified(run, v[kept], q)
 
 
 @np.errstate(over="ignore")
@@ -273,15 +376,28 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
     rows, n = v.shape
     if n < 2:
         return np.zeros(rows)
-    v, shifts = _rescaled(v, q)
+    scaled, shifts = _rescaled(v, q)
+    sums = _row_sums(scaled, q)
+    over = sums == math.inf
+    if over.any():
+        scaled, shifts[over] = _rescaled(v[over], q, sums=True)
+        sums[over] = _row_sums(scaled, q)
+        _check_rerun(sums[over], q)
+    root = 1.0 / q
+    return _scale_back([s**root for s in sums.tolist()], shifts, q)
+
+
+def _row_sums(v: np.ndarray, q: float) -> np.ndarray:
+    """Largest chain sum of each row: the total variation at q = 1, else
+    the plain recurrence over every predecessor."""
     if q == 1.0:
-        return _scale_back(_total_variation(v), shifts, q)
+        return _total_variation(v)
+    rows, n = v.shape
     best = np.zeros((rows, n))
     for j in range(1, n):
         gaps = np.abs(v[:, j, None] - v[:, :j])
         best[:, j] = np.max(best[:, :j] + _gap_powers(gaps, q), axis=1)
-    root = 1.0 / q
-    return _scale_back([s ** root for s in best.max(axis=1).tolist()], shifts, q)
+    return best.max(axis=1)
 
 
 def qvariation_value(values: Iterable[float], q: float) -> float:
@@ -305,7 +421,13 @@ def qvariation_bruteforce(values: Iterable[float], q: float) -> VariationCertifi
         raise TooLong(f"exhaustive search accepts at most {BRUTEFORCE_MAX} values, got {n}")
     if n < 2:
         return VariationCertificate(0.0, ())
-    (v,), (shift,) = _rescaled(v[None, :], q)
+    return _certified(lambda w: _best_combination(w, q), v, q)
+
+
+def _best_combination(v: np.ndarray, q: float) -> tuple[float, tuple[int, ...]]:
+    """Largest chain sum over every increasing subsequence, and the first
+    subsequence attaining it."""
+    n = v.size
     best_sum = 0.0
     best_combo: tuple[int, ...] = ()
     for k in range(2, n + 1):
@@ -316,9 +438,7 @@ def qvariation_bruteforce(values: Iterable[float], q: float) -> VariationCertifi
         if sums[m] > best_sum:
             best_sum = float(sums[m])
             best_combo = tuple(int(i) for i in idx[m])
-    if best_sum <= 0.0:
-        return VariationCertificate(0.0, ())
-    return VariationCertificate(float(_scale_back(best_sum ** (1.0 / q), shift, q)), best_combo)
+    return best_sum, best_combo
 
 
 def prune_to_local_extrema(values: Iterable[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:

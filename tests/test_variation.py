@@ -1,12 +1,14 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlat import variation
+from varlat.cli import run
 from varlat.variation import GAP_FLOOR, VariationCertificate
 from varlat import (
     BadRange,
@@ -74,6 +76,31 @@ def witness_dp_oracle(values, q):
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
     return VariationCertificate(math.ldexp(float(best[j_star] ** (1.0 / q)), shift), tuple(chain))
+
+
+def candidate_counts(values):
+    """How many candidates each turning point has under qvariation's rule.
+
+    Read off the rule's statement, without the stacks: for a peak j, the
+    troughs after the last peak above w_j that lie strictly below every
+    later value up to j; for a trough, the same with the order reversed.
+    """
+    w, _ = prune_to_local_extrema(values)
+    counts = []
+    for j in range(len(w)):
+        peak = w[j] > w[j - 1] if j else len(w) > 1 and w[0] > w[1]
+        s = 1.0 if peak else -1.0
+        count, low = 0, math.inf
+        for i in range(j - 1, -1, -1):
+            x = s * w[i]
+            if (j - i) % 2 == 0:
+                if x > s * w[j]:
+                    break
+            elif x < low:
+                count += 1
+            low = min(low, x)
+        counts.append(count)
+    return counts
 
 
 def dp_chain_sum(values, chain, q):
@@ -272,6 +299,45 @@ class TestCandidateRuleAgainstOracle:
         assert 0 < sum(seen) < 10 * n
 
 
+    @pytest.mark.parametrize("q", [1.5, 3.0, 7.0])
+    def test_narrow_and_wide_columns_mixed_match_oracle(self, rng, q):
+        k = np.arange(400)
+        values = np.concatenate(
+            [
+                # rising sawtooth: every peak past the 70th value is wide
+                k / 2.0 + (k % 2),
+                # normals above it keep its troughs on their stack, so each
+                # record peak is a wide column amid pending narrow gaps
+                250.0 + rng.normal(0.0, 1.0, 1500),
+                # damped alternation: narrow columns after a wide one
+                250.0 + 4.0 * np.where(k % 2 == 0, 1.0, -1.0) * 0.99**k,
+            ]
+        )
+        counts = candidate_counts(values)
+        narrow = [c for c in counts if c <= variation._NARROW]
+        assert len(narrow) < len(counts) and sum(narrow) > 2 * variation._POWER_BATCH
+        assert qvariation(values, q) == witness_dp_oracle(values, q)
+
+    def test_gap_powers_are_batched(self, monkeypatch):
+        sizes = []
+
+        def counting(gaps, q):
+            sizes.append(gaps.size)
+            return floored_powers(gaps, q)
+
+        monkeypatch.setattr(variation, "_gap_powers", counting)
+        values = np.random.default_rng(0).standard_normal(20_000)
+        qvariation(values, 3.0)
+        counts = candidate_counts(values)
+        wide = sum(c > variation._NARROW for c in counts)
+        narrow_gaps = sum(c for c in counts if c <= variation._NARROW)
+        # each candidate's gap is taken once, and the same linear total as
+        # in test_candidate_work_stays_linear
+        assert sum(sizes) == sum(counts) < 10 * values.size
+        # one call per full batch, one per wide column, one for the rest
+        assert len(sizes) <= narrow_gaps / variation._POWER_BATCH + wide + 1
+
+
 class TestTotalVariation:
     """At q = 1 the variation is the sum of the floored |steps|."""
 
@@ -453,6 +519,56 @@ class TestGapPowersOutOfRange:
             cert = call()
             assert cert.value == pytest.approx(expected, rel=1e-14), name
             assert cert.subsequence == witness, name
+
+
+class TestChainSumOverflow:
+    # every gap power is a normal double but a chain sum overflows: the
+    # sequence runs again, rescaled, and the value comes out when it fits
+    @staticmethod
+    def exact(values, q):
+        """Largest chain sum's q-th root, for alternating values 0, h, 0, ..."""
+        h = mpmath.mpf(max(values))
+        return mpmath.root((len(values) - 1) * h**q, q)
+
+    @pytest.mark.parametrize(
+        "values, q",
+        [
+            pytest.param([0.0, 1e102] * 600, 3.0, id="cubes-1200"),
+            pytest.param([0.0, 1e154, 0.0, 1e154, 0.0], 2.0, id="squares-5"),
+        ],
+    )
+    def test_value_fits(self, tmp_path, capsys, values, q):
+        want = float(self.exact(values, q))
+        witness = tuple(range(len(values)))
+        cert = qvariation(values, q)
+        assert cert.value == pytest.approx(want, rel=1e-14)
+        assert cert.subsequence == witness
+        assert qvariation_rows([values], q)[0] == pytest.approx(want, rel=1e-14)
+        if len(values) <= variation.BRUTEFORCE_MAX:
+            assert qvariation_bruteforce(values, q) == cert
+        path = tmp_path / "values.txt"
+        path.write_text(" ".join(repr(v) for v in values))
+        assert run(["variation", "--values", str(path), "--q", repr(q)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert float(out[0]) == pytest.approx(want, rel=1e-11)
+        assert out[1] == " ".join(map(str, witness))
+
+    def test_rows_that_fit_are_unchanged(self):
+        fits = [0.0, 1e100, 0.0, 1e100]
+        matrix = [fits, [0.0, 1e154, 0.0, 1e154]]
+        assert qvariation_rows(matrix, 2.0)[0] == qvariation_rows([fits], 2.0)[0]
+        assert qvariation_rows(matrix, 2.0)[0] == qvariation(fits, 2.0).value
+
+    def test_value_beyond_the_double_range_raises(self, tmp_path, capsys):
+        values = [0.0, 1e308] * 6  # 11^(1/3) * 1e308 > 1.8e308
+        assert self.exact(values, 3.0) > sys.float_info.max
+        for call in (qvariation, qvariation_bruteforce, lambda v, q: qvariation_rows([v], q)):
+            with pytest.raises(FloatRangeExceeded):
+                call(values, 3.0)
+        path = tmp_path / "values.txt"
+        path.write_text(" ".join(repr(v) for v in values))
+        assert run(["variation", "--values", str(path), "--q", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRadiusSet:
