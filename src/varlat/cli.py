@@ -19,7 +19,6 @@ import inspect
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,13 +30,15 @@ from . import __version__
 from .corefn import MIN_FIT_POINTS, GrowthFit, fit_power_law
 from .errors import BadRange, EmptyInput, TruncationTooShallow, VarlatError
 from .experiments import (
+    DEFAULT_BASE,
+    DEFAULT_J0,
+    DEFAULT_K_MIN,
     HILBERT_R_LIST,
     REDUCTION_TARGET,
     TRANSFER_TOLERANCE,
     ExperimentConfig,
     GridSpec,
     RatioReport,
-    default_lacunary,
     exp_hilbert_growth,
     exp_key_estimate,
     exp_linf_blowup,
@@ -128,15 +129,14 @@ class _Param(NamedTuple):
 
 
 #: Every key a flag or a config file sets, in --help order.  A default the
-#: library states is read from the library.  None marks a value filled in
-#: from the cache or from default_lacunary() (a, kmin, j0) or from j0
-#: (j1_list).  A command may override the r-list default.
+#: library states is read from the library.  None marks the one value filled
+#: in from j0 (j1_list).  A command may override the r-list default.
 _PARAMS: dict[str, _Param] = {
     "p": _Param(float, ExperimentConfig.p),
     "q": _Param(float, ExperimentConfig.q),
-    "a": _Param(float, None),
-    "kmin": _Param(int, None),
-    "j0": _Param(int, None),
+    "a": _Param(float, DEFAULT_BASE),
+    "kmin": _Param(int, DEFAULT_K_MIN),
+    "j0": _Param(int, DEFAULT_J0),
     "r_list": _Param(float, ExperimentConfig.r_list, "comma-separated exponents"),
     "j1_list": _Param(int, None, "comma-separated depths"),
     "grid_points": _Param(
@@ -234,11 +234,6 @@ def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     for key, raw, where in _raw_values(args):
         resolved[key] = _parse_value(key, raw, where)
     resolved["values"] = getattr(args, "values", None)  # the variation input file
-    if None in (resolved["a"], resolved["kmin"], resolved["j0"]):
-        base = default_lacunary()
-        for key, value in (("a", base.a), ("kmin", base.k_min), ("j0", base.j0)):
-            if resolved[key] is None:
-                resolved[key] = value
     if resolved["j1_list"] is None:
         resolved["j1_list"] = tuple(resolved["j0"] + gap for gap in (4, 8, 16, 32, 64))
 
@@ -560,12 +555,15 @@ def _norm_transfer(resolved: dict) -> Outcome:
 def _variation(resolved: dict) -> Outcome:
     path = resolved["values"]
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = [tok for tok in re.split(r"[,\s]+", fh.read().strip()) if tok]
+        tokens = fh.read().replace(",", " ").split()
     if not tokens:
         raise EmptyInput(f"no values found in {path}")
-    # the file text is gone and the tokens go before the DP runs, so the
-    # command's peak memory is the larger of the parse and the DP
-    values = np.array(_converted(float, tokens, path))
+    # numpy converts each token with Python's float; the text and the tokens
+    # go before the DP runs, so peak memory is the larger of parse and DP
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError as exc:
+        raise BadRange(f"{path}: {exc}") from None
     del tokens
     certificate = qvariation(values, resolved["q"])
     return Outcome(True, extras={"value": certificate.value, "subsequence": certificate.subsequence})

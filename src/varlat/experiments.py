@@ -160,17 +160,18 @@ class GridSpec:
         )
 
 
+#: The default witness.  Base 2 with j0 = 2 is the configuration whose
+#: power-sum window factor works out cleanly, so it is the default even
+#: though wider bases certify larger key constants.
+DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0 = 2.0, -120, DEFAULT_J_WINDOW[0]
+
+
 @cache
 def default_lacunary() -> LacunaryParams:
-    """Base-2 witness parameters with the certified key constant baked in.
-
-    Base 2 with j0 = 2 is the configuration whose power-sum window factor
-    works out cleanly, so it is the default even though wider bases certify
-    larger key constants.
-    """
-    j0, j_max = DEFAULT_J_WINDOW
-    table = key_estimate_table(2.0, -120, j_max)
-    return LacunaryParams(a=2.0, k_min=-120, j0=j0, key_constant=float(min(table[j0:])))
+    """The default witness parameters with the certified key constant baked in."""
+    table = key_estimate_table(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J_WINDOW[1])
+    constant = float(min(table[DEFAULT_J0:]))
+    return LacunaryParams(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, constant)
 
 
 @dataclass(frozen=True)

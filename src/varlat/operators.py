@@ -13,8 +13,10 @@ The leading breakpoints within 2^-28 sqrt(s) of the first one, b_0, collapse
 to their first-order Taylor term about b_0, off by at most
 (1/2) max|Phi''| sum |c_b| (b - b_0)^2 / s, with max|Phi''| = e^(-1/2) /
 (2 sqrt(2 pi)); `_collapse_bound` computes it (about 2e-18 at the CLI's
-depths).  The dense sum over every breakpoint is kept only in the tests, as
-their oracle.
+depths).  `_heat_matrix` is the package's one heat evaluator, so every heat
+value, of the profiles and of the witness's key tables and halving radii
+alike, carries this budget.  The dense sum over every breakpoint and the
+witness's cell-by-cell sum are kept only in the tests, as their oracles.
 
 Normalization warnings, both deliberate:
   * the averaging operator at radius t divides by t, not 2t, so it carries
@@ -152,24 +154,29 @@ def _collapse_bound(f: PiecewiseConstantFn, times: Iterable[float]) -> np.ndarra
     return np.where(m >= 2, 0.5 * _KERNEL_CURVATURE * second / s, 0.0)
 
 
-def _heat_matrix(f: PiecewiseConstantFn, times: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _roots(times: np.ndarray) -> np.ndarray:
+    if not np.all(times > 0):
+        raise NonPositiveTime("heat time must be positive")
+    return np.sqrt(times)
+
+
+def _heat_matrix(f: PiecewiseConstantFn, roots: np.ndarray, x: np.ndarray) -> np.ndarray:
     """H_s f(x) for every point (rows) and time (columns), scale-locally.
 
+    The times come as their roots sqrt(s) > 0, so a caller that holds a
+    scale a^-j never squares it: a^(-2j) underflows long before a^-j does.
     Each (point, time) pair's window terms are summed in breakpoint order by
     one bincount, so its value does not depend on the other points, the
     other times or the blocking.
     """
-    if not np.all(times > 0):
-        raise NonPositiveTime("heat time must be positive")
     b = f.breakpoints_array
     c = _jump_coefficients(f)
     zeroth, first_moment = _prefix(c), _prefix(c * (b - b[0]))
-    roots = np.sqrt(times)
     sizes = _cluster_sizes(b, roots)
-    out = np.empty((x.size, times.size))
+    out = np.empty((x.size, roots.size))
     step = max(1, _HEAT_CHUNK // max(1, x.size))
-    for col in range(0, times.size, step):
-        shape = (x.size, min(step, times.size - col))
+    for col in range(0, roots.size, step):
+        shape = (x.size, min(step, roots.size - col))
         X = np.broadcast_to(x[:, None], shape)
         R = np.broadcast_to(roots[col : col + step], shape)
         M = np.broadcast_to(sizes[col : col + step], shape)
@@ -210,7 +217,7 @@ def heat_apply_many(f: PiecewiseConstantFn, s: float, xs: Iterable[float]) -> np
     with C0 = sum c_b and C1 = sum c_b (b - b_0) over them; the remainder is
     at most (1/2) max|Phi''| sum |c_b| (b - b_0)^2 / s (`_collapse_bound`).
     """
-    return _heat_matrix(f, np.array([s], dtype=float), np.asarray(xs, dtype=float))[:, 0]
+    return _heat_matrix(f, _roots(np.array([s], dtype=float)), np.asarray(xs, dtype=float))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +253,7 @@ def family_value_matrix(
     x = np.asarray(xs, dtype=float)
     radii = np.array([float(t) for t in J])  # a RadiusSet or any iterable of radii
     if family is OperatorFamily.HEAT:
-        return _heat_matrix(f, radii, x)
+        return _heat_matrix(f, _roots(radii), x)
     if family is not OperatorFamily.AVERAGES:
         raise BadRange(f"unknown operator family {family!r}")
     return avg_apply_many(f, radii, x[:, None])

@@ -6,14 +6,11 @@ then disagree at the origin by a definite amount D_j; certifying a positive
 lower bound on D_j over a window of scales is what drives every blow-up
 experiment downstream.
 
-Two independent evaluation routes exist on purpose: the generic closed form in
-operators.heat_apply, and the direct error-function sum here.  Tests hold them
-to 1e-12 of each other; nothing in the package collapses them into one.  They
-share only the kernel CDF, operators._kernel_cdf: the generic route sums it
-over a scale-local window of the jumps of an arbitrary step function, this
-one over every cell edge of G with the cells' signs, so the two sums are
-still formed independently.  The sum here runs edge by edge into one
-(scale x point) accumulator, so its memory is the size of its output.
+Every heat value of G comes from the package's one heat evaluator,
+operators._heat_matrix, at the roots a^-j of the heat times, so the key
+tables and the halving radii carry the same erf error budget as the
+profiles (see the operators module).  The tests keep an independent
+cell-by-cell error-function sum as the oracle the kernel is held to.
 """
 from __future__ import annotations
 
@@ -32,7 +29,7 @@ from .errors import (
     NoAdmissibleBase,
     TruncationTooShallow,
 )
-from .operators import _kernel_cdf
+from .operators import _heat_matrix
 from .variation import RadiusSet, make_radius_set
 
 __all__ = [
@@ -91,14 +88,20 @@ class LacunaryParams:
 
 
 def lacunary_sign(a: float, k_min: int) -> PiecewiseConstantFn:
-    """The alternating sign function sum_k (-1)^(k+1) 1_[a^k, a^(k+1))."""
+    """The alternating sign function sum_k (-1)^(k+1) 1_[a^k, a^(k+1)).
+
+    Cells whose edges round to one double (a^k underflows to 0 below about
+    k = -1075 at a = 2) have no width and are left out.
+    """
     if not a > 1:
         raise InvalidBase("lacunary base must satisfy a > 1")
     if k_min > -1:
         raise BadRange("k_min must be at most -1")
     ks = np.arange(k_min, 0)
-    breakpoints = np.concatenate((np.power(a, ks.astype(float)), [1.0]))
-    values = np.where(ks % 2 == 0, -1.0, 1.0)  # (-1)^(k+1)
+    edges = np.power(a, np.arange(k_min, 1).astype(float))
+    wide = edges[:-1] < edges[1:]
+    breakpoints = np.append(edges[:-1][wide], 1.0)
+    values = np.where(ks % 2 == 0, -1.0, 1.0)[wide]  # (-1)^(k+1)
     return make_pcf(breakpoints, values)
 
 
@@ -110,34 +113,21 @@ def unit_indicator() -> PiecewiseConstantFn:
 def heat_of_g_matrix(
     a: float, k_min: int, js: Iterable[int], ys: Iterable[float]
 ) -> np.ndarray:
-    """Heat values of the sign function; rows index scales j, columns points.
+    """Heat values H_{a^(-2j)} G(y); rows index scales j, columns points y.
 
-    Direct error-function sum over the cells, independent of the generic
-    operator route: H_{a^(-2j)} G(y) =
-    sum_k (-1)^(k+1) [Phi((y - a^k) a^j) - Phi((y - a^(k+1)) a^j)].
-    The cells are added one at a time, deepest first, into a single
-    (scale x point) array: Phi is evaluated once per cell edge and
-    differenced with the previous edge's, so memory stays at scales x points
-    and each value depends only on its own point and scale.
+    A thin call into operators._heat_matrix on lacunary_sign(a, k_min) at
+    the roots a^-j, so each value carries that kernel's stated error budget
+    and depends only on its own point and scale.  Raises FloatRangeExceeded
+    when some a^-j is not a positive normal double.
     """
-    if not a > 1:
-        raise InvalidBase("lacunary base must satisfy a > 1")
-    if k_min > -1:
-        raise BadRange("k_min must be at most -1")
+    g = lacunary_sign(a, k_min)
     j_arr = np.asarray(tuple(js), dtype=float)
     if np.any(j_arr < 0):
         raise BadRange("heat scale indices must be nonnegative")
-    y_arr = np.asarray(tuple(ys), dtype=float)
-    scale = np.power(a, j_arr)[:, None]
-    edges = np.power(a, np.arange(k_min, 1).astype(float))
-    out = np.zeros((j_arr.size, y_arr.size))
-    lower = _kernel_cdf((y_arr - edges[0]) * scale)
-    # cell k is [edge k, edge k+1) with sign (-1)^(k+1)
-    for k, edge in zip(range(k_min, 0), edges[1:].tolist()):
-        upper = _kernel_cdf((y_arr - edge) * scale)
-        out += (lower - upper) * (-1.0 if k % 2 == 0 else 1.0)
-        lower = upper
-    return out
+    roots = np.power(a, -j_arr)
+    if not np.all(roots >= np.finfo(float).tiny):
+        raise FloatRangeExceeded(f"a^-{j_arr.max():.0f} is not a normal IEEE double for a={a}")
+    return _heat_matrix(g, roots, np.asarray(tuple(ys), dtype=float)).T
 
 
 def truncation_tail_bound(a: float, k_min: int, j: int) -> float:

@@ -20,6 +20,7 @@ from varlat import (
     default_lacunary,
     exp_reduction_constant,
 )
+from varlat import witnesses
 from varlat.cli import REPORT_SCHEMA, SUBCOMMANDS, emit_svg_loglog, run
 
 
@@ -80,7 +81,8 @@ class TestVariationCommand:
         values = tmp_path / "values.txt"
         values.write_text("0 1 two 3")
         assert run(["variation", "--values", str(values)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        want = f"error: {values}: could not convert string to float: 'two'\n"
+        assert capsys.readouterr().err == want
 
     @pytest.mark.parametrize(
         "values, q, code, out",
@@ -104,6 +106,17 @@ class TestVariationCommand:
         value, witness = captured.out.splitlines()
         assert float(value) == pytest.approx(out[0], rel=1e-11)
         assert witness == out[1]
+
+    def test_evaluates_no_witness(self, tmp_path, monkeypatch):
+        # the DP reads no witness parameter, so no key table is built
+        def no_heat(*args):
+            raise AssertionError("variation evaluated the witness")
+
+        monkeypatch.setattr(witnesses, "heat_of_g_matrix", no_heat)
+        default_lacunary.cache_clear()
+        values = tmp_path / "values.txt"
+        values.write_text("0 1 0.9 2")
+        assert run(["variation", "--values", str(values), "--q", "2"]) == 0
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["variation", "--values", str(tmp_path / "nope.txt")]) == 2
@@ -186,6 +199,20 @@ class TestKeyEstimateCommand:
         assert run(["key-estimate", "--j-max", "5", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "key-estimate.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # header + D_0 .. D_5
+
+    def test_scales_past_the_double_range(self, tmp_path, capsys):
+        # a^j overflows at j = 1024 for a = 2; no table is written
+        argv = ["key-estimate", "--kmin", "-3000", "--j-max", "1100", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "key-estimate.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--a", "8", "--kmin", "-400"], ["--kmin", "-1100"]])
+    def test_zero_width_cells(self, tmp_path, capsys, flags):
+        # truncations whose deepest cells underflow to width 0
+        assert run(["key-estimate", *flags, "--out", str(tmp_path)]) == 0
+        assert "pass=True" in capsys.readouterr().out
 
 
 class TestConfigLayers:

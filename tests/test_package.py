@@ -38,6 +38,17 @@ def test_only_operators_imports_scipy():
     assert importers == {"operators"}
 
 
+def test_only_operators_evaluates_the_heat_kernel():
+    # every heat value comes from operators._heat_matrix, so its stated
+    # error budget covers all of them
+    users = {
+        path.stem
+        for path in pathlib.Path(varlat.__file__).parent.glob("*.py")
+        if "_kernel_cdf" in path.read_text()
+    }
+    assert users == {"operators"}
+
+
 def test_demos_found():
     assert DEMOS
 

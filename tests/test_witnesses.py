@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from varlat import witnesses
+from varlat import operators, witnesses
 from varlat import (
     BadRange,
     DEFAULT_BASE_CANDIDATES,
@@ -88,6 +88,15 @@ class TestLacunarySign:
         assert vals[-1] == 1.0
         assert all(v1 == -v0 for v0, v1 in zip(vals, vals[1:]))
 
+    def test_zero_width_cells_left_out(self):
+        # 8^k underflows to 0 for k <= -359: the cells below [0, 8^-358)
+        # have no width
+        g = lacunary_sign(8.0, -400)
+        bps = g.breakpoints_array
+        assert bps.size == 360 and bps[0] == 0.0 and np.all(np.diff(bps) > 0)
+        ks = np.arange(-359, 0)
+        assert g.values_array.tolist() == np.where(ks % 2 == 0, -1.0, 1.0).tolist()
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidBase):
             lacunary_sign(1.0, -2)
@@ -103,8 +112,9 @@ class TestLacunarySign:
 def two_evaluation_heat(a, k_min, js, ys):
     """The cell-by-cell formula, Phi at both ends of every cell.
 
-    The cells are added one at a time, deepest first, the order the package
-    sums them in.
+    The independent route the package's heat kernel is held to: every cell,
+    zero-width ones included, at the scales a^j, added one at a time,
+    deepest first.
     """
     ks = np.arange(k_min, 0)
     signs = np.where(ks % 2 == 0, -1.0, 1.0)
@@ -114,7 +124,7 @@ def two_evaluation_heat(a, k_min, js, ys):
     y = np.asarray(ys, dtype=float)
     out = np.zeros((scale.size, y.size))
     for lo, hi, sign in zip(lower, upper, signs):
-        terms = witnesses._kernel_cdf((y - lo) * scale) - witnesses._kernel_cdf((y - hi) * scale)
+        terms = operators._kernel_cdf((y - lo) * scale) - operators._kernel_cdf((y - hi) * scale)
         out += terms * sign
     return out
 
@@ -139,33 +149,37 @@ class TestHeatOfSign:
         for c, y in enumerate(ys.tolist()):
             assert mat[:, c].tolist() == heat_of_g_matrix(A, k_min, js, (y,))[:, 0].tolist()
 
-    def test_memory_is_scales_times_points(self, monkeypatch):
-        # the cells are summed edge by edge into one (scale x point) array;
-        # no Phi argument spans the edges as well
+    def test_kernel_blocks_bound_the_erf_arguments(self, monkeypatch):
+        # the kernel takes the (point, scale) pairs in blocks of at most
+        # _HEAT_CHUNK pairs (one scale per block when the points alone exceed
+        # it), each pair with at most every breakpoint: no Phi argument grows
+        # with the number of scales
         sizes = []
 
         def recording(w):
             sizes.append(np.size(w))
             return kernel_cdf(w)
 
-        kernel_cdf = witnesses._kernel_cdf
-        monkeypatch.setattr(witnesses, "_kernel_cdf", recording)
+        kernel_cdf = operators._kernel_cdf
+        monkeypatch.setattr(operators, "_kernel_cdf", recording)
         js, ys = range(40), np.linspace(-1.5, 1.5, 68)
         heat_of_g_matrix(A, -300, js, ys)
-        assert sizes and max(sizes) <= len(js) * ys.size
+        breakpoints = lacunary_sign(A, -300).breakpoints_array.size
+        bound = max(operators._HEAT_CHUNK, ys.size) * breakpoints
+        assert sizes and max(sizes) <= bound < len(js) * ys.size * breakpoints
 
     @pytest.mark.parametrize("a", [2.0, math.e, 1.5, 3.0])
     @pytest.mark.parametrize("k_min", [-1, -40, -300])
     def test_shared_edges_match_two_evaluations(self, a, k_min):
-        # one Phi per cell edge, differenced, is the same float as two per cell
+        # the kernel's windowed jump sum against Phi at both ends of every cell
         js = (0, 1, 5, 20, 60)
         ys = np.concatenate((np.linspace(-1.5, 1.5, 401), [0.0, a**k_min, 1.0]))
         got = heat_of_g_matrix(a, k_min, js, ys)
-        assert got.tolist() == two_evaluation_heat(a, k_min, js, ys).tolist()
+        assert np.all(np.abs(got - two_evaluation_heat(a, k_min, js, ys)) <= 1e-12)
 
     def test_agrees_with_generic_heat_route(self, rng):
-        # the direct error-function sum and the generic operator path are
-        # independent implementations of the same convolution
+        # the witness route and the generic operator route, at times a^(-2j)
+        # rather than roots a^-j, both against the cell-by-cell sum
         g = lacunary_sign(A, -30)
         cases = [(0, 0.0), (3, 0.05), (1, -0.2)]
         cases += [
@@ -173,9 +187,15 @@ class TestHeatOfSign:
             for _ in range(100)
         ]
         for j, y in cases:
-            via_matrix = heat_of_g_matrix(A, -30, (j,), (y,))[0, 0]
-            via_operator = heat_apply(g, A ** (-2.0 * j), y)
-            assert via_matrix == pytest.approx(via_operator, abs=1e-12)
+            want = two_evaluation_heat(A, -30, (j,), (y,))[0, 0]
+            assert heat_of_g_matrix(A, -30, (j,), (y,))[0, 0] == pytest.approx(want, abs=1e-12)
+            assert heat_apply(g, A ** (-2.0 * j), y) == pytest.approx(want, abs=1e-12)
+
+    def test_scales_past_the_normal_range(self):
+        # a^-1023 is subnormal at a = 2
+        assert heat_of_g_matrix(A, -3000, (1022,), (0.0,)).shape == (1, 1)
+        with pytest.raises(FloatRangeExceeded):
+            heat_of_g_matrix(A, -3000, (0, 1023), (0.0,))
 
     def test_rejects_negative_scale_index(self):
         with pytest.raises(BadRange):
@@ -216,6 +236,39 @@ class TestKeyEstimateTable:
 
     def test_table_length(self):
         assert len(key_estimate_table(A, K_MIN, 12)) == 13
+
+    # min over j in [2, 30] of D_j at k_min = -120, from a 40-digit sum of
+    # the same erf terms:
+    #   mpmath.mp.dps = 40; a = mpmath.mpf(a)
+    #   phi = lambda w: (1 + mpmath.erf(w / 2)) / 2
+    #   heat0 = lambda j: mpmath.fsum((-1) ** (k + 1) * (phi(-a**k * a**j)
+    #       - phi(-a**(k + 1) * a**j)) for k in range(-120, 0))
+    #   h = [heat0(j) for j in range(2, 32)]
+    #   mpmath.nstr(min(abs(x - y) for x, y in zip(h, h[1:])), 20)
+    @pytest.mark.parametrize(
+        "a, want",
+        [
+            (1.5, 0.0016870370829643748044),
+            (2.0, 0.017307352228174145798),
+            (3.0, 0.16997577039221202923),
+        ],
+    )
+    def test_certified_constant_against_mpmath(self, a, want):
+        table = key_estimate_table(a, K_MIN, DEFAULT_J_WINDOW[1])
+        assert abs(min(table[DEFAULT_J_WINDOW[0] :]) - want) <= 5e-16
+
+    @pytest.mark.parametrize("a, k_min", [(8.0, -400), (2.0, -1100)])
+    def test_zero_width_cells_against_two_evaluations(self, a, k_min):
+        # truncations deep enough that the lowest cells have no width
+        column = two_evaluation_heat(a, k_min, range(32), (0.0,))[:, 0]
+        want = np.abs(np.diff(column))
+        assert np.all(np.abs(np.array(key_estimate_table(a, k_min, 30)) - want) <= 1e-12)
+
+    def test_scales_past_the_normal_range(self):
+        # a^-1101 is subnormal at a = 2; the table used to fill with nan
+        # once a^j overflowed
+        with pytest.raises(FloatRangeExceeded):
+            key_estimate_table(A, -3000, 1100)
 
 
 class TestSearch:
@@ -299,6 +352,15 @@ class TestDeltaHalving:
     def test_requires_adequate_truncation(self):
         with pytest.raises(TruncationTooShallow):
             delta_halving_radius(2.0, -4, 2, 30)
+
+    @pytest.mark.parametrize("a, want", [(6.0, 1e-202), (8.0, 3.16227766016838e-235)])
+    def test_deep_radius(self, a, want):
+        # the heat times a^(-2j) underflow to 0 here; the scales a^-j do not
+        assert delta_halving_radius(a, -300, 2, 258) == want
+
+    def test_scales_past_the_normal_range(self):
+        with pytest.raises(FloatRangeExceeded):
+            delta_halving_radius(A, -3000, 2, 1100)
 
     @pytest.mark.parametrize("block", [None, 1, 2, 3])
     @pytest.mark.parametrize("k_min, j1", HALVING_CASES)
