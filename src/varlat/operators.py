@@ -120,10 +120,6 @@ _HEAT_CLUSTER = 2.0**-28
 #: max |Phi''| over the line, attained at w = sqrt(2).
 _KERNEL_CURVATURE = math.exp(-0.5) / (2.0 * math.sqrt(2.0 * math.pi))
 
-#: Most (point, time) pairs evaluated at once: the times go in blocks of
-#: _HEAT_CHUNK // points, which keeps each block's flattened terms small.
-_HEAT_CHUNK = 512
-
 
 def _jump_coefficients(f: PiecewiseConstantFn) -> np.ndarray:
     """Coefficient of each breakpoint edge: value after minus value before."""
@@ -165,39 +161,37 @@ def _heat_matrix(f: PiecewiseConstantFn, roots: np.ndarray, x: np.ndarray) -> np
 
     The times come as their roots sqrt(s) > 0, so a caller that holds a
     scale a^-j never squares it: a^(-2j) underflows long before a^-j does.
-    Each (point, time) pair's window terms are summed in breakpoint order by
-    one bincount, so its value does not depend on the other points, the
-    other times or the blocking.
+    Each (point, time) pair's window terms are added to a zero accumulator
+    in breakpoint order, one breakpoint offset at a time over all pairs; a
+    pair whose window is shorter adds +0.0, so its value does not depend on
+    the other points or times.  The work space is a few arrays the size of
+    the result, and there is one pass per offset up to the widest window.
     """
     b = f.breakpoints_array
     c = _jump_coefficients(f)
     zeroth, first_moment = _prefix(c), _prefix(c * (b - b[0]))
-    sizes = _cluster_sizes(b, roots)
-    out = np.empty((x.size, roots.size))
-    step = max(1, _HEAT_CHUNK // max(1, x.size))
-    for col in range(0, roots.size, step):
-        shape = (x.size, min(step, roots.size - col))
-        X = np.broadcast_to(x[:, None], shape)
-        R = np.broadcast_to(roots[col : col + step], shape)
-        M = np.broadcast_to(sizes[col : col + step], shape)
-        lo = np.searchsorted(b, X - _HEAT_WINDOW * R, side="left")
-        hi = np.searchsorted(b, X + _HEAT_WINDOW * R, side="right")
-        # a leading cluster of two or more breakpoints that is not wholly left
-        # of the window collapses to one term, and the window starts after it
-        collapse = (M >= 2) & (lo < M)
-        start = np.where(collapse, M, lo)
-        base = zeroth[start]
-        r = R[collapse]
-        w = (X[collapse] - b[0]) / r
-        slope = first_moment[M[collapse]] / r
-        base[collapse] = base[collapse] * _kernel_cdf(w) - slope * _kernel_density(w)
-        # flatten the window terms pair by pair, in breakpoint order
-        counts = np.maximum(hi - start, 0).ravel()
-        pair = np.repeat(np.arange(counts.size), counts)
-        idx = start.ravel()[pair] + np.arange(pair.size) - (np.cumsum(counts) - counts)[pair]
-        terms = _kernel_cdf((X.ravel()[pair] - b[idx]) / R.ravel()[pair]) * c[idx]
-        sums = np.bincount(pair, weights=terms, minlength=counts.size)
-        out[:, col : col + step] = base + sums.reshape(shape)
+    shape = (x.size, roots.size)
+    X = np.broadcast_to(x[:, None], shape)
+    R = np.broadcast_to(roots, shape)
+    M = np.broadcast_to(_cluster_sizes(b, roots), shape)
+    lo = np.searchsorted(b, X - _HEAT_WINDOW * R, side="left")
+    # a leading cluster of two or more breakpoints that is not wholly left
+    # of the window collapses to one term, and the window starts after it
+    collapse = (M >= 2) & (lo < M)
+    start = np.where(collapse, M, lo)
+    width = np.searchsorted(b, X + _HEAT_WINDOW * R, side="right") - start
+    out = zeroth[start]
+    r = R[collapse]
+    w = (X[collapse] - b[0]) / r
+    slope = first_moment[M[collapse]] / r
+    out[collapse] = out[collapse] * _kernel_cdf(w) - slope * _kernel_density(w)
+    # the k-th term of every window at once; a lane past its window's end
+    # reads a clipped index and adds +0.0
+    sums = np.zeros(shape)
+    for k in range(width.max(initial=0)):
+        idx = np.minimum(start + k, b.size - 1)
+        sums += np.where(k < width, _kernel_cdf((X - b[idx]) / R) * c[idx], 0.0)
+    out += sums
     out[np.isnan(x)] = np.nan
     return out
 

@@ -282,6 +282,22 @@ class TestFamilies:
         for col, t in enumerate(radii):
             assert mat[:, col].tolist() == one_radius(f, t, xs).tolist()
 
+    def test_heat_pairs_match_one_pair_calls(self, rng):
+        # one call holds windows from 0 to about 200 terms; every entry is
+        # its own one-pair evaluation, bit for bit
+        bps = np.concatenate((np.linspace(0.0, 1e-3, 200), [0.5, 2.0, 7.0]))
+        f = make_pcf(bps, rng.uniform(-2, 2, bps.size - 1))
+        times = (4.0, 1.0, 1e-2, 1e-6, 1e-9)
+        xs = np.concatenate(([-5.0, 1e-4, 5e-4, 0.5, 3.0, 10.0, math.nan], rng.uniform(-1, 8, 20)))
+        mat = family_value_matrix(f, OperatorFamily.HEAT, times, xs)
+        for row, x in enumerate(xs.tolist()):
+            for col, s in enumerate(times):
+                one = operators._heat_matrix(f, np.sqrt([s]), np.array([x]))[0, 0]
+                if math.isnan(x):
+                    assert math.isnan(mat[row, col]) and math.isnan(one)
+                else:
+                    assert mat[row, col] == one
+
     def test_family_respects_given_order(self):
         fwd = family_value_matrix(UNIT, OperatorFamily.AVERAGES, (2.0, 0.5), [0.5])[0]
         rev = family_value_matrix(UNIT, OperatorFamily.AVERAGES, (0.5, 2.0), [0.5])[0]

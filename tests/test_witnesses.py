@@ -149,11 +149,17 @@ class TestHeatOfSign:
         for c, y in enumerate(ys.tolist()):
             assert mat[:, c].tolist() == heat_of_g_matrix(A, k_min, js, (y,))[:, 0].tolist()
 
-    def test_kernel_blocks_bound_the_erf_arguments(self, monkeypatch):
-        # the kernel takes the (point, scale) pairs in blocks of at most
-        # _HEAT_CHUNK pairs (one scale per block when the points alone exceed
-        # it), each pair with at most every breakpoint: no Phi argument grows
-        # with the number of scales
+    @pytest.mark.parametrize(
+        "js, ys",
+        [
+            pytest.param(range(40), np.linspace(-1.5, 1.5, 68), id="profile-block"),
+            pytest.param(range(32), np.zeros(1), id="key-table"),
+        ],
+    )
+    def test_erf_arguments_are_one_per_pair(self, monkeypatch, js, ys):
+        # the kernel sums one breakpoint offset at a time over all (point,
+        # scale) pairs, so no Phi argument holds more than one entry per
+        # pair, however many breakpoints the witness has
         sizes = []
 
         def recording(w):
@@ -162,11 +168,8 @@ class TestHeatOfSign:
 
         kernel_cdf = operators._kernel_cdf
         monkeypatch.setattr(operators, "_kernel_cdf", recording)
-        js, ys = range(40), np.linspace(-1.5, 1.5, 68)
         heat_of_g_matrix(A, -300, js, ys)
-        breakpoints = lacunary_sign(A, -300).breakpoints_array.size
-        bound = max(operators._HEAT_CHUNK, ys.size) * breakpoints
-        assert sizes and max(sizes) <= bound < len(js) * ys.size * breakpoints
+        assert sizes and max(sizes) <= len(js) * ys.size
 
     @pytest.mark.parametrize("a", [2.0, math.e, 1.5, 3.0])
     @pytest.mark.parametrize("k_min", [-1, -40, -300])
