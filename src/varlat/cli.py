@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import inspect
 import json
+import locale  # noqa: F401  argparse's first parse imports it through gettext
 import math
 import os
 import sys

@@ -188,6 +188,19 @@ class SampleGrid:
         return f"SampleGrid(<{len(self)} points on [{lo!r}, {hi!r}]>)"
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a float array: sorted, each value once.
+
+    The same sort and neighbour test that np.unique runs, without its
+    masked-array check, which imports numpy.ma.
+    """
+    out = np.sort(values)
+    keep = np.empty(out.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def trapezoid_weights(points: Iterable[float]) -> np.ndarray:
     """Half-gap weights; an interior point owns half of each adjacent gap."""
     pts = np.asarray(points, dtype=float)

@@ -29,9 +29,11 @@ from functools import cache
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  norm-transfer's generator, loaded with the package
 
 from .corefn import (
     MIN_FIT_POINTS,
+    _sorted_distinct,
     GrowthFit,
     SampleGrid,
     ScalarProfile,
@@ -367,7 +369,7 @@ def _profile_bundle(
     ladder = np.geomspace(floor, top, n_log)
     n_x = max(65, config.grid.lin_points // 3)
     xs = np.linspace(0.0, 1.0, n_x)
-    points = np.unique(np.concatenate((-ladder, [0.0], ladder, xs)))
+    points = _sorted_distinct(np.concatenate((-ladder, [0.0], ladder, xs)))
     if points.size > MAX_GRID_POINTS:
         raise BadRange(f"profile grid capped at {MAX_GRID_POINTS} points")
 

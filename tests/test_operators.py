@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from varlat import (
     BadRange,
@@ -79,7 +78,7 @@ class TestHeatKernel:
 class TestHeatApply:
     def test_symmetric_indicator(self):
         f = make_pcf([-1.0, 1.0], [1.0])
-        assert heat_apply(f, 0.25, 0.0) == pytest.approx(erf(1.0), rel=1e-14)
+        assert heat_apply(f, 0.25, 0.0) == pytest.approx(math.erf(1.0), rel=1e-14)
 
     def test_approximate_identity(self, make_random_pcf):
         f = make_random_pcf()
@@ -188,6 +187,14 @@ class TestWindowedHeat:
         assert np.all(bound > 0.0)
         assert bound.max() <= 1e-17
 
+    def test_kernel_derivative_max(self):
+        # the collapse bound's constant: max |K^(n)| on a grid 1e-4 apart,
+        # within the grid's reach of the true maximum
+        w = np.linspace(0.0, 12.0, 120_001)
+        p = operators._KERNEL_DERIVATIVES[operators._COLLAPSE_ORDER]
+        grid_max = np.abs(np.polynomial.polynomial.polyval(w, p) * operators._kernel_density(w)).max()
+        assert grid_max <= operators._KERNEL_DERIVATIVE_MAX <= grid_max + 1e-6
+
     def test_every_breakpoint_saturated(self):
         f = make_pcf([0.0, 1.0, 2.5], [3.0, -1.5])
         xs = [-1.0, 0.5, 1.75, 4.0]
@@ -207,7 +214,7 @@ class TestWindowedHeat:
 
     def test_every_breakpoint_in_the_cluster(self):
         f = make_pcf([0.0, 0.25, 0.5, 1.0], [1.0, -2.0, 0.5])
-        s = 1e20  # 2^-28 sqrt(s) is about 37, past the last breakpoint
+        s = 1e20  # 2^-6 sqrt(s) is about 1.6e8, past the last breakpoint
         assert 0.0 < operators._collapse_bound(f, [s])[0] <= 1e-20
         xs = [-1e10, -3.0, 0.0, 0.6, 2.0, 1e10]
         assert heat_apply_many(f, s, xs) == pytest.approx(dense_heat(f, s, xs), abs=1e-15)
@@ -221,19 +228,37 @@ class TestWindowedHeat:
             family_value_matrix(UNIT, OperatorFamily.HEAT, (1.0, 0.0), [0.5])
 
     def test_depth_sweep_erf_count(self, tmp_path, monkeypatch):
-        # the dense sum took 9,150,400 terms on this run
+        # the dense sum took 9,150,400 terms on this run, the first-order
+        # collapse of clusters 2^-28 sqrt(s) wide 1,004,256
         count = 0
-        original = operators._kernel_cdf
+        original = operators._erf
 
-        def counting(w):
+        def counting(x):
             nonlocal count
-            count += w.size
-            return original(w)
+            count += x.size
+            return original(x)
 
-        monkeypatch.setattr(operators, "_kernel_cdf", counting)
+        monkeypatch.setattr(operators, "_erf", counting)
         argv = ["linf-blowup", "--kmin", "-300", "--j1-list", "6,10,18,34,66,130,258"]
         assert cli.run(argv + ["--out", str(tmp_path)]) == 0
-        assert 0 < count <= 1_200_000
+        assert 0 < count <= 600_000
+
+    @pytest.mark.parametrize("j", [300, 400, 509])
+    def test_deep_witness_against_mpmath(self, j):
+        # scales where a power of b - b_0 taken before dividing by sqrt(s)
+        # underflows: (2^-6 sqrt(s))^7 is below 2^-1074 from j = 148 on
+        g = lacunary_sign(2.0, -560)
+        bps = [mpmath.mpf(float(b)) for b in g.breakpoints_array]
+        coef = [mpmath.mpf(float(c)) for c in operators._jump_coefficients(g)]
+        r = 2.0**-j
+        xs = [0.0, 1e-9 * r, -0.3 * r, 0.77 * r, 3.0 * r, -5.0 * r]
+        got = heat_apply_many(g, r * r, xs)
+        for x, value in zip(xs, got.tolist()):
+            with mpmath.workdps(40):
+                want = mpmath.fsum(
+                    c * (1 + mpmath.erf((x - b) / r / 2)) / 2 for b, c in zip(bps, coef)
+                )
+            assert abs(value - float(want)) <= 2e-15
 
 
 class TestHilbert:
@@ -391,9 +416,39 @@ class TestRepresentation:
 
 
 class TestErfAgainstMpmath:
+    # a dense sweep of [-9, 9], denser where the forms meet at |x| = 0.46875
+    # and at the clip |x| = 6, plus the window edge 8 (Phi(-16) = erfc(8)/2)
+    XS = np.concatenate((
+        np.linspace(-9.0, 9.0, 4001),
+        np.linspace(0.46, 0.49, 1501),
+        -np.linspace(0.46, 0.49, 301),
+        np.linspace(5.9, 6.1, 201),
+        [8.0, -8.0, 0.46875, np.nextafter(0.46875, 1.0), 1e-300, 5e-324, 0.0],
+    ))
+
     def test_agreement_on_working_range(self):
-        mpmath.mp.dps = 30
-        ws = np.linspace(-6.0, 6.0, 121)
-        for w in ws:
-            want = float(mpmath.erf(mpmath.mpf(float(w))))
-            assert float(erf(w)) == pytest.approx(want, abs=1e-15)
+        got = operators._erf(self.XS)
+        with mpmath.workdps(40):
+            worst = max(
+                abs(mpmath.mpf(float(g)) - mpmath.erf(mpmath.mpf(float(x))))
+                for x, g in zip(self.XS, got)
+            )
+        assert worst <= operators.ERF_ERROR
+
+    def test_kernel_cdf_within_the_same_bound(self):
+        ws = 2.0 * self.XS
+        got = operators._kernel_cdf(ws)
+        with mpmath.workdps(40):
+            worst = max(
+                abs(mpmath.mpf(float(g)) - (1 + mpmath.erf(mpmath.mpf(float(w)) / 2)) / 2)
+                for w, g in zip(ws, got)
+            )
+        assert worst <= operators.ERF_ERROR
+
+    def test_saturates_odd_and_keeps_shape(self):
+        xs = np.array([[6.0, 7.5, 1e300, math.inf], [0.1, 0.5, 3.0, math.nan]])
+        got = operators._erf(xs)
+        assert got.shape == xs.shape
+        assert got[0].tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert math.isnan(got[1, 3])
+        assert np.array_equal(operators._erf(-xs[1, :3]), -got[1, :3])

@@ -1,7 +1,10 @@
 """Package-level checks: the public name list, imports and the runnable demos."""
 import ast
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -21,9 +24,8 @@ def test_every_package_name_comes_from_its_module_list():
         assert getattr(varlat, name) is getattr(owners[0], name)
 
 
-def test_only_operators_imports_scipy():
-    # erf is the only scipy function in use; keeping it behind one module
-    # lets a replacement swap it in one place
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency: erf is operators._erf
     importers = set()
     for path in pathlib.Path(varlat.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -35,7 +37,22 @@ def test_only_operators_imports_scipy():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.stem)
-    assert importers == {"operators"}
+    assert importers == set()
+
+
+def test_a_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # numpy.ma costs 15-25 ms when np.unique pulls it in lazily
+    script = (
+        "import sys, varlat.cli\n"
+        "code = varlat.cli.run(['linf-blowup', '--out', sys.argv[1]])\n"
+        "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    src = pathlib.Path(varlat.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.split()[-3:] == ["0", "False", "False"], done.stderr
 
 
 def test_only_operators_evaluates_the_heat_kernel():

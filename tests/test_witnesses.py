@@ -171,6 +171,26 @@ class TestHeatOfSign:
         heat_of_g_matrix(A, -300, js, ys)
         assert sizes and max(sizes) <= len(js) * ys.size
 
+    @pytest.mark.parametrize(
+        "js, ys",
+        [
+            pytest.param(range(40), np.linspace(-1.5, 1.5, 68), id="profile-block"),
+            pytest.param(range(32), np.zeros(1), id="key-table"),
+        ],
+    )
+    def test_window_erf_arguments_are_one_per_pair(self, monkeypatch, js, ys):
+        # the window terms go to the erf directly, one offset per call
+        sizes = []
+
+        def recording(x):
+            sizes.append(np.size(x))
+            return erf(x)
+
+        erf = operators._erf
+        monkeypatch.setattr(operators, "_erf", recording)
+        heat_of_g_matrix(A, -300, js, ys)
+        assert len(sizes) > 1 and max(sizes) <= len(js) * ys.size
+
     @pytest.mark.parametrize("a", [2.0, math.e, 1.5, 3.0])
     @pytest.mark.parametrize("k_min", [-1, -40, -300])
     def test_shared_edges_match_two_evaluations(self, a, k_min):
