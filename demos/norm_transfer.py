@@ -7,7 +7,7 @@ and the plain l^r norm of width-rescaled coefficients are the same number,
 both before and after taking coordinate-wise variation.  This identity is
 what lets a function-lattice statement be proved on sequences.
 """
-from varlat import exp_norm_transfer, geometric_radius_set, norm_transfer_pair
+from varlat import exp_norm_transfer, make_radius_set, norm_transfer_pair
 
 # a hand-built simple function: two support cells, two inner coordinates
 res = norm_transfer_pair(
@@ -15,7 +15,7 @@ res = norm_transfer_pair(
     coefficient_matrix=[[1.0, -0.5], [0.25, 2.0]],
     inner_widths=(0.4, 1.1),
     p=2.0, q=3.0, r=4.0,
-    J=geometric_radius_set(2.0, 1, 3),
+    J=make_radius_set((0.25, 0.0625, 0.015625)),
 )
 print("hand-built simple function:")
 print(f"  plain norm, integral route:   {res.plain_integral:.12f}")

@@ -60,11 +60,11 @@ from .errors import (
 from .operators import (
     OperatorFamily,
     _subordination_weight,
-    family_value_matrix,
     gauss_legendre_integrate,
 )
 from .variation import (
     RadiusSet,
+    make_radius_set,
     qvariation_rows,
     vector_variation_field,
 )
@@ -73,10 +73,9 @@ from .witnesses import (
     KEY_THRESHOLD,
     LacunaryParams,
     _require_admissible,
-    geometric_radius_set,
     delta_halving_radius,
+    heat_of_g_matrix,
     key_estimate_table,
-    lacunary_sign,
 )
 
 __all__ = [
@@ -154,7 +153,14 @@ class GridSpec:
             raise BadRange("need at least 4 log points per decade")
 
     def doubled(self) -> "GridSpec":
-        """The same grid at twice the resolution, for stability checks."""
+        """The same grid at twice the resolution, for stability checks.
+
+        The profile grids built from the two do not nest: _profile_bundle
+        re-spaces its log ladder to ceil(decades * log_points_per_decade)
+        points and puts lin_points // 3 linear points on [0, 1] (500 at the
+        default, 1000 doubled, where nesting would need 999).  A comparison
+        across them is a refinement check, not a monotonicity check.
+        """
         return replace(
             self,
             lin_points=2 * self.lin_points - 1,
@@ -384,11 +390,10 @@ def _profile_bundle(
     weights[i0 + 1] = (points[i0 + 2] - points[i0 + 1]) / 2.0
     grid = make_grid(points, weights)
 
-    # one heat matrix on the core points feeds both profiles
+    # one heat matrix on the core points feeds both profiles: a row per
+    # point, a column per scale index, heat times taken at their roots
     core_mask = np.abs(points) <= window
-    J = geometric_radius_set(lac.a, lac.j0, j1)
-    witness = lacunary_sign(lac.a, lac.k_min)
-    matrix = family_value_matrix(witness, OperatorFamily.HEAT, J, points[core_mask])
+    matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), points[core_mask]).T
 
     var_vals = np.zeros(points.size)
     var_vals[core_mask] = qvariation_rows(matrix, config.q)
@@ -450,10 +455,11 @@ def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> BlowupR
     """Sup-norm variation ratio against depth.
 
     numerator: L^p over the unit interval of the radius-1 sliding sup of the
-    core variation profile of the witness under the heat family with scales
-    a^(-2j), j0 <= j <= j1.  denominator: the same norm of |G| itself, in
-    closed form (3 - a^k_min)^(1/p) rounded up, which is 3^(1/p) to within
-    rounding.  The ratio must grow like (j1 - j0)^(1/q).
+    core variation profile of the witness under the heat family with times
+    a^(-2j), j0 <= j <= j1, evaluated at their roots a^-j.  denominator: the
+    same norm of |G| itself, in closed form (3 - a^k_min)^(1/p) rounded up,
+    which is 3^(1/p) to within rounding.  The ratio must grow like
+    (j1 - j0)^(1/q).
     """
     depths = _validated_j1_list(config, j1_list)
 
@@ -733,7 +739,7 @@ def exp_norm_transfer(
     if m < 1 or n < 1:
         raise BadRange("need at least one block in each direction")
     rng = np.random.default_rng(seed)
-    radii = J or geometric_radius_set(2.0, 1, 3)
+    radii = J or make_radius_set((0.25, 0.0625, 0.015625))
     widths = rng.uniform(0.2, 1.0, m)
 
     bounds = [float(rng.uniform(-1.0, 0.0))]

@@ -14,7 +14,8 @@ to their Taylor expansion of order n = 7 about b_0: with u_b = (b - b_0)/sqrt(s)
 S_m = sum c_b u_b^m over them, w = (x - b_0)/sqrt(s) and K = Phi',
     sum over m = 0 .. n of (-1)^m S_m/m! Phi^(m)(w),
 off by at most max|K^(n)| sum |c_b| u_b^(n+1) / (n+1)!, with max|K^(7)| =
-0.88612; `_collapse_bound` computes it (at most 1.6e-19 at the CLI's depths).
+0.88612; `_collapse_bound` computes it (at most 1.6e-19 at every normal
+scale a^-j of the witness, at a = 2 and a = 8).
 The other window terms are c_b/2 + (c_b/2) erf(w_b/2), with erf from W. J.
 Cody's rational forms in numpy (`_erf`), each within ERF_ERROR = 3e-16
 absolute of the exact value on a dense mpmath sweep; Phi = `_kernel_cdf`
@@ -272,14 +273,15 @@ def _cluster_moments(b: np.ndarray, weights: np.ndarray, roots: np.ndarray, orde
     return out
 
 
-def _collapse_bound(f: PiecewiseConstantFn, times: Iterable[float]) -> np.ndarray:
-    """Per time, the bound on the error of collapsing the leading cluster.
+def _collapse_bound(f: PiecewiseConstantFn, roots: Iterable[float]) -> np.ndarray:
+    """Per time, given as its root sqrt(s) like `_heat_matrix` takes it, the
+    bound on the error of collapsing the leading cluster.
 
     max|K^(n)| sum |c_b| u_b^(n+1) / (n+1)! over the cluster, n =
     _COLLAPSE_ORDER and u_b = (b - b_0)/sqrt(s); 0 where the cluster holds
     one breakpoint and nothing is collapsed.
     """
-    roots = np.sqrt(np.asarray(times, dtype=float))
+    roots = np.asarray(roots, dtype=float)
     b = f.breakpoints_array
     n = _COLLAPSE_ORDER
     top = _cluster_moments(b, np.abs(_jump_coefficients(f)), roots, n + 1)[:, n]

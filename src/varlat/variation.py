@@ -401,8 +401,8 @@ def _row_sums(v: np.ndarray, q: float) -> np.ndarray:
 
 
 def qvariation_value(values: Iterable[float], q: float) -> float:
-    """The variation value alone: :func:`qvariation_rows` on one row."""
-    return float(qvariation_rows([tuple(values)], q)[0])
+    """The variation value alone: the value of :func:`qvariation`."""
+    return qvariation(values, q).value
 
 
 @lru_cache(maxsize=None)

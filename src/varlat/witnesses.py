@@ -7,10 +7,13 @@ lower bound on D_j over a window of scales is what drives every blow-up
 experiment downstream.
 
 Every heat value of G comes from the package's one heat evaluator,
-operators._heat_matrix, at the roots a^-j of the heat times, so the key
-tables and the halving radii carry the same erf error budget as the
-profiles (see the operators module).  The tests keep an independent
-cell-by-cell error-function sum as the oracle the kernel is held to.
+operators._heat_matrix, through heat_of_g_matrix: the key tables, the
+halving radii and the experiments' profiles alike, so all of them carry
+the erf error budget of the operators module.  The heat times a^(-2j) are
+evaluated at their roots a^-j and never formed themselves, so a scale index
+is usable as long as a^-j is a normal double (j up to 1022 at a = 2), not
+only while a^(-2j) is.  The tests keep an independent cell-by-cell
+error-function sum as the oracle the kernel is held to.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from .errors import (
     TruncationTooShallow,
 )
 from .operators import _heat_matrix
-from .variation import RadiusSet, make_radius_set
 
 __all__ = [
     "LacunaryParams",
@@ -42,7 +44,6 @@ __all__ = [
     "truncation_tail_bound",
     "key_estimate_table",
     "search_key_params",
-    "geometric_radius_set",
     "delta_halving_radius",
 ]
 
@@ -58,8 +59,8 @@ TAIL_TOLERANCE = 1e-10
 #: Minimum certified key constant for a base to count as admissible.
 KEY_THRESHOLD = 1e-4
 
-#: ln of the largest representable double, with headroom; exponents past this
-#: underflow to zero on the reciprocal side.
+#: ln of the largest representable double, with headroom; a tail bound whose
+#: log passes it is reported as inf.
 _LN_DOUBLE_MAX = 708.0
 
 
@@ -135,8 +136,10 @@ def truncation_tail_bound(a: float, k_min: int, j: int) -> float:
 
     The missing mass is under a^(k_min + 1) and the deepest kernel sup is
     (4 pi a^(-2j))^(-1/2), so the product bounds the pollution of any heat
-    value at scale index j.
+    value at scale index j.  Raises InvalidBase unless 1 < a < inf.
     """
+    if not 1.0 < a < math.inf:
+        raise InvalidBase(f"lacunary base must satisfy 1 < a < inf, got {a}")
     log_bound = (k_min + 1 + j) * math.log(a) - 0.5 * math.log(4.0 * math.pi)
     if log_bound > _LN_DOUBLE_MAX:
         return math.inf
@@ -193,20 +196,6 @@ def search_key_params(
             f"best candidate a={a_star} only certifies {constant:.3e} < {KEY_THRESHOLD:.0e}"
         )
     return LacunaryParams(a=a_star, k_min=k_min, j0=j_lo, key_constant=constant)
-
-
-def geometric_radius_set(a: float, j0: int, j1: int) -> RadiusSet:
-    """Heat times a^(-2j) for j0 <= j <= j1, largest first."""
-    if not a > 1:
-        raise InvalidBase("lacunary base must satisfy a > 1")
-    if j0 < 0 or j0 > j1:
-        raise BadRange(f"scale range [{j0}, {j1}] is empty or negative")
-    if 2.0 * j1 * math.log(a) >= _LN_DOUBLE_MAX:
-        raise FloatRangeExceeded(
-            f"a^(-2*{j1}) underflows IEEE double range for a={a}"
-        )
-    js = np.arange(j0, j1 + 1, dtype=float)
-    return make_radius_set(np.power(a, -2.0 * js))
 
 
 #: Probe density for the halving-radius scan, per decade of |y|.

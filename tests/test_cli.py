@@ -385,6 +385,11 @@ class TestMalformedInput:
             ([], "p = x\n", None),
             ([], None, "{not json"),
             ([], None, '{"a": "two"}'),
+            (["--a", "0"], None, None),
+            (["--a", "-2"], None, None),
+            (["--a", "1"], None, None),
+            (["--a", "0.5"], None, None),
+            (["--a", "nan"], None, None),
         ],
         ids=[
             "r-list-token",
@@ -394,6 +399,11 @@ class TestMalformedInput:
             "config-value",
             "cache-json",
             "cache-value",
+            "zero-base",
+            "negative-base",
+            "unit-base",
+            "base-below-one",
+            "nan-base",
         ],
     )
     def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, flags, config, cache):
@@ -408,6 +418,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, base",
+        [
+            ("reduction-constant", "-2"),
+            ("key-estimate", "-2"),
+            ("linf-blowup", "-2"),
+            ("maximal-contrast", "-2"),
+            ("lr-growth", "-2"),
+            ("hilbert-growth", "-2"),
+            ("norm-transfer", "-2"),
+            # no base at all, unlike a = 1.000000001, which fails to certify
+            ("key-estimate", "1"),
+        ],
+    )
+    def test_bad_base_exits_2_on_every_command(self, tmp_path, capsys, command, base):
+        assert run([command, "--a", base, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,13 +20,13 @@ from varlat import (
     exp_maximal_contrast,
     exp_norm_transfer,
     exp_reduction_constant,
-    geometric_radius_set,
     hilbert_apply,
     hilbert_inner_norm,
     lacunary_sign,
     lr_numerator,
     make_grid,
     make_profile,
+    make_radius_set,
     maximal_profile,
     norm_transfer_pair,
     pcf_eval_many,
@@ -151,13 +151,13 @@ class TestBlowupSmallRuns:
 
     def test_profile_bundle_builds_one_family_matrix_per_depth(self, monkeypatch):
         calls = []
-        original = experiments.family_value_matrix
+        original = experiments.heat_of_g_matrix
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "family_value_matrix", counting)
+        monkeypatch.setattr(experiments, "heat_of_g_matrix", counting)
         for j1 in self.DEPTHS:
             experiments._profile_bundle(self.CONFIG, j1)
         assert len(calls) == len(self.DEPTHS)
@@ -169,7 +169,9 @@ class TestBlowupSmallRuns:
         pts = grid.points_array
         core = np.abs(pts) <= lac.a ** (-(j1 + 1.0))
         core_grid = make_grid(pts[core])
-        J = geometric_radius_set(lac.a, lac.j0, j1)
+        # the time route: the heat times themselves, which the bundle takes
+        # at their roots; sqrt(2^(-2j)) is exact, so a = 2 matches bit for bit
+        J = make_radius_set(lac.a ** (-2.0 * np.arange(lac.j0, j1 + 1)))
         witness = lacunary_sign(lac.a, lac.k_min)
         want_var = variation_profile(witness, OperatorFamily.HEAT, J, core_grid, self.CONFIG.q)
         want_max = maximal_profile(witness, OperatorFamily.HEAT, J, core_grid)
@@ -311,7 +313,7 @@ class TestNormTransfer:
         # every route reduces to |v| w^(1/r) L^(1/p)
         res = norm_transfer_pair(
             (0.0, 2.0), [[1.5]], [0.7], p=2.0, q=3.0, r=4.0,
-            J=geometric_radius_set(2.0, 1, 3),
+            J=make_radius_set((0.25, 0.0625, 0.015625)),
         )
         want = 1.5 * 0.7**0.25 * 2.0**0.5
         assert res.plain_integral == pytest.approx(want, rel=1e-12)
@@ -319,7 +321,7 @@ class TestNormTransfer:
         assert res.max_rel_discrepancy <= 1e-12
 
     def test_scaling_homogeneity(self):
-        J = geometric_radius_set(2.0, 1, 3)
+        J = make_radius_set((0.25, 0.0625, 0.015625))
         base = norm_transfer_pair(
             (0.0, 0.8, 1.7), [[0.3, -1.1], [0.9, 0.4]], [0.5, 1.2],
             p=2.0, q=3.0, r=4.0, J=J,
@@ -339,7 +341,7 @@ class TestNormTransfer:
             assert res.max_rel_discrepancy <= 1e-10
 
     def test_shape_validation(self):
-        J = geometric_radius_set(2.0, 1, 3)
+        J = make_radius_set((0.25, 0.0625, 0.015625))
         with pytest.raises(Exception):
             norm_transfer_pair((0.0, 1.0), [[1.0, 2.0]], [0.5], 2.0, 3.0, 4.0, J)
         with pytest.raises(BadRange):

@@ -16,10 +16,10 @@ from varlat import (
     avg_apply_many,
     family_value_matrix,
     gauss_legendre_integrate,
-    geometric_radius_set,
     heat_apply,
     heat_apply_many,
     heat_integral_representation_check,
+    heat_of_g_matrix,
     hilbert_apply,
     hilbert_apply_many,
     lacunary_sign,
@@ -179,13 +179,21 @@ class TestWindowedHeat:
                 assert abs(value - float(want)) <= 2e-15
 
     def test_collapse_bound_at_cli_depths(self):
-        # every heat time of the depth-sweep run: a = 2, k_min = -300, j <= 258
-        g = lacunary_sign(2.0, -300)
-        times = np.array(geometric_radius_set(2.0, 2, 258).radii)
-        bound = operators._collapse_bound(g, times)
-        assert bound.shape == times.shape
-        assert np.all(bound > 0.0)
-        assert bound.max() <= 1e-17
+        cases = [
+            # every scale of the depth-sweep run
+            (2.0, -300, 258),
+            # down to the last normal root at each base; the deepest cells of
+            # both witnesses are subnormal or have width 0
+            (2.0, -1100, 1022),
+            (8.0, -400, 340),
+        ]
+        for a, k_min, deepest in cases:
+            roots = a ** -np.arange(2.0, deepest + 1)
+            assert roots[-1] >= np.finfo(float).tiny
+            bound = operators._collapse_bound(lacunary_sign(a, k_min), roots)
+            assert bound.shape == roots.shape
+            assert np.all(bound > 0.0)
+            assert bound.max() <= 1e-17
 
     def test_kernel_derivative_max(self):
         # the collapse bound's constant: max |K^(n)| on a grid 1e-4 apart,
@@ -215,7 +223,7 @@ class TestWindowedHeat:
     def test_every_breakpoint_in_the_cluster(self):
         f = make_pcf([0.0, 0.25, 0.5, 1.0], [1.0, -2.0, 0.5])
         s = 1e20  # 2^-6 sqrt(s) is about 1.6e8, past the last breakpoint
-        assert 0.0 < operators._collapse_bound(f, [s])[0] <= 1e-20
+        assert 0.0 < operators._collapse_bound(f, [math.sqrt(s)])[0] <= 1e-20
         xs = [-1e10, -3.0, 0.0, 0.6, 2.0, 1e10]
         assert heat_apply_many(f, s, xs) == pytest.approx(dense_heat(f, s, xs), abs=1e-15)
 
@@ -243,16 +251,28 @@ class TestWindowedHeat:
         assert cli.run(argv + ["--out", str(tmp_path)]) == 0
         assert 0 < count <= 600_000
 
-    @pytest.mark.parametrize("j", [300, 400, 509])
-    def test_deep_witness_against_mpmath(self, j):
+    @pytest.mark.parametrize(
+        "j, k_min",
+        [
+            pytest.param(300, -560, id="300"),
+            pytest.param(400, -560, id="400"),
+            pytest.param(509, -560, id="509"),
+            # past j = 537, where the time r^2 itself underflows: only the
+            # witness route, which takes the root, reaches these
+            pytest.param(700, -760, id="700"),
+            pytest.param(1000, -1060, id="1000"),
+            pytest.param(1020, -1060, id="1020"),
+        ],
+    )
+    def test_deep_witness_against_mpmath(self, j, k_min):
         # scales where a power of b - b_0 taken before dividing by sqrt(s)
         # underflows: (2^-6 sqrt(s))^7 is below 2^-1074 from j = 148 on
-        g = lacunary_sign(2.0, -560)
+        g = lacunary_sign(2.0, k_min)
         bps = [mpmath.mpf(float(b)) for b in g.breakpoints_array]
         coef = [mpmath.mpf(float(c)) for c in operators._jump_coefficients(g)]
         r = 2.0**-j
         xs = [0.0, 1e-9 * r, -0.3 * r, 0.77 * r, 3.0 * r, -5.0 * r]
-        got = heat_apply_many(g, r * r, xs)
+        got = heat_of_g_matrix(2.0, k_min, (j,), xs)[0]
         for x, value in zip(xs, got.tolist()):
             with mpmath.workdps(40):
                 want = mpmath.fsum(

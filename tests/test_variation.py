@@ -152,10 +152,11 @@ class TestQVariationExamples:
         assert cert.subsequence == ()
 
     def test_value_only_variant_agrees(self, rng):
+        # the candidate rule's value against the plain row recurrence
         for _ in range(50):
             v = rng.uniform(-3, 3, int(rng.integers(2, 30)))
             for q in (1.0, 2.0, 3.5):
-                assert qvariation_value(v, q) == qvariation(v, q).value
+                assert qvariation_value(v, q) == qvariation_rows([v], q)[0]
 
 
 class TestQVariationRows:
@@ -294,9 +295,11 @@ class TestCandidateRuleAgainstOracle:
             # equal troughs and equal peaks: the strict stacks keep one each
             "repeated_zigzag": (k % 2).astype(float),
         }[shape]
-        qvariation(values, 3.0)
-        # the full DP would pass n(n-1)/2 = 2e8 gaps
-        assert 0 < sum(seen) < 10 * n
+        for run in (qvariation, qvariation_value):
+            seen.clear()
+            run(values, 3.0)
+            # the full DP would pass n(n-1)/2 = 2e8 gaps
+            assert 0 < sum(seen) < 10 * n
 
 
     @pytest.mark.parametrize("q", [1.5, 3.0, 7.0])

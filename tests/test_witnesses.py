@@ -16,7 +16,6 @@ from varlat import (
     NoAdmissibleBase,
     TruncationTooShallow,
     delta_halving_radius,
-    geometric_radius_set,
     heat_apply,
     heat_of_g_matrix,
     key_estimate_table,
@@ -233,6 +232,13 @@ class TestTruncationBound:
     def test_overflow_guard(self):
         assert truncation_tail_bound(3.0, -1, 2000) == math.inf
 
+    @pytest.mark.parametrize("a", [0.0, -2.0, 0.5, 1.0, math.nan, math.inf])
+    def test_rejects_bases_outside_one_to_infinity(self, a):
+        # ln a is undefined or gives a meaningless bound; every run checks
+        # its base here first
+        with pytest.raises(InvalidBase):
+            truncation_tail_bound(a, K_MIN, 5)
+
     def test_shallow_truncation_rejected(self):
         with pytest.raises(TruncationTooShallow):
             key_estimate_table(2.0, -5, 40)
@@ -325,27 +331,6 @@ class TestSearch:
             LacunaryParams(a=2.0, k_min=-120, j0=0, key_constant=0.01)
         with pytest.raises(KeyEstimateFailed):
             LacunaryParams(a=2.0, k_min=-120, j0=2, key_constant=0.0)
-
-
-class TestGeometricRadiusSet:
-    def test_exact_powers(self):
-        J = geometric_radius_set(2.0, 1, 3)
-        assert tuple(J) == (0.25, 0.0625, 0.015625)
-
-    def test_single_scale(self):
-        assert tuple(geometric_radius_set(2.0, 4, 4)) == (2.0**-8,)
-
-    def test_underflow_guard(self):
-        with pytest.raises(FloatRangeExceeded):
-            geometric_radius_set(2.0, 1, 511)
-
-    def test_underflow_is_also_bad_range(self):
-        with pytest.raises(BadRange):
-            geometric_radius_set(2.0, 1, 511)
-
-    def test_empty_range(self):
-        with pytest.raises(BadRange):
-            geometric_radius_set(2.0, 5, 4)
 
 
 class TestDeltaHalving:
