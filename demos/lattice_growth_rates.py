@@ -22,7 +22,7 @@ from varlat import (
     exp_lr_growth,
 )
 
-config = ExperimentConfig(grid=GridSpec(lin_points=501, log_points_per_decade=16))
+config = ExperimentConfig(grid=GridSpec(log_points_per_decade=16))
 
 lr = exp_lr_growth(config)
 print("power-sum growth (certified floor in parentheses):")

@@ -11,7 +11,7 @@ and the maximal operator, which forgets oscillation, stays flat.
 from varlat import ExperimentConfig, GridSpec, exp_linf_blowup, exp_maximal_contrast
 
 # a coarse grid keeps the demo quick; the acceptance suite runs full size
-config = ExperimentConfig(grid=GridSpec(lin_points=501, log_points_per_decade=16))
+config = ExperimentConfig(grid=GridSpec(log_points_per_decade=16))
 depths = (6, 10, 18, 34)
 
 result = exp_linf_blowup(config, depths)

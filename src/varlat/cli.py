@@ -140,11 +140,6 @@ _PARAMS: dict[str, _Param] = {
     "j0": _Param(int, DEFAULT_J0),
     "r_list": _Param(float, ExperimentConfig.r_list, "comma-separated exponents"),
     "j1_list": _Param(int, None, "comma-separated depths"),
-    "grid_points": _Param(
-        int,
-        GridSpec.lin_points,
-        "for N, the profile grids put max(65, N // 3) linear points on [0, 1]",
-    ),
     "log_per_decade": _Param(int, GridSpec.log_points_per_decade),
     "seed": _Param(int, 0),
     "out": _Param(str, "."),
@@ -264,7 +259,7 @@ def _experiment_config(resolved: dict) -> ExperimentConfig:
         j0=resolved["j0"],
         key_constant=_certified_constant(resolved),
     )
-    grid = GridSpec(resolved["grid_points"], resolved["log_per_decade"])
+    grid = GridSpec(resolved["log_per_decade"])
     return ExperimentConfig(
         p=resolved["p"], q=resolved["q"], lacunary=lac, grid=grid, r_list=resolved["r_list"]
     )
@@ -276,10 +271,7 @@ def _config_payload(resolved: dict, config: ExperimentConfig | None) -> dict:
         k_min=resolved["kmin"],
         r_list=list(resolved["r_list"]),
         j1_list=list(resolved["j1_list"]),
-        grid={
-            "lin_points": resolved["grid_points"],
-            "log_points_per_decade": resolved["log_per_decade"],
-        },
+        grid={"log_points_per_decade": resolved["log_per_decade"]},
     )
     if config is not None:
         payload["key_constant"] = config.lacunary.key_constant

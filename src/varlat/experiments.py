@@ -6,10 +6,11 @@ the corresponding norm of the plain witness data.  The denominators are
 closed forms at or above the exact plain norm (the exact ones rounded up),
 so they never flatter a ratio.  The Hilbert numerator is a closed form
 rounded down, so the hilbert-growth ratios are certified lower bounds.  The
-other numerators are trapezoid estimates on a grid; they are grid-converged,
-not one-sided: doubling the grid moves every ratio by less than 1%
-(acceptance criterion 10), but a coarser grid can give a larger numerator as
-well as a smaller one.
+other numerators are estimates: profile values on a grid, uncertified in
+between, under an outer integral in closed form (_window_norm).  They are
+grid-converged, not one-sided: doubling the grid moves every ratio by less
+than 1% (acceptance criterion 10), but a coarser grid can give a larger
+numerator as well as a smaller one.
 
 The key restriction, used by the sup-norm and power-sum experiments: the
 variation profile of the lacunary witness is evaluated only on the core
@@ -33,21 +34,15 @@ import numpy.random  # noqa: F401  norm-transfer's generator, loaded with the pa
 
 from .corefn import (
     MIN_FIT_POINTS,
-    _sorted_distinct,
     GrowthFit,
-    SampleGrid,
-    ScalarProfile,
     fit_power_law,
     integral_norm,
     make_grid,
-    make_profile,
     make_pcf,
     make_vector_field,
     bochner_norm,
     pcf_eval_many,
     sequence_norm,
-    sliding_power_sum,
-    sliding_sup,
     trapezoid_weights,
 )
 from .errors import (
@@ -133,22 +128,14 @@ HILBERT_R_LIST: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution knobs shared by the experiment grids.
-
-    lin_points controls the linear cover of the unit interval: the profile
-    grids put max(65, lin_points // 3) linear points on [0, 1], which is 500
-    at the default 1501.  The per-decade count controls the logarithmic
-    refinement near the origin.
+    """Resolution of the profile grids: points per decade of the
+    logarithmic core ladder around the origin.  The outer integral over the
+    unit interval is taken in closed form, so it has no grid.
     """
 
-    lin_points: int = 1501
     log_points_per_decade: int = 32
 
     def __post_init__(self) -> None:
-        if self.lin_points < 64:
-            raise BadRange("need at least 64 linear grid points")
-        if self.lin_points > MAX_GRID_POINTS:
-            raise BadRange(f"linear grid capped at {MAX_GRID_POINTS} points")
         if self.log_points_per_decade < 4:
             raise BadRange("need at least 4 log points per decade")
 
@@ -157,15 +144,10 @@ class GridSpec:
 
         The profile grids built from the two do not nest: _profile_bundle
         re-spaces its log ladder to ceil(decades * log_points_per_decade)
-        points and puts lin_points // 3 linear points on [0, 1] (500 at the
-        default, 1000 doubled, where nesting would need 999).  A comparison
-        across them is a refinement check, not a monotonicity check.
+        points.  A comparison across them is a refinement check, not a
+        monotonicity check.
         """
-        return replace(
-            self,
-            lin_points=2 * self.lin_points - 1,
-            log_points_per_decade=2 * self.log_points_per_decade,
-        )
+        return replace(self, log_points_per_decade=2 * self.log_points_per_decade)
 
 
 #: The default witness.  Base 2 with j0 = 2 is the configuration whose
@@ -288,18 +270,6 @@ class NormTransferResult:
 
 
 # ---------------------------------------------------------------------------
-# small shared helpers
-
-
-def _masked_p_norm(grid: SampleGrid, values: np.ndarray, mask: np.ndarray, p: float) -> float:
-    v = np.abs(values[mask])
-    if p == math.inf:
-        return float(v.max()) if v.size else 0.0
-    w = grid.weights_array[mask]
-    return float((w @ v**p) ** (1.0 / p))
-
-
-# ---------------------------------------------------------------------------
 # reduction constant
 
 
@@ -309,8 +279,8 @@ def exp_reduction_constant(quad_nodes: int = 2048) -> float:
     Converges to exactly 1/2; the distance from 1/2 measures quadrature
     quality, not modelling error.
     """
-    if quad_nodes < 64:
-        raise BadRange("reduction constant needs at least 64 quadrature nodes")
+    if not 64 <= quad_nodes <= MAX_GRID_POINTS:
+        raise BadRange(f"reduction constant needs 64 to {MAX_GRID_POINTS} quadrature nodes")
     return gauss_legendre_integrate(_subordination_weight, 0.0, 20.0, quad_nodes)
 
 
@@ -345,15 +315,14 @@ def exp_key_estimate(config: ExperimentConfig, j_max: int = DEFAULT_J_WINDOW[1])
 
 def _profile_bundle(
     config: ExperimentConfig, j1: int, min_scale: float | None = None
-) -> tuple[SampleGrid, ScalarProfile, ScalarProfile]:
-    """Variation and maximal profiles of the witness on the union grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Core points, in increasing order, their trapezoid weights, and the
+    variation and maximal profiles of the witness there.
 
-    The grid is the union of a logarithmic core around the origin (within the
-    window a^-(j1+1), resolved down to min_scale, default a^-(j1+4)) and a
-    linear cover of the unit interval used for the outer integration.  The
-    profiles are computed honestly on the core points and set to zero on the
-    bulk; see the module docstring for why that restriction only lowers the
-    numerator.
+    The core is the origin and a logarithmic ladder on both sides of it,
+    within the window a^-(j1+1) and down to min_scale (default a^-(j1+4)).
+    The profiles vanish off the core; see the module docstring for why that
+    restriction only lowers the numerator.
     """
     lac = config.lacunary
     if j1 <= lac.j0:
@@ -366,40 +335,53 @@ def _profile_bundle(
     if not 0.0 < floor < window:
         raise BadRange("innermost core scale must sit inside the core window")
 
-    # the log ladder continues past the window so the quadrature resolves the
-    # drop to zero there; a bare jump from the window edge to the linear bulk
-    # would hand the edge value a bulk-sized trapezoid weight
+    # the ladder is spaced over [floor, top] and then cut after its first
+    # point past the window; that guard point gives the outermost core point
+    # its half gap outward, so the quadrature resolves the drop to zero there
     top = max(0.1, window * lac.a ** 2)
     decades = math.log10(top / floor)
     n_log = max(8, int(math.ceil(decades * config.grid.log_points_per_decade)))
+    if n_log > MAX_GRID_POINTS:
+        raise BadRange(f"profile ladder capped at {MAX_GRID_POINTS} points")
     ladder = np.geomspace(floor, top, n_log)
-    n_x = max(65, config.grid.lin_points // 3)
-    xs = np.linspace(0.0, 1.0, n_x)
-    points = _sorted_distinct(np.concatenate((-ladder, [0.0], ladder, xs)))
-    if points.size > MAX_GRID_POINTS:
-        raise BadRange(f"profile grid capped at {MAX_GRID_POINTS} points")
+    ladder = ladder[: int(np.searchsorted(ladder, window, side="right")) + 1]
+    points = np.concatenate((-ladder[::-1], [0.0], ladder))
 
     # the strip (-floor, floor) is unresolved; give it zero quadrature weight
     # instead of letting the trapezoid rule bridge it with the origin value,
     # so every windowed integral counts resolved area only (and excluding
     # inner scales can only lower it, never raise it)
     weights = trapezoid_weights(points)
-    i0 = int(np.searchsorted(points, 0.0))
+    i0 = ladder.size
     weights[i0] = 0.0
     weights[i0 - 1] = (points[i0 - 1] - points[i0 - 2]) / 2.0
     weights[i0 + 1] = (points[i0 + 2] - points[i0 + 1]) / 2.0
-    grid = make_grid(points, weights)
 
-    # one heat matrix on the core points feeds both profiles: a row per
-    # point, a column per scale index, heat times taken at their roots
-    core_mask = np.abs(points) <= window
-    matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), points[core_mask]).T
+    # one heat matrix on the core (all but the two guards) feeds both
+    # profiles: a row per point, a column per scale index at its root a^-j
+    core = points[1:-1]
+    matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), core).T
+    return core, weights[1:-1], qvariation_rows(matrix, config.q), np.abs(matrix).max(axis=1)
 
-    var_vals = np.zeros(points.size)
-    var_vals[core_mask] = qvariation_rows(matrix, config.q)
-    max_vals = np.zeros(points.size)
-    max_vals[core_mask] = np.abs(matrix).max(axis=1)
-    return grid, make_profile(grid, var_vals), make_profile(grid, max_vals)
+
+def _window_norm(points, weights, values, p: float, r: float | None = None) -> float:
+    """L^p over [0, 1] of the radius-1 window sup (r None) or power sum of a
+    core profile: ((1 + y_lo) W^p - y_lo W+^p)^(1/p), and W at p = inf.
+
+    For x <= 1 + y_lo, y_lo = points[0], the window holds the whole core,
+    whose value is W; on the rest, a sliver at most a^-(j1+1) wide, it holds
+    the core points >= 0, whose value W+ bounds the sliver's from below.
+    """
+
+    def value(v: np.ndarray, w: np.ndarray) -> float:
+        # a sequential sum, so at x = 0 it equals sliding_power_sum's prefix sum bit for bit
+        return float(v.max()) if r is None else float(np.cumsum(w * v**r)[-1]) ** (1.0 / r)
+
+    whole = value(values, weights)
+    if p == math.inf:
+        return whole
+    right, y_lo = points >= 0.0, float(points[0])
+    return ((1.0 + y_lo) * whole**p - y_lo * value(values[right], weights[right]) ** p) ** (1.0 / p)
 
 
 #: Relative nudge that rounds a closed-form denominator up: the float
@@ -428,18 +410,10 @@ def _power_denominator(config: ExperimentConfig, r: float) -> float:
     return (1.0 + 2.0 * r / (r + config.p)) ** (1.0 / config.p) * _ROUND_UP
 
 
-def _unit_mask(grid: SampleGrid) -> np.ndarray:
-    pts = grid.points_array
-    return (pts >= 0.0) & (pts <= 1.0)
-
-
 def _blowup_numerators(config: ExperimentConfig, j1: int) -> tuple[float, float]:
     """Sup-window numerators (variation, maximal) for one depth j1."""
-    grid, var_prof, max_prof = _profile_bundle(config, j1)
-    mask = _unit_mask(grid)
-    num_var = _masked_p_norm(grid, sliding_sup(var_prof, 1.0).values_array, mask, config.p)
-    num_max = _masked_p_norm(grid, sliding_sup(max_prof, 1.0).values_array, mask, config.p)
-    return num_var, num_max
+    points, weights, var_vals, max_vals = _profile_bundle(config, j1)
+    return tuple(_window_norm(points, weights, v, config.p) for v in (var_vals, max_vals))
 
 
 def _validated_j1_list(config: ExperimentConfig, j1_list: Sequence[int]) -> tuple[int, ...]:
@@ -525,10 +499,8 @@ def lr_numerator(config: ExperimentConfig, r: float, min_scale: float | None = N
     which is the grid-sensitivity regression the tests pin down.
     """
     j1 = _lr_depth(r, config.lacunary.j0)
-    grid, var_prof, _ = _profile_bundle(config, j1, min_scale)
-    mask = _unit_mask(grid)
-    swept = sliding_power_sum(var_prof, 1.0, r)
-    return _masked_p_norm(grid, swept.values_array, mask, config.p)
+    points, weights, var_vals, _ = _profile_bundle(config, j1, min_scale)
+    return _window_norm(points, weights, var_vals, config.p, r)
 
 
 def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:

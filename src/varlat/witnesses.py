@@ -92,12 +92,17 @@ def lacunary_sign(a: float, k_min: int) -> PiecewiseConstantFn:
     """The alternating sign function sum_k (-1)^(k+1) 1_[a^k, a^(k+1)).
 
     Cells whose edges round to one double (a^k underflows to 0 below about
-    k = -1075 at a = 2) have no width and are left out.
+    k = -1075 at a = 2) have no width and are left out; those with both
+    edges 0.0 are never formed, so a deep k_min allocates nothing for them.
     """
     if not a > 1:
         raise InvalidBase("lacunary base must satisfy a > 1")
     if k_min > -1:
         raise BadRange("k_min must be at most -1")
+    # a^k is 0.0 for k < log(2^-1075) / log(a); one below, for the logs' rounding
+    deepest = math.floor(-1075.0 * math.log(2.0) / math.log(a)) - 1
+    if deepest > k_min and np.power(a, float(deepest)) == 0.0:
+        k_min = deepest
     ks = np.arange(k_min, 0)
     edges = np.power(a, np.arange(k_min, 1).astype(float))
     wide = edges[:-1] < edges[1:]

@@ -376,20 +376,25 @@ class TestSvgEmitter:
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "flags, config, cache",
+        "argv, config, cache",
         [
-            (["--r-list", "4,abc"], None, None),
-            (["--p", "x"], None, None),
-            (["--kmin", "1.5"], None, None),
-            (["--seed", "-1"], None, None),
-            ([], "p = x\n", None),
-            ([], None, "{not json"),
-            ([], None, '{"a": "two"}'),
-            (["--a", "0"], None, None),
-            (["--a", "-2"], None, None),
-            (["--a", "1"], None, None),
-            (["--a", "0.5"], None, None),
-            (["--a", "nan"], None, None),
+            (["lr-growth", "--r-list", "4,abc"], None, None),
+            (["lr-growth", "--p", "x"], None, None),
+            (["lr-growth", "--kmin", "1.5"], None, None),
+            (["lr-growth", "--seed", "-1"], None, None),
+            (["lr-growth"], "p = x\n", None),
+            (["lr-growth"], None, "{not json"),
+            (["lr-growth"], None, '{"a": "two"}'),
+            (["lr-growth", "--a", "0"], None, None),
+            (["lr-growth", "--a", "-2"], None, None),
+            (["lr-growth", "--a", "1"], None, None),
+            (["lr-growth", "--a", "0.5"], None, None),
+            (["lr-growth", "--a", "nan"], None, None),
+            # sizes that would need terabytes are refused before allocating
+            (["linf-blowup", "--log-per-decade", "1000000000000"], None, None),
+            (["reduction-constant", "--nodes", "1000000000000"], None, None),
+            # grid_points is not a configuration key
+            (["linf-blowup"], "grid_points = 1501\n", None),
         ],
         ids=[
             "r-list-token",
@@ -404,10 +409,13 @@ class TestMalformedInput:
             "unit-base",
             "base-below-one",
             "nan-base",
+            "ladder-size",
+            "nodes-size",
+            "grid-points-key",
         ],
     )
-    def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, flags, config, cache):
-        argv = ["lr-growth", *flags, "--out", str(tmp_path / "out")]
+    def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, argv, config, cache):
+        argv = [*argv, "--out", str(tmp_path / "out")]
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)
             argv += ["--config", str(tmp_path / "run.cfg")]
@@ -454,6 +462,10 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_grid_points_flag_is_unknown(self, tmp_path, capsys):
+        assert run(["linf-blowup", "--grid-points", "1501", "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --grid-points" in capsys.readouterr().err
+
 
 class TestExperimentCommands:
     @pytest.mark.parametrize(
@@ -463,6 +475,7 @@ class TestExperimentCommands:
             ("maximal-contrast", ["--j1-list", "6,18,66"], 3),
             ("lr-growth", ["--r-list", "4,8,16"], 3),
             ("hilbert-growth", ["--r-list", "8,16,32,64"], 4),
+            ("linf-blowup", ["--j1-list", "6,10,18", "--p", "inf"], 3),
         ],
     )
     def test_small_run_writes_reports(self, tmp_path, capsys, name, flags, rows):
@@ -494,10 +507,7 @@ class TestDefaultsComeFromTheLibrary:
         config = _read_json(tmp_path / f"{name}.json")["config"]
         lib, grid, lac = ExperimentConfig(), GridSpec(), default_lacunary()
         assert (config["p"], config["q"]) == (lib.p, lib.q)
-        assert config["grid"] == {
-            "lin_points": grid.lin_points,
-            "log_points_per_decade": grid.log_points_per_decade,
-        }
+        assert config["grid"] == {"log_points_per_decade": grid.log_points_per_decade}
         r_list = HILBERT_R_LIST if name == "hilbert-growth" else lib.r_list
         assert config["r_list"] == list(r_list)
         assert (config["a"], config["k_min"], config["j0"]) == (lac.a, lac.k_min, lac.j0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from varlat import (
     exp_maximal_contrast,
     exp_norm_transfer,
     exp_reduction_constant,
+    heat_of_g_matrix,
     hilbert_apply,
     hilbert_inner_norm,
     lacunary_sign,
@@ -30,8 +32,10 @@ from varlat import (
     maximal_profile,
     norm_transfer_pair,
     pcf_eval_many,
+    qvariation_rows,
     sliding_power_sum,
     sliding_sup,
+    trapezoid_weights,
     unit_indicator,
     variation_profile,
 )
@@ -42,21 +46,14 @@ CERTIFIED_BASE2 = 0.0173073522282
 
 class TestConfigTypes:
     def test_grid_spec_defaults_valid(self):
-        gs = GridSpec()
-        assert gs.lin_points == 1501
-        assert gs.log_points_per_decade == 32
+        assert GridSpec().log_points_per_decade == 32
 
     def test_grid_spec_rejects_coarse_grids(self):
-        with pytest.raises(BadRange):
-            GridSpec(lin_points=63)
         with pytest.raises(BadRange):
             GridSpec(log_points_per_decade=3)
 
     def test_grid_spec_doubling(self):
-        gs = GridSpec(lin_points=101, log_points_per_decade=8)
-        fine = gs.doubled()
-        assert fine.lin_points == 201
-        assert fine.log_points_per_decade == 16
+        assert GridSpec(log_points_per_decade=8).doubled().log_points_per_decade == 16
 
     def test_config_rejects_small_q(self):
         with pytest.raises(InvalidQ):
@@ -93,6 +90,10 @@ class TestReduction:
         with pytest.raises(BadRange):
             exp_reduction_constant(32)
 
+    def test_rejects_huge_budget_before_allocating(self):
+        with pytest.raises(BadRange):
+            exp_reduction_constant(10**12)
+
 
 class TestKeyEstimateExperiment:
     def test_default_configuration_passes(self):
@@ -125,7 +126,7 @@ class TestKeyEstimateExperiment:
 class TestBlowupSmallRuns:
     # a coarse grid keeps these interactive; the full-resolution runs are
     # exercised by the acceptance suite
-    CONFIG = ExperimentConfig(grid=GridSpec(lin_points=301, log_points_per_decade=8))
+    CONFIG = ExperimentConfig(grid=GridSpec(log_points_per_decade=8))
     DEPTHS = (4, 6, 8)
 
     def test_ratios_increase_and_denominator_lands(self):
@@ -165,19 +166,18 @@ class TestBlowupSmallRuns:
     def test_bundle_profiles_match_standalone_profiles(self):
         lac = self.CONFIG.lacunary
         j1 = self.DEPTHS[-1]
-        grid, var, mx = experiments._profile_bundle(self.CONFIG, j1)
-        pts = grid.points_array
-        core = np.abs(pts) <= lac.a ** (-(j1 + 1.0))
-        core_grid = make_grid(pts[core])
+        pts, weights, var, mx = experiments._profile_bundle(self.CONFIG, j1)
+        assert np.all(np.abs(pts) <= lac.a ** (-(j1 + 1.0))) and np.all(np.diff(pts) > 0)
+        assert weights.shape == pts.shape and weights[pts == 0.0].tolist() == [0.0]
+        core_grid = make_grid(pts)
         # the time route: the heat times themselves, which the bundle takes
         # at their roots; sqrt(2^(-2j)) is exact, so a = 2 matches bit for bit
         J = make_radius_set(lac.a ** (-2.0 * np.arange(lac.j0, j1 + 1)))
         witness = lacunary_sign(lac.a, lac.k_min)
         want_var = variation_profile(witness, OperatorFamily.HEAT, J, core_grid, self.CONFIG.q)
         want_max = maximal_profile(witness, OperatorFamily.HEAT, J, core_grid)
-        assert var.values_array[core].tolist() == want_var.values_array.tolist()
-        assert mx.values_array[core].tolist() == want_max.values_array.tolist()
-        assert not np.any(var.values_array[~core]) and not np.any(mx.values_array[~core])
+        assert var.tolist() == want_var.values_array.tolist()
+        assert mx.tolist() == want_max.values_array.tolist()
 
     def test_depth_list_validation(self):
         with pytest.raises(BadRange):
@@ -219,7 +219,7 @@ class TestDenominators:
     def _sampled_norm(p: float, r: float | None) -> float:
         lac = default_lacunary()
         # the window [-1.1, 2.1] of the replaced pipeline, at 8x its resolution
-        pts = np.linspace(-1.1, 2.1, 8 * (GridSpec().lin_points - 1) + 1)
+        pts = np.linspace(-1.1, 2.1, 8 * (1501 - 1) + 1)
         grid = make_grid(pts)
         prof = make_profile(grid, np.abs(pcf_eval_many(lacunary_sign(lac.a, lac.k_min), pts)))
         swept = sliding_sup(prof, 1.0) if r is None else sliding_power_sum(prof, 1.0, r)
@@ -244,8 +244,113 @@ class TestDenominators:
         self._check(experiments._power_denominator(ExperimentConfig(p=p), r), p, r)
 
 
+class TestClosedFormNumerators:
+    """The outer integral over [0, 1] of the window sup or power sum of a
+    core profile, in closed form.
+
+    It must sit at or below the exact integral of its own profile's window
+    function, within the sliver bound of it; and it must agree to 1e-3 with
+    the pipeline it replaced (a union grid with a fine linear cover of
+    [0, 1], swept by the sliding-window kernels), which catches a wrong
+    formula.
+    """
+
+    CONFIG = ExperimentConfig(grid=GridSpec(log_points_per_decade=8))
+    P_LIST = (1.5, 2.0, 7.0, math.inf)
+    # (j1, r): the sup numerators from the CLI's shallowest default depth,
+    # where the sliver is widest (2^-7), and the lr depths floor(r) j0
+    CASES = ((6, None), (8, None), (16, None), (8, 4.0), (16, 8.0))
+    # the float sums and powers round; 1e-14 relative is about 45 ulps, and
+    # only the p = inf power sums, which have no sliver margin, come near
+    ROUNDING = mpmath.mpf("1e-14")
+
+    @staticmethod
+    def _exact(points, weights, values, p, r):
+        # the window [x - 1, x + 1] holds the core points from index k on
+        # for x - 1 in (y_(k-1), y_k]: a step function with one step per
+        # negative core point, and the full core for x <= 1 + y_0
+        mp = [mpmath.mpf(float(v)) for v in values]
+        mw = [mpmath.mpf(float(w)) for w in weights]
+        n_neg = int(np.sum(points < 0))
+        if r is None:
+            steps = [max(mp[k:]) for k in range(n_neg + 1)]
+        else:
+            steps = [
+                mpmath.fsum(w * v**r for w, v in zip(mw[k:], mp[k:])) ** (1 / mpmath.mpf(r))
+                for k in range(n_neg + 1)
+            ]
+        if p == math.inf:
+            return steps[0], steps
+        edges = [mpmath.mpf(0)] + [1 + mpmath.mpf(float(y)) for y in points[:n_neg]] + [mpmath.mpf(1)]
+        total = mpmath.fsum((hi - lo) * s**p for lo, hi, s in zip(edges, edges[1:], steps))
+        return total ** (1 / mpmath.mpf(p)), steps
+
+    @staticmethod
+    def _replaced_pipeline(config, j1, p, r, n_x=4001):
+        lac = config.lacunary
+        window, floor = lac.a ** (-(j1 + 1.0)), lac.a ** (-(j1 + 4.0))
+        top = max(0.1, window * lac.a**2)
+        n_log = max(8, math.ceil(math.log10(top / floor) * config.grid.log_points_per_decade))
+        ladder = np.geomspace(floor, top, n_log)
+        # linear points at or inside the first ladder point past the window
+        # would refine the core itself; leaving them out keeps the core and
+        # its weights as the closed form has them, so only the outer
+        # integral differs
+        guard = ladder[np.searchsorted(ladder, window, side="right")]
+        xs = np.linspace(0.0, 1.0, n_x)
+        pts = np.unique(np.concatenate((-ladder, [0.0], ladder, xs[xs > guard])))
+        w = trapezoid_weights(pts)
+        i0 = int(np.searchsorted(pts, 0.0))
+        w[i0] = 0.0
+        w[i0 - 1] = (pts[i0 - 1] - pts[i0 - 2]) / 2.0
+        w[i0 + 1] = (pts[i0 + 2] - pts[i0 + 1]) / 2.0
+        core = np.abs(pts) <= window
+        matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), pts[core]).T
+        vals = np.zeros(pts.size)
+        vals[core] = qvariation_rows(matrix, config.q)
+        prof = make_profile(make_grid(pts, w), vals)
+        swept = sliding_sup(prof, 1.0) if r is None else sliding_power_sum(prof, 1.0, r)
+        unit = (pts >= 0.0) & (pts <= 1.0)
+        v = swept.values_array[unit]
+        return float(v.max()) if p == math.inf else float((w[unit] @ v**p) ** (1.0 / p))
+
+    @staticmethod
+    def _numerator(config, j1, r):
+        if r is None:
+            return experiments._blowup_numerators(config, j1)[0]
+        return lr_numerator(config, r)
+
+    @pytest.mark.parametrize("p", P_LIST)
+    @pytest.mark.parametrize("j1, r", CASES)
+    def test_at_or_below_exact_integral_within_sliver(self, p, j1, r):
+        config = replace(self.CONFIG, p=p)
+        points, weights, var, mx = experiments._profile_bundle(config, j1)
+        if r is None:
+            pairs = zip((var, mx), experiments._blowup_numerators(config, j1))
+        else:
+            pairs = [(var, lr_numerator(config, r))]
+        for values, num in pairs:
+            with mpmath.workdps(40):
+                exact, steps = self._exact(points, weights, values, p, r)
+                assert mpmath.mpf(num) <= exact * (1 + self.ROUNDING)
+                if p == math.inf:
+                    continue
+                # the closed form gives the whole sliver, of width -y_0, the
+                # value of its last step; no step exceeds the first
+                sliver = -mpmath.mpf(float(points[0])) * (steps[0] ** p - steps[-1] ** p)
+                assert exact**p - mpmath.mpf(num) ** p <= sliver + exact**p * self.ROUNDING
+
+    @pytest.mark.parametrize("p", P_LIST)
+    @pytest.mark.parametrize("j1, r", CASES)
+    def test_matches_replaced_pipeline(self, p, j1, r):
+        config = replace(self.CONFIG, p=p)
+        num = self._numerator(config, j1, r)
+        old = self._replaced_pipeline(config, j1, p, r)
+        assert abs(num / old - 1.0) <= 1e-3
+
+
 class TestLrNumerator:
-    CONFIG = ExperimentConfig(grid=GridSpec(lin_points=301, log_points_per_decade=8))
+    CONFIG = ExperimentConfig(grid=GridSpec(log_points_per_decade=8))
 
     def test_coarsening_floor_lowers_value(self):
         # the unresolved strip around zero carries no quadrature weight, so
@@ -301,7 +406,7 @@ class TestHilbertNorms:
         assert exp_hilbert_growth(ExperimentConfig(r_list=HILBERT_R_LIST)).passed
 
     def test_growth_ignores_the_grid(self):
-        coarse = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec(lin_points=64))
+        coarse = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec(log_points_per_decade=4))
         fine = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec().doubled())
         ratios = [[rep.ratio for rep in exp_hilbert_growth(c).reports] for c in (coarse, fine)]
         assert ratios[0] == ratios[1]

@@ -96,6 +96,14 @@ class TestLacunarySign:
         ks = np.arange(-359, 0)
         assert g.values_array.tolist() == np.where(ks % 2 == 0, -1.0, 1.0).tolist()
 
+    @pytest.mark.parametrize("a, deep, shallow", [(2.0, -10**15, -1100), (8.0, -10**6, -400)])
+    def test_deep_truncation_allocates_no_empty_cells(self, a, deep, shallow):
+        # below the underflow every cell has both edges 0.0; a cell array
+        # that held them would need 8 PB at a = 2 and k_min = -10^15
+        g, ref = lacunary_sign(a, deep), lacunary_sign(a, shallow)
+        assert g.breakpoints_array.tobytes() == ref.breakpoints_array.tobytes()
+        assert g.values_array.tobytes() == ref.values_array.tobytes()
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidBase):
             lacunary_sign(1.0, -2)
