@@ -340,7 +340,9 @@ def _profile_bundle(
     # its half gap outward, so the quadrature resolves the drop to zero there
     top = max(0.1, window * lac.a ** 2)
     decades = math.log10(top / floor)
-    n_log = max(8, int(math.ceil(decades * config.grid.log_points_per_decade)))
+    # an int past the double range cannot meet a float; 2^1000 points per
+    # decade already exceed the cap, as the ladder spans over 1e-16 decades
+    n_log = max(8, math.ceil(decades * min(config.grid.log_points_per_decade, 2**1000)))
     if n_log > MAX_GRID_POINTS:
         raise BadRange(f"profile ladder capped at {MAX_GRID_POINTS} points")
     ladder = np.geomspace(floor, top, n_log)

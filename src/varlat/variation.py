@@ -10,10 +10,12 @@ q = 1 the value is the total variation, a closed form.
 
 Operator-family profiles need only the value, once per row of a family
 matrix, so they go through :func:`qvariation_rows`.  At q > 1 it runs the
-plain O(m^2) recurrence over every predecessor on all rows at once, looping
-over columns only; with no pruning and no candidate rule it is also the
-tests' value oracle for :func:`qvariation`.  On the witness profiles every
-point is a local extremum, so pruning would save nothing there.
+same candidate rule on all rows at once, without cutting rows to their
+turning points: the candidate links come from whole-array passes, the
+chains are walked one entry per round for every row and column together,
+and only the last step, one gather, add and max per column, loops over
+columns.  Its values equal those of the plain O(m^2) recurrence over every
+predecessor bit for bit; the tests keep that recurrence as the oracle.
 """
 from __future__ import annotations
 
@@ -67,6 +69,8 @@ __all__ = [
 #: q-th power of anything smaller is far outside IEEE double range anyway.
 GAP_FLOOR = 1e-300
 
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
+
 #: Hard cap for the exhaustive search; beyond it the subsequence count is
 #: no longer desk-scale.
 BRUTEFORCE_MAX = 20
@@ -78,6 +82,10 @@ _NARROW = 32
 #: The witness DP takes the powers of its narrow columns' gaps in one
 #: :func:`_gap_powers` call once this many are pending.
 _POWER_BATCH = 256
+
+#: The row DP walks its candidate chains in blocks of w columns, w^2 at most
+#: this many times the matrix's columns, and keeps w rounds of each block.
+_ROUNDS_PER_COLUMN = 4
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,9 @@ class VariationCertificate:
 
 
 def _gap_powers(gaps: np.ndarray, q: float) -> np.ndarray:
-    out = np.where(gaps < GAP_FLOOR, 0.0, gaps)
-    return out**q
+    """The q-th power of each gap, 0 below GAP_FLOOR, written over gaps."""
+    np.copyto(gaps, 0.0, where=gaps < GAP_FLOOR)
+    return np.power(gaps, q, out=gaps)
 
 
 def _rescaled(v: np.ndarray, q: float, sums: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -136,15 +145,18 @@ def _rescaled(v: np.ndarray, q: float, sums: bool = False) -> tuple[np.ndarray, 
     The variation is homogeneous and 2^-e is exact, so :func:`_scale_back`
     by e gives the value.
     """
-    half_span = v.max(axis=1) / 2 - v.min(axis=1) / 2
-    exponents = np.frexp(half_span)[1]
+    columns = v.T.copy()  # a reduction down contiguous rows is fast, along short rows it is not
+    half_span = columns.max(axis=0) / 2 - columns.min(axis=0) / 2
     if sums:
-        shifts = exponents + math.ceil(v.shape[1].bit_length() / q)
+        shifts = np.frexp(half_span)[1] + math.ceil(v.shape[1].bit_length() / q)
     else:
         span = 2 * half_span
         power = span**q
-        in_range = (power >= np.finfo(float).smallest_normal) & (power < math.inf)
-        shifts = np.where((span >= GAP_FLOOR) & ~in_range, exponents, 0)
+        in_range = (power >= _SMALLEST_NORMAL) & (power < math.inf)
+        out = (span >= GAP_FLOOR) & ~in_range
+        if not out.any():
+            return v, np.zeros(len(span), dtype=np.intc)
+        shifts = np.where(out, np.frexp(half_span)[1], 0)
     return np.ldexp(v, -shifts[:, None]), shifts
 
 
@@ -161,7 +173,7 @@ def _check_rerun(sums, q: float) -> None:
     double: at such q no power of two keeps both the largest gap's power
     and the chain sums in range."""
     sums = np.asarray(sums)
-    if not np.all((sums >= np.finfo(float).smallest_normal) & (sums < math.inf)):
+    if not np.all((sums >= _SMALLEST_NORMAL) & (sums < math.inf)):
         raise FloatRangeExceeded(f"the q = {q:g} variation or its gap powers leave the double range")
 
 
@@ -362,13 +374,14 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
     """Exact q-variation of every row of a matrix, values only.
 
     At q = 1 this is the total variation of each row, as in
-    :func:`qvariation`.  For q > 1 it runs the plain recurrence
-    best[j] = max over all i < j of best[i] + |v_j - v_i|^q on all rows at
-    once, one column at a time, with no pruning and no candidate rule, so it
-    checks :func:`qvariation` independently.  The final root is taken on
-    Python floats: numpy's array power can differ from the scalar one in
-    the last ulp.  Rows out of the double range are rescaled as in
-    :func:`qvariation`.
+    :func:`qvariation`.  For q > 1 the chain sums come from the candidate
+    rule of :func:`qvariation`, run on all rows at once by :func:`_row_sums`
+    on the rows as they are, ties, monotone runs and constant stretches
+    included; they equal those of the plain recurrence
+    best[j] = max over all i < j of best[i] + |v_j - v_i|^q bit for bit.
+    The final root is taken on Python floats: numpy's array power can
+    differ from the scalar one in the last ulp.  Rows out of the double
+    range are rescaled as in :func:`qvariation`.
     """
     if not 1 <= q < math.inf:
         raise InvalidQ("variation exponent must satisfy 1 <= q < inf")
@@ -384,20 +397,145 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
         sums[over] = _row_sums(scaled, q)
         _check_rerun(sums[over], q)
     root = 1.0 / q
-    return _scale_back([s**root for s in sums.tolist()], shifts, q)
+    values = [s**root for s in sums.tolist()]
+    return _scale_back(values, shifts, q) if shifts.any() else np.array(values)
 
 
 def _row_sums(v: np.ndarray, q: float) -> np.ndarray:
     """Largest chain sum of each row: the total variation at q = 1, else
-    the plain recurrence over every predecessor."""
+    the candidate rule of :func:`qvariation` run on all rows at once.
+
+    v and -v stand one above the other in a (2, m + 1, rows) array whose
+    row 0 is +inf, addressed flat; one :func:`_previous_greater` pass over
+    it gives the previous strictly greater entry of every entry, and so,
+    from the other half, its previous strictly smaller one.  The chain of
+    position j >= 1 lies in v, or in -v where v steps down into j, so that
+    it climbs into j.  It starts at j - 1 and follows the previous strictly
+    smaller links down to, but not including, the previous strictly greater
+    entry of j.  The candidates depend on the values only, so the DP runs
+    in three steps:
+
+    - links: one :func:`_previous_greater` pass;
+    - chains: walked one entry per round for all rows and columns at once,
+      a chain that has ended holding the first entry after its stop; their
+      gap powers come in one :func:`_gap_powers` call per block of columns;
+    - settle: one gather, add and max per column.
+
+    The columns go in blocks of about sqrt(``_ROUNDS_PER_COLUMN`` * m),
+    each keeping as many rounds as it has columns.  Later rounds can only
+    reach columns settled before the block, and fold into a running
+    maximum as they come; so on a rising sawtooth, where every trough is a
+    candidate of every later peak, the work memory stays O(rows x m).
+
+    The sums are those of best[j] = max over all i < j of
+    best[i] + |v_j - v_i|^q bit for bit, not only in exact arithmetic:
+    rounded addition, subtraction and the q-th power are monotone, so
+    inserting a point outside the range of a step, or moving a step's
+    start to a later equal value, cannot lower a chain's rounded sum; and
+    an entry that is not a candidate, repeated or not, adds no more than
+    the recurrence does for it.
+    """
     if q == 1.0:
         return _total_variation(v)
-    rows, n = v.shape
-    best = np.zeros((rows, n))
-    for j in range(1, n):
-        gaps = np.abs(v[:, j, None] - v[:, :j])
-        best[:, j] = np.max(best[:, :j] + _gap_powers(gaps, q), axis=1)
-    return best.max(axis=1)
+    rows, m = v.shape
+    half = (m + 1) * rows
+    stacked = np.empty((2, m + 1, rows))
+    stacked[:, 0] = math.inf
+    stacked[0, 1:] = v.T
+    np.negative(stacked[0, 1:], out=stacked[1, 1:])
+    flat = stacked.ravel()
+    greater = _previous_greater(flat, m, rows)
+    smaller = np.empty_like(greater)
+    np.subtract(greater[half:], half, out=smaller[:half])
+    np.add(greater[:half], half, out=smaller[half:])
+    # own[j - 1]: the flat index of position j in the half its chain climbs
+    # in; shift: that half's offset, which takes an entry to its best sum
+    shift = np.empty((m - 1, rows), dtype=np.intp)
+    np.greater(stacked[0, 1:m], stacked[0, 2:], out=shift, casting="unsafe")
+    shift *= half
+    own = np.arange(2 * rows, half).reshape(m - 1, rows)
+    own += shift
+    ends = flat.take(own)
+    # the candidates of position j lie at or after low
+    low = greater.take(own)
+    low += rows
+    best = np.zeros((m + 1, rows))
+    flat_best = best.ravel()
+    width = math.isqrt(_ROUNDS_PER_COLUMN * (m - 1))
+    for start in range(0, m - 1, width):
+        w = min(width, m - 1 - start)
+        cols = slice(start, start + w)
+        # the chain of position j holds at most j entries
+        longest = start + w
+        chain = np.empty((min(w, longest), w, rows), dtype=np.intp)
+        np.subtract(own[cols], rows, out=chain[0])
+        k = 1
+        while k < len(chain):
+            entry = smaller.take(chain[k - 1], out=chain[k])
+            if k + 1 < longest and not np.count_nonzero(entry >= low[cols]):
+                break
+            np.maximum(entry, low[cols], out=entry)
+            k += 1
+        folded = None
+        if k == len(chain) < longest:
+            entry = chain[k - 1]
+            while True:
+                entry = smaller.take(entry)
+                if not np.count_nonzero(entry >= low[cols]):
+                    break
+                np.maximum(entry, low[cols], out=entry)
+                gaps = flat.take(entry)
+                np.subtract(ends[cols], gaps, out=gaps)
+                sums = flat_best.take(entry - shift[cols])
+                sums += _gap_powers(gaps, q)
+                if folded is None:
+                    folded = sums
+                else:
+                    np.maximum(folded, sums, out=folded)
+        index = chain[:k].transpose(1, 0, 2)
+        powers = flat.take(index)
+        np.subtract(ends[cols, None], powers, out=powers)
+        _gap_powers(powers, q)
+        index = index - shift[cols, None]
+        first = start
+        if start == 0:
+            # position 1 has the one predecessor 0, whose best sum is 0
+            best[2] = powers[0, 0]
+            first = 1
+        for j in range(first, start + w):
+            top = best[j + 2]
+            sums = flat_best.take(index[j - start])
+            sums += powers[j - start]
+            sums.max(axis=0, out=top)
+            if folded is not None:
+                np.maximum(top, folded[j - start], out=top)
+    return best[m]
+
+
+def _previous_greater(flat: np.ndarray, m: int, rows: int) -> np.ndarray:
+    """For each entry of the (2, m + 1, rows) array behind ``flat``, the
+    flat index of the previous strictly greater entry in its half and
+    column, by binary lifting over window maxima.
+
+    Step k takes an entry's candidate back 2^k rows when the maximum of
+    the 2^k entries ending at it does not exceed the entry; a window
+    reaching row 0 holds its +inf and refuses the step.  Each step builds
+    its window maxima afresh, by k doublings, so that the pass holds two
+    window arrays rather than log2(m).  Row 0's own entries get no meaning.
+    """
+    found = np.arange(-rows, flat.size - rows)
+    steps = np.empty_like(found)
+    for k in reversed(range((m - 1).bit_length())):
+        window = flat
+        for i in range(k):
+            reach = rows << i
+            wider = window.copy()
+            np.maximum(wider[reach:], window[:-reach], out=wider[reach:])
+            window = wider
+        np.less_equal(window.take(found, mode="clip"), flat, out=steps, casting="unsafe")
+        steps *= rows << k
+        found -= steps
+    return found
 
 
 def qvariation_value(values: Iterable[float], q: float) -> float:

@@ -395,6 +395,8 @@ class TestMalformedInput:
             (["reduction-constant", "--nodes", "1000000000000"], None, None),
             # grid_points is not a configuration key
             (["linf-blowup"], "grid_points = 1501\n", None),
+            # an int past the double range, refused before any float product
+            (["linf-blowup", "--log-per-decade", "1" + "0" * 400], None, None),
         ],
         ids=[
             "r-list-token",
@@ -412,6 +414,7 @@ class TestMalformedInput:
             "ladder-size",
             "nodes-size",
             "grid-points-key",
+            "ladder-size-huge",
         ],
     )
     def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, argv, config, cache):

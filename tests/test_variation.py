@@ -1,5 +1,7 @@
 import math
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -7,18 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlat import variation
+from varlat import experiments, variation
 from varlat.cli import run
 from varlat.variation import GAP_FLOOR, VariationCertificate
 from varlat import (
     BadRange,
     EmptyInput,
+    ExperimentConfig,
     FloatRangeExceeded,
     InvalidQ,
     LengthMismatch,
     NonFiniteValue,
     OperatorFamily,
     TooLong,
+    default_lacunary,
     heat_apply,
     make_grid,
     make_pcf,
@@ -76,6 +80,35 @@ def witness_dp_oracle(values, q):
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
     return VariationCertificate(math.ldexp(float(best[j_star] ** (1.0 / q)), shift), tuple(chain))
+
+
+def dense_row_sums(v, q):
+    """The plain O(m^2) row recurrence, for q > 1.
+
+    best[j] = max over every i < j of best[i] + |v_j - v_i|^q on all rows
+    at once, one column at a time, with no candidate rule: the value oracle
+    for the row DP behind qvariation_rows.
+    """
+    rows, n = v.shape
+    best = np.zeros((rows, n))
+    for j in range(1, n):
+        gaps = np.abs(v[:, j, None] - v[:, :j])
+        best[:, j] = np.max(best[:, :j] + floored_powers(gaps, q), axis=1)
+    return best.max(axis=1)
+
+
+def dense_qvariation_rows(matrix, q):
+    """qvariation_rows with its row DP swapped for dense_row_sums; the
+    rescaling, the rerun of overflowed rows and the root stay its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "_row_sums", dense_row_sums)
+        return qvariation_rows(matrix, q)
+
+
+def rising_sawtooth(m):
+    """k/2 + (k odd): every trough is a candidate of every later peak."""
+    k = np.arange(m)
+    return k / 2 + k % 2
 
 
 def candidate_counts(values):
@@ -203,6 +236,99 @@ class TestQVariationRows:
         grid = make_grid(np.linspace(-1, 2, 5))
         with pytest.raises(NonFiniteValue):
             variation_profile(f, OperatorFamily.HEAT, make_radius_set((1.0, 0.5)), grid, 2.0)
+
+
+@pytest.fixture(scope="module")
+def witness_rows():
+    """The heat-matrix rows linf-blowup's numerator sends through
+    qvariation_rows at j1 = 258: one per core point, one column per scale."""
+    config = ExperimentConfig(lacunary=replace(default_lacunary(), k_min=-300))
+    sent = []
+
+    def spy(matrix, q):
+        sent.append(np.array(matrix))
+        return qvariation_rows(matrix, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "qvariation_rows", spy)
+        experiments._profile_bundle(config, 258)
+    (matrix,) = sent
+    return matrix
+
+
+ROW_DP_QS = [1.5, 2.0, 3.0, 7.5]
+
+#: Few distinct values, signed zeros and a one-ulp step among them: ties,
+#: plateaus and near-ties in every drawn row.
+TIED_VALUES = (-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 2**-52, 3.0)
+
+
+class TestRowDPAgainstDenseRecurrence:
+    """qvariation_rows equals the plain recurrence bit for bit: inserting a
+    point outside a step's range, or moving a step's start to a later equal
+    value, cannot lower a chain's rounded sum."""
+
+    @pytest.mark.parametrize("q", ROW_DP_QS)
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 33, 90])
+    def test_random_tied_run_monotone_and_constant_rows(self, rng, m, q):
+        random = rng.uniform(-3, 3, (8, m))
+        ties = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(8, m))
+        runs = np.repeat(rng.uniform(-1, 1, (8, m)), 3, axis=1)[:, :m]
+        monotone = np.sort(rng.normal(size=(4, m)), axis=1) * [[1.0], [-1.0], [1e-3], [-1e3]]
+        constant = np.array([np.zeros(m), np.full(m, -0.25)])
+        matrix = np.concatenate((random, ties, runs, monotone, constant))
+        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 14).flatmap(
+            lambda m: st.lists(st.lists(st.sampled_from(TIED_VALUES), min_size=m, max_size=m), min_size=1, max_size=6)
+        ),
+        st.sampled_from(ROW_DP_QS),
+    )
+    def test_small_matrices_of_few_values(self, matrix, q):
+        matrix = np.array(matrix)
+        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+
+    @pytest.mark.parametrize("q", ROW_DP_QS)
+    def test_witness_rows_at_depth_258(self, witness_rows, q):
+        assert witness_rows.shape == (59, 257)
+        got = qvariation_rows(witness_rows, q)
+        assert np.array_equal(got, dense_qvariation_rows(witness_rows, q))
+
+    @pytest.mark.parametrize("q", ROW_DP_QS)
+    def test_rows_whose_chain_sums_overflow(self, rng, q):
+        # alternating 0, h with h^q near 1e306: every gap power is normal,
+        # but the chain through all 400 points sums past the double range
+        h = 10.0 ** (306 / q)
+        m = 400
+        zigzag = np.tile([0.0, h], m // 2)
+        matrix = np.array([zigzag, -zigzag, zigzag * rng.uniform(0.99, 1.0, m), rng.normal(size=m)])
+        with np.errstate(over="ignore"):
+            sums = variation._row_sums(matrix, q)
+        assert (sums[:3] == math.inf).all() and np.isfinite(sums[3])
+        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+
+    @pytest.mark.parametrize("q", ROW_DP_QS)
+    def test_rising_and_falling_sawtooth_rows(self, rng, q):
+        saw = rising_sawtooth(301)
+        matrix = np.array([saw, -saw, saw[::-1], saw * 1e-3 + 7.0, saw + rng.normal(0, 0.01, saw.size)])
+        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+
+    def test_sawtooth_work_memory_stays_linear(self):
+        # the chains of the peaks hold every earlier trough, m / 2 wide; the
+        # candidate arrays, built in column blocks, stay O(rows x m) where
+        # holding every chain at once would take about m / 4 times that
+        rows, m = 16, 3000
+        matrix = rising_sawtooth(m) * (1.0 + np.arange(rows)[:, None] / rows)
+        tracemalloc.start()
+        try:
+            got = qvariation_rows(matrix, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * rows * m * 8
+        assert np.array_equal(got, dense_qvariation_rows(matrix, 3.0))
 
 
 class TestCertificates:
