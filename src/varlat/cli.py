@@ -8,7 +8,7 @@ passed, 1 when an experiment ran but failed its certification, 2 for usage,
 configuration or input errors.
 
 Parameter precedence, highest first: explicit flags, then a key=value config
-file, then the searched-parameter cache named by VARLAT_CACHE, then built-in
+file, then the parameter cache named by VARLAT_CACHE, then built-in
 defaults (the default r-list depends on the subcommand).
 """
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .experiments import (
     exp_reduction_constant,
 )
 from .variation import qvariation
-from .witnesses import DEFAULT_J_WINDOW, LacunaryParams, key_estimate_table
+from .witnesses import DEFAULT_J_WINDOW, LacunaryParams, certified_key_table
 
 __all__ = ["run", "main", "RunManifest", "REPORT_SCHEMA", "emit_svg_loglog", "SUBCOMMANDS"]
 
@@ -246,19 +246,11 @@ def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     return resolved
 
 
-def _certified_constant(resolved: dict) -> float:
-    table = key_estimate_table(resolved["a"], resolved["kmin"], max(resolved["j_max"], resolved["j0"]))
-    return float(min(table[resolved["j0"] :]))
-
-
 def _experiment_config(resolved: dict) -> ExperimentConfig:
     # every value already has its table type; only a cached base may be an int
-    lac = LacunaryParams(
-        a=float(resolved["a"]),
-        k_min=resolved["kmin"],
-        j0=resolved["j0"],
-        key_constant=_certified_constant(resolved),
-    )
+    a, k_min, j0 = float(resolved["a"]), resolved["kmin"], resolved["j0"]
+    _, constant = certified_key_table(a, k_min, j0, resolved["j_max"])
+    lac = LacunaryParams(a=a, k_min=k_min, j0=j0, key_constant=constant)
     grid = GridSpec(resolved["log_per_decade"])
     return ExperimentConfig(
         p=resolved["p"], q=resolved["q"], lacunary=lac, grid=grid, r_list=resolved["r_list"]
@@ -391,7 +383,7 @@ def _write_reports(name: str, command: "Command", resolved: dict, outcome: "Outc
     )
     payload = {
         "config": manifest.config,
-        "certified_C": config.lacunary.key_constant if outcome.certified_c is None else outcome.certified_c,
+        "certified_C": 0.0 if config is None else config.lacunary.key_constant,
         "fit": None if outcome.fit is None else asdict(outcome.fit),
         "pass": outcome.passed,
         "manifest": asdict(manifest),
@@ -414,12 +406,8 @@ class Outcome:
     fit: GrowthFit | None = None
     extras: dict = field(default_factory=dict)
     config: ExperimentConfig | None = None
-    #: the JSON report's certified_C; None means the config's key constant
-    certified_c: float | None = None
     #: CSV header and rows, when they are not the report rows
     csv: tuple[str, Sequence[str]] | None = None
-    #: parameters a passing run records in the VARLAT_CACHE file
-    cache: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -435,6 +423,8 @@ class Command:
     fit_over: str | None = None
     #: whether the run writes CSV and JSON reports
     writes_reports: bool = True
+    #: whether a passing run records its witness parameters in VARLAT_CACHE
+    caches: bool = False
 
 
 def _reduction_constant(resolved: dict) -> Outcome:
@@ -459,7 +449,6 @@ def _key_estimate(resolved: dict) -> Outcome:
         return Outcome(
             False,
             extras={"a": resolved["a"], "j0": resolved["j0"], "reason": str(exc)},
-            certified_c=0.0,
             csv=("j,D_j", []),
         )
     result = exp_key_estimate(config, resolved["j_max"])
@@ -467,14 +456,7 @@ def _key_estimate(resolved: dict) -> Outcome:
         result.passed,
         extras={"a": result.a, "j0": result.j0, "reason": result.reason},
         config=config,
-        certified_c=result.certified_c,
         csv=("j,D_j", [f"{j},{_fmt(d)}" for j, d in enumerate(result.table)]),
-        cache={
-            "a": result.a,
-            "k_min": config.lacunary.k_min,
-            "j0": result.j0,
-            "key_constant": result.certified_c,
-        },
     )
 
 
@@ -482,7 +464,7 @@ def _key_summary(outcome: Outcome) -> str:
     a = outcome.extras["a"]
     if outcome.config is None:
         return f"key-estimate: a={a:g} C=n/a pass=False ({outcome.extras['reason']})"
-    return f"key-estimate: a={a:g} C={outcome.certified_c:.6g} pass={outcome.passed}"
+    return f"key-estimate: a={a:g} C={outcome.config.lacunary.key_constant:.6g} pass={outcome.passed}"
 
 
 def _linf_blowup(resolved: dict) -> Outcome:
@@ -495,18 +477,12 @@ def _linf_blowup(resolved: dict) -> Outcome:
 def _maximal_contrast(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
     result = exp_maximal_contrast(config, resolved["j1_list"])
-    variation_fit = None
-    if len(result.pairs) >= MIN_FIT_POINTS:
-        variation_fit = fit_power_law(
-            [pair.j1 - config.lacunary.j0 for pair in result.pairs],
-            [pair.variation_ratio for pair in result.pairs],
-        )
     extras = {
         "variation_growth": result.variation_growth,
         "maximal_spread": result.maximal_spread,
         "pairs": [asdict(pair) for pair in result.pairs],
     }
-    return Outcome(result.passed, result.reports, variation_fit, extras, config)
+    return Outcome(result.passed, result.reports, result.fit, extras, config)
 
 
 def _lr_growth(resolved: dict) -> Outcome:
@@ -570,7 +546,7 @@ def _slope_summary(name: str, target: Callable[[ExperimentConfig], float]) -> Ca
 
 _COMMANDS: dict[str, Command] = {
     "reduction-constant": Command(_reduction_constant, lambda o: f"{o.extras['value']:.12g}"),
-    "key-estimate": Command(_key_estimate, _key_summary),
+    "key-estimate": Command(_key_estimate, _key_summary, caches=True),
     "linf-blowup": Command(
         _linf_blowup,
         _slope_summary("linf-blowup", lambda c: 1.0 / c.q),
@@ -629,8 +605,8 @@ def run(argv: Sequence[str]) -> int:
         if command.writes_reports:
             _write_reports(args.subcommand, command, resolved, outcome, t0)
         cache = os.environ.get(_CACHE_ENV)
-        if cache and outcome.passed and outcome.cache is not None:
-            _write_json(cache, outcome.cache)
+        if cache and outcome.passed and command.caches:
+            _write_json(cache, asdict(outcome.config.lacunary))
         try:
             print(command.summary(outcome), flush=True)
         except BrokenPipeError:

@@ -27,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  norm-transfer's generator, loaded with the package
@@ -68,9 +68,9 @@ from .witnesses import (
     KEY_THRESHOLD,
     LacunaryParams,
     _require_admissible,
+    certified_key_table,
     delta_halving_radius,
     heat_of_g_matrix,
-    key_estimate_table,
 )
 
 __all__ = [
@@ -159,8 +159,7 @@ DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0 = 2.0, -120, DEFAULT_J_WINDOW[0]
 @cache
 def default_lacunary() -> LacunaryParams:
     """The default witness parameters with the certified key constant baked in."""
-    table = key_estimate_table(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J_WINDOW[1])
-    constant = float(min(table[DEFAULT_J0:]))
+    _, constant = certified_key_table(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, DEFAULT_J_WINDOW[1])
     return LacunaryParams(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, constant)
 
 
@@ -209,6 +208,22 @@ def _make_report(param: float, numerator: float, denominator: float, seconds: fl
     return RatioReport(float(param), numerator, denominator, numerator / denominator, seconds)
 
 
+def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], GrowthFit | None]:
+    """One timed report per parameter, from row(param) = (reported param,
+    numerator, denominator), and the power-law fit of ratio against
+    reported param once there are MIN_FIT_POINTS rows.
+    """
+    reports = []
+    for param in params:
+        t0 = time.perf_counter()
+        shown, numerator, denominator = row(param)
+        reports.append(_make_report(shown, numerator, denominator, time.perf_counter() - t0))
+    fit = None
+    if len(reports) >= MIN_FIT_POINTS:
+        fit = fit_power_law([rep.param for rep in reports], [rep.ratio for rep in reports])
+    return tuple(reports), fit
+
+
 @dataclass(frozen=True)
 class KeyEstimateResult:
     a: float
@@ -238,6 +253,7 @@ class ContrastPair:
 class MaximalContrastResult:
     pairs: tuple[ContrastPair, ...]
     reports: tuple[RatioReport, ...]  # the maximal-operator rows
+    fit: GrowthFit | None  # of the variation ratios against j1 - j0
     variation_growth: float
     maximal_spread: float
     passed: bool
@@ -300,10 +316,9 @@ def exp_key_estimate(config: ExperimentConfig, j_max: int = DEFAULT_J_WINDOW[1])
     if j_max < lac.j0:
         raise BadRange("j_max must reach at least j0")
     try:
-        table = key_estimate_table(lac.a, lac.k_min, j_max)
+        table, certified = certified_key_table(lac.a, lac.k_min, lac.j0, j_max)
     except TruncationTooShallow as exc:
         return KeyEstimateResult(lac.a, lac.j0, (), 0.0, False, reason=str(exc))
-    certified = float(min(table[lac.j0 :]))
     passed = certified >= KEY_THRESHOLD
     reason = "" if passed else f"certified constant {certified:.3e} below {KEY_THRESHOLD:.0e}"
     return KeyEstimateResult(lac.a, lac.j0, table, certified, passed, reason)
@@ -313,14 +328,12 @@ def exp_key_estimate(config: ExperimentConfig, j_max: int = DEFAULT_J_WINDOW[1])
 # witness profiles shared by the blow-up experiments
 
 
-def _profile_bundle(
-    config: ExperimentConfig, j1: int, min_scale: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _profile_bundle(config: ExperimentConfig, j1: int) -> tuple[np.ndarray, ...]:
     """Core points, in increasing order, their trapezoid weights, and the
     variation and maximal profiles of the witness there.
 
     The core is the origin and a logarithmic ladder on both sides of it,
-    within the window a^-(j1+1) and down to min_scale (default a^-(j1+4)).
+    within the window a^-(j1+1) and down to a^-(j1+4).
     The profiles vanish off the core; see the module docstring for why that
     restriction only lowers the numerator.
     """
@@ -331,9 +344,7 @@ def _profile_bundle(
         raise BadRange(f"j1 capped at {MAX_J1_FACTOR} * j0")
     _require_admissible(lac.a, lac.k_min, j1)
     window = lac.a ** (-(j1 + 1.0))
-    floor = lac.a ** (-(j1 + 4.0)) if min_scale is None else float(min_scale)
-    if not 0.0 < floor < window:
-        raise BadRange("innermost core scale must sit inside the core window")
+    floor = lac.a ** (-(j1 + 4.0))
 
     # the ladder is spaced over [floor, top] and then cut after its first
     # point past the window; that guard point gives the outermost core point
@@ -439,19 +450,14 @@ def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> BlowupR
     """
     depths = _validated_j1_list(config, j1_list)
 
-    def task(j1: int) -> RatioReport:
-        t0 = time.perf_counter()
+    def row(j1: int) -> tuple[int, float, float]:
         num, _ = _blowup_numerators(config, j1)
-        den = _sup_denominator(config)
         # param is the active-scale count j1 - j0: the growth law's abscissa,
         # so downstream plots fit the same quantity this function reports.
-        return _make_report(j1 - config.lacunary.j0, num, den, time.perf_counter() - t0)
+        return j1 - config.lacunary.j0, num, _sup_denominator(config)
 
-    reports = tuple(task(j1) for j1 in depths)
+    reports, fit = _rows(depths, row)
     ratios = [rep.ratio for rep in reports]
-    fit = None
-    if len(reports) >= MIN_FIT_POINTS:
-        fit = fit_power_law([j1 - config.lacunary.j0 for j1 in depths], ratios)
     target = 3.0 ** (1.0 / config.p)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     den_ok = abs(reports[0].denominator / target - 1.0) <= DENOMINATOR_TOLERANCE
@@ -466,25 +472,27 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ma
     The variation ratios are shared bit for bit with exp_linf_blowup (same
     profiles from the same heat matrix, same closed-form denominator); the
     point of the contrast is that the maximal ratio stays flat while the
-    variation ratio grows.
+    variation ratio grows.  The fit is that of the variation ratios; the
+    reports are the maximal rows, each timed as the row that computed both.
     """
     depths = _validated_j1_list(config, j1_list)
+    max_numerators = []
 
-    def task(j1: int) -> tuple[ContrastPair, RatioReport]:
-        t0 = time.perf_counter()
+    def row(j1: int) -> tuple[int, float, float]:
         num_var, num_max = _blowup_numerators(config, j1)
-        den = _sup_denominator(config)
-        report = _make_report(j1 - config.lacunary.j0, num_max, den, time.perf_counter() - t0)
-        return ContrastPair(j1, num_var / den, num_max / den), report
+        max_numerators.append(num_max)
+        return j1 - config.lacunary.j0, num_var, _sup_denominator(config)
 
-    rows = [task(j1) for j1 in depths]
-    pairs = tuple(pair for pair, _ in rows)
-    reports = tuple(report for _, report in rows)
+    variation, fit = _rows(depths, row)
+    reports = tuple(
+        _make_report(v.param, num, v.denominator, v.seconds) for v, num in zip(variation, max_numerators)
+    )
+    pairs = tuple(ContrastPair(j1, v.ratio, m.ratio) for j1, v, m in zip(depths, variation, reports))
     max_ratios = [pair.maximal_ratio for pair in pairs]
     spread = max(max_ratios) / min(max_ratios) - 1.0
     growth = pairs[-1].variation_ratio / pairs[0].variation_ratio
     passed = spread < CONTRAST_SPREAD_LIMIT and growth > CONTRAST_GROWTH_FLOOR
-    return MaximalContrastResult(pairs, reports, growth, spread, passed)
+    return MaximalContrastResult(pairs, reports, fit, growth, spread, passed)
 
 
 def _lr_depth(r: float, j0: int) -> int:
@@ -492,16 +500,12 @@ def _lr_depth(r: float, j0: int) -> int:
     return int(math.floor(r)) * j0
 
 
-def lr_numerator(config: ExperimentConfig, r: float, min_scale: float | None = None) -> float:
-    """L^p over the unit interval of the radius-1 power sum of the profile.
-
-    min_scale overrides the innermost resolved core scale; the default
-    resolves three octaves below the core window.  Excluding the innermost
-    scales drops nonnegative area from the integral and so lowers the value,
-    which is the grid-sensitivity regression the tests pin down.
+def lr_numerator(config: ExperimentConfig, r: float) -> float:
+    """L^p over the unit interval of the radius-1 power sum of the profile,
+    resolved three octaves below the core window.
     """
     j1 = _lr_depth(r, config.lacunary.j0)
-    points, weights, var_vals, _ = _profile_bundle(config, j1, min_scale)
+    points, weights, var_vals, _ = _profile_bundle(config, j1)
     return _window_norm(points, weights, var_vals, config.p, r)
 
 
@@ -516,17 +520,9 @@ def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:
     (C/4) r^(1/q) / (2^(1/r) 3^(1/p)).
     """
     lac = config.lacunary
-
-    def task(r: float) -> RatioReport:
-        t0 = time.perf_counter()
-        num = lr_numerator(config, r)
-        den = _power_denominator(config, r)
-        return _make_report(r, num, den, time.perf_counter() - t0)
-
-    reports = tuple(task(r) for r in config.r_list)
-    fit = None
-    if len(reports) >= MIN_FIT_POINTS:
-        fit = fit_power_law(config.r_list, [rep.ratio for rep in reports])
+    reports, fit = _rows(
+        config.r_list, lambda r: (r, lr_numerator(config, r), _power_denominator(config, r))
+    )
     deepest = _lr_depth(config.r_list[-1], lac.j0)
     delta = delta_halving_radius(lac.a, lac.k_min, lac.j0, deepest)
     bounds = tuple(
@@ -597,15 +593,10 @@ def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
     ratio must grow linearly in r and clear r / (2e * denominator); run it
     with r_list=HILBERT_R_LIST, as the CLI does, for the slope to show that.
     """
-    reports = []
-    for r in config.r_list:
-        t0 = time.perf_counter()
-        num = hilbert_inner_norm(r)
-        den = 2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p)
-        reports.append(_make_report(r, num, den, time.perf_counter() - t0))
-    fit = None
-    if len(reports) >= MIN_FIT_POINTS:
-        fit = fit_power_law(config.r_list, [rep.ratio for rep in reports])
+    reports, fit = _rows(
+        config.r_list,
+        lambda r: (r, hilbert_inner_norm(r), 2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p)),
+    )
     bounds = tuple(
         r / (2.0 * math.e * 2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p))
         for r in config.r_list
@@ -613,7 +604,7 @@ def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
     above = all(rep.ratio >= b for rep, b in zip(reports, bounds))
     lo, hi = HILBERT_SLOPE_WINDOW
     slope_ok = fit is not None and lo <= fit.slope <= hi
-    return HilbertGrowthResult(tuple(reports), fit, bounds, above and slope_ok)
+    return HilbertGrowthResult(reports, fit, bounds, above and slope_ok)
 
 
 # ---------------------------------------------------------------------------

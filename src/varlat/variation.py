@@ -497,12 +497,7 @@ def _row_sums(v: np.ndarray, q: float) -> np.ndarray:
         np.subtract(ends[cols, None], powers, out=powers)
         _gap_powers(powers, q)
         index = index - shift[cols, None]
-        first = start
-        if start == 0:
-            # position 1 has the one predecessor 0, whose best sum is 0
-            best[2] = powers[0, 0]
-            first = 1
-        for j in range(first, start + w):
+        for j in range(start, start + w):
             top = best[j + 2]
             sums = flat_best.take(index[j - start])
             sums += powers[j - start]

@@ -43,6 +43,7 @@ __all__ = [
     "heat_of_g_matrix",
     "truncation_tail_bound",
     "key_estimate_table",
+    "certified_key_table",
     "search_key_params",
     "delta_halving_radius",
 ]
@@ -173,6 +174,14 @@ def key_estimate_table(a: float, k_min: int, j_max: int) -> tuple[float, ...]:
     return tuple(np.abs(np.diff(column)).tolist())
 
 
+def certified_key_table(a: float, k_min: int, j0: int, j_max: int) -> tuple[tuple, float]:
+    """The key table D_0..D_max(j_max, j0) and its minimum over j >= j0,
+    the certified key constant.
+    """
+    table = key_estimate_table(a, k_min, max(j_max, j0))
+    return table, float(min(table[j0:]))
+
+
 def search_key_params(
     a_candidates: Sequence[float],
     k_min: int,
@@ -190,8 +199,7 @@ def search_key_params(
         raise NoAdmissibleBase("no candidate bases supplied")
     best: tuple[float, float] | None = None  # (constant, a)
     for a in a_candidates:
-        table = key_estimate_table(a, k_min, j_hi)
-        constant = float(min(table[j_lo:]))
+        _, constant = certified_key_table(a, k_min, j_lo, j_hi)
         if best is None or constant > best[0]:
             best = (constant, float(a))
     assert best is not None

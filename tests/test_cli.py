@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 
 import jsonschema
 import pytest
@@ -21,6 +22,7 @@ from varlat import (
     exp_reduction_constant,
 )
 from varlat import witnesses
+from varlat.corefn import fit_power_law
 from varlat.cli import REPORT_SCHEMA, SUBCOMMANDS, emit_svg_loglog, run
 
 
@@ -310,6 +312,19 @@ class TestParameterCache:
         assert cache.read_text() == old
         assert os.listdir(cache_dir) == ["cache.json"]
 
+    def test_round_trip_through_a_later_run(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.json"
+        monkeypatch.setenv("VARLAT_CACHE", str(cache))
+        assert run(["key-estimate", "--a", "3", "--out", str(tmp_path / "k")]) == 0
+        written = cache.read_bytes()
+        key_constant = _read_json(cache)["key_constant"]
+        assert run(["linf-blowup", "--kmin", "-300", "--j1-list", "6,10,18", "--out", str(tmp_path / "l")]) == 0
+        report = _read_json(tmp_path / "l" / "linf-blowup.json")
+        assert report["config"]["a"] == 3.0
+        assert report["certified_C"] == key_constant
+        assert run(["key-estimate", "--a", "1.000000001", "--out", str(tmp_path / "f")]) == 1
+        assert cache.read_bytes() == written
+
     def test_flag_beats_cache(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps({"a": 4.0, "k_min": -120, "j0": 2}))
@@ -495,6 +510,17 @@ class TestExperimentCommands:
         assert report["pass"] is True
         assert report["manifest"]["subcommand"] == name
         assert (tmp_path / f"{name}.svg").read_text().startswith("<svg ")
+
+    def test_maximal_contrast_fits_the_variation_ratios(self, tmp_path):
+        assert run(["maximal-contrast", "--j1-list", "6,18,66", "--out", str(tmp_path)]) == 0
+        report = _read_json(tmp_path / "maximal-contrast.json")
+        j0 = report["config"]["j0"]
+        pairs = report["extras"]["pairs"]
+        variation = fit_power_law([p["j1"] - j0 for p in pairs], [p["variation_ratio"] for p in pairs])
+        assert report["fit"] == asdict(variation)
+        rows = [line.split(",") for line in (tmp_path / "maximal-contrast.csv").read_text().splitlines()[1:]]
+        maximal = fit_power_law([float(row[0]) for row in rows], [float(row[3]) for row in rows])
+        assert report["fit"] != asdict(maximal)
 
     def test_bare_hilbert_growth_passes(self, tmp_path, capsys):
         assert run(["hilbert-growth", "--out", str(tmp_path)]) == 0

@@ -349,26 +349,6 @@ class TestClosedFormNumerators:
         assert abs(num / old - 1.0) <= 1e-3
 
 
-class TestLrNumerator:
-    CONFIG = ExperimentConfig(grid=GridSpec(log_points_per_decade=8))
-
-    def test_coarsening_floor_lowers_value(self):
-        # the unresolved strip around zero carries no quadrature weight, so
-        # raising the innermost resolved scale can only remove area; the
-        # lr depth at r = 4 is floor(r) * j0
-        j1 = 4 * self.CONFIG.lacunary.j0
-        window = self.CONFIG.lacunary.a ** (-(j1 + 1.0))
-        full = lr_numerator(self.CONFIG, 4.0)
-        coarse = lr_numerator(self.CONFIG, 4.0, min_scale=window / 2.0)
-        assert coarse < full
-
-    def test_rejects_floor_outside_window(self):
-        j1 = 4 * self.CONFIG.lacunary.j0
-        window = self.CONFIG.lacunary.a ** (-(j1 + 1.0))
-        with pytest.raises(BadRange):
-            lr_numerator(self.CONFIG, 4.0, min_scale=window * 2.0)
-
-
 class TestHilbertNorms:
     def test_quadratic_norm_closed_form(self):
         assert hilbert_inner_norm(2.0) == pytest.approx(

@@ -185,7 +185,8 @@ class TestQVariationExamples:
         assert cert.subsequence == ()
 
     def test_value_only_variant_agrees(self, rng):
-        # the candidate rule's value against the plain row recurrence
+        # the witness DP (qvariation_value) against the row kernel
+        # (qvariation_rows), bit for bit
         for _ in range(50):
             v = rng.uniform(-3, 3, int(rng.integers(2, 30)))
             for q in (1.0, 2.0, 3.5):

@@ -15,6 +15,7 @@ from varlat import (
     LacunaryParams,
     NoAdmissibleBase,
     TruncationTooShallow,
+    certified_key_table,
     delta_halving_radius,
     heat_apply,
     heat_of_g_matrix,
@@ -293,6 +294,14 @@ class TestKeyEstimateTable:
     def test_certified_constant_against_mpmath(self, a, want):
         table = key_estimate_table(a, K_MIN, DEFAULT_J_WINDOW[1])
         assert abs(min(table[DEFAULT_J_WINDOW[0] :]) - want) <= 5e-16
+
+    @pytest.mark.parametrize("j0, j_max", [(2, 30), (5, 12), (9, 4)])
+    def test_certified_table_reaches_j0(self, j0, j_max):
+        # the table runs to max(j_max, j0), so a j_max below j0 still
+        # certifies D_j0; the constant is the table's minimum from j0 on
+        table, constant = certified_key_table(A, K_MIN, j0, j_max)
+        assert table == key_estimate_table(A, K_MIN, max(j_max, j0))
+        assert constant == min(table[j0:])
 
     @pytest.mark.parametrize("a, k_min", [(8.0, -400), (2.0, -1100)])
     def test_zero_width_cells_against_two_evaluations(self, a, k_min):
