@@ -9,7 +9,8 @@ configuration or input errors.
 
 Parameter precedence, highest first: explicit flags, then a key=value config
 file, then the parameter cache named by VARLAT_CACHE, then built-in
-defaults (the default r-list depends on the subcommand).
+defaults (the default r-list depends on the subcommand).  One parser reads
+all three sources, and every subcommand takes every key.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .corefn import MIN_FIT_POINTS, GrowthFit, fit_power_law
-from .errors import BadRange, EmptyInput, TruncationTooShallow, VarlatError
+from .errors import BadRange, EmptyInput, VarlatError
 from .experiments import (
     DEFAULT_BASE,
     DEFAULT_J0,
@@ -120,18 +121,17 @@ _CACHE_ENV = "VARLAT_CACHE"
 
 class _Param(NamedTuple):
     """One configuration key: the type of its value (of each entry, for a
-    list key), its built-in default, its flag's help text and the one
-    subcommand its flag is limited to, if any."""
+    list key), its built-in default and its flag's help text."""
 
     kind: type
     default: object
     help: str | None = None
-    only: str | None = None
 
 
-#: Every key a flag or a config file sets, in --help order.  A default the
-#: library states is read from the library.  None marks the one value filled
-#: in from j0 (j1_list).  A command may override the r-list default.
+#: Every key a flag, a config file or the parameter cache sets, in --help
+#: order; every subcommand takes every key.  A default the library states is
+#: read from the library.  None marks the one value filled in from j0
+#: (j1_list).  A command may override the r-list default.
 _PARAMS: dict[str, _Param] = {
     "p": _Param(float, ExperimentConfig.p),
     "q": _Param(float, ExperimentConfig.q),
@@ -144,8 +144,8 @@ _PARAMS: dict[str, _Param] = {
     "seed": _Param(int, 0),
     "out": _Param(str, "."),
     "nodes": _Param(int, inspect.signature(exp_reduction_constant).parameters["quad_nodes"].default),
-    "trials": _Param(int, 100, only="norm-transfer"),
-    "j_max": _Param(int, DEFAULT_J_WINDOW[1], only="key-estimate"),
+    "trials": _Param(int, 100),
+    "j_max": _Param(int, DEFAULT_J_WINDOW[1]),
 }
 
 
@@ -157,34 +157,31 @@ def _parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         sub.add_argument("--config", help="key=value file, one pair per line")
         for key, param in _PARAMS.items():
-            if param.only in (None, name):
-                sub.add_argument("--" + key.replace("_", "-"), help=param.help)
+            sub.add_argument("--" + key.replace("_", "-"), help=param.help)
         if name == "variation":
             sub.add_argument("--values", required=True, help="file of comma/space separated values")
     return top
 
 
-def _converted(kind: type, tokens: Sequence[str], where: str) -> list:
-    try:
-        return [kind(tok) for tok in tokens]
-    except ValueError as exc:
-        raise BadRange(f"{where}: {exc}") from None
-
-
 def _parse_value(key: str, raw: str, where: str):
-    """Convert one raw flag or config value to its key's type."""
+    """Convert one raw value, from any source, to its key's type."""
     param = _PARAMS.get(key)
     if param is None:
         raise BadRange(f"{where}: unknown configuration key {key!r}")
-    if not key.endswith("_list"):
-        return _converted(param.kind, [raw], where)[0]
-    values = tuple(_converted(param.kind, [tok for tok in raw.split(",") if tok], where))
+    is_list = key.endswith("_list")
+    tokens = [tok for tok in raw.split(",") if tok] if is_list else [raw]
+    try:
+        values = tuple(param.kind(tok) for tok in tokens)
+    except ValueError as exc:
+        raise BadRange(f"{where}: {exc}") from None
     if not values:
         raise BadRange(f"{where}: {key} is empty")
-    return values
+    return values if is_list else values[0]
 
 
-def _cache_overlay(resolved: dict) -> None:
+def _cache_values() -> Iterator[tuple[str, str, str]]:
+    """The witness fields of the VARLAT_CACHE record, each as its JSON text,
+    so that a cached value parses as the same flag value would."""
     path = os.environ.get(_CACHE_ENV)
     if not path or not os.path.exists(path):
         return
@@ -195,18 +192,15 @@ def _cache_overlay(resolved: dict) -> None:
             raise BadRange(f"{_CACHE_ENV} file {path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise BadRange(f"{_CACHE_ENV} file {path}: expected a JSON object")
-    for src, dst, kinds in (("a", "a", (int, float)), ("k_min", "kmin", int), ("j0", "j0", int)):
-        if src not in data:
-            continue
-        value = data[src]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            noun = "an integer" if kinds is int else "a number"
-            raise BadRange(f"{_CACHE_ENV} file {path}: {src} must be {noun}, got {value!r}")
-        resolved[dst] = value
+    for name, key in (("a", "a"), ("k_min", "kmin"), ("j0", "j0")):
+        if name in data:
+            yield key, json.dumps(data[name]), f"{_CACHE_ENV} file {path}: {name}"
 
 
 def _raw_values(args: argparse.Namespace) -> Iterator[tuple[str, str, str]]:
-    """(key, raw value, where it came from): config file lines, then flags."""
+    """(key, raw value, where it came from), lowest precedence first: the
+    parameter cache, then config file lines, then flags."""
+    yield from _cache_values()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -226,7 +220,6 @@ def _raw_values(args: argparse.Namespace) -> Iterator[tuple[str, str, str]]:
 def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     """Layer the parameter sources and reject values no run can use."""
     resolved = {**{key: param.default for key, param in _PARAMS.items()}, **command.defaults}
-    _cache_overlay(resolved)
     for key, raw, where in _raw_values(args):
         resolved[key] = _parse_value(key, raw, where)
     resolved["values"] = getattr(args, "values", None)  # the variation input file
@@ -246,11 +239,13 @@ def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     return resolved
 
 
-def _experiment_config(resolved: dict) -> ExperimentConfig:
-    # every value already has its table type; only a cached base may be an int
-    a, k_min, j0 = float(resolved["a"]), resolved["kmin"], resolved["j0"]
-    _, constant = certified_key_table(a, k_min, j0, resolved["j_max"])
-    lac = LacunaryParams(a=a, k_min=k_min, j0=j0, key_constant=constant)
+def _experiment_config(resolved: dict, key_constant: float | None = None) -> ExperimentConfig:
+    """The run's configuration; its key constant is certified here unless the
+    caller already holds it."""
+    a, k_min, j0 = resolved["a"], resolved["kmin"], resolved["j0"]
+    if key_constant is None:
+        _, key_constant = certified_key_table(a, k_min, j0, resolved["j_max"])
+    lac = LacunaryParams(a=a, k_min=k_min, j0=j0, key_constant=key_constant)
     grid = GridSpec(resolved["log_per_decade"])
     return ExperimentConfig(
         p=resolved["p"], q=resolved["q"], lacunary=lac, grid=grid, r_list=resolved["r_list"]
@@ -442,16 +437,9 @@ def _reduction_constant(resolved: dict) -> Outcome:
 
 def _key_estimate(resolved: dict) -> Outcome:
     # the certified constant is this subcommand's output, not its input: an
-    # inadmissible truncation is a reportable FAIL here, not a usage error
-    try:
-        config = _experiment_config(resolved)
-    except TruncationTooShallow as exc:
-        return Outcome(
-            False,
-            extras={"a": resolved["a"], "j0": resolved["j0"], "reason": str(exc)},
-            csv=("j,D_j", []),
-        )
-    result = exp_key_estimate(config, resolved["j_max"])
+    # inadmissible truncation is a reportable FAIL here, and leaves no config
+    result = exp_key_estimate(resolved["a"], resolved["kmin"], resolved["j0"], resolved["j_max"])
+    config = _experiment_config(resolved, result.certified_c) if result.table else None
     return Outcome(
         result.passed,
         extras={"a": result.a, "j0": result.j0, "reason": result.reason},

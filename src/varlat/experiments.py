@@ -47,6 +47,7 @@ from .corefn import (
 )
 from .errors import (
     BadRange,
+    FloatRangeExceeded,
     InvalidQ,
     LengthMismatch,
     NonFiniteValue,
@@ -100,7 +101,6 @@ __all__ = [
 
 # desk-scale caps; beyond these the runs stop being interactive
 MAX_POWER_EXPONENT = 64.0
-MAX_J1_FACTOR = 256
 MAX_GRID_POINTS = 200_000
 
 # pass thresholds, fixed by the acceptance contract
@@ -192,7 +192,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """One experiment row: parameter, the two norms, their ratio, wall time."""
+    """One experiment row: parameter, the two norms, their ratio, wall time.
+    Both norms must be finite and positive."""
 
     param: float
     numerator: float
@@ -200,12 +201,10 @@ class RatioReport:
     ratio: float
     seconds: float
 
-
-def _make_report(param: float, numerator: float, denominator: float, seconds: float) -> RatioReport:
-    for name, value in (("numerator", numerator), ("denominator", denominator)):
-        if not math.isfinite(value) or value <= 0:
-            raise NonFiniteValue(f"{name} must be finite and positive, got {value}")
-    return RatioReport(float(param), numerator, denominator, numerator / denominator, seconds)
+    def __post_init__(self) -> None:
+        for name, value in (("numerator", self.numerator), ("denominator", self.denominator)):
+            if not math.isfinite(value) or value <= 0:
+                raise NonFiniteValue(f"{name} must be finite and positive, got {value}")
 
 
 def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], GrowthFit | None]:
@@ -217,7 +216,8 @@ def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], Gro
     for param in params:
         t0 = time.perf_counter()
         shown, numerator, denominator = row(param)
-        reports.append(_make_report(shown, numerator, denominator, time.perf_counter() - t0))
+        seconds = time.perf_counter() - t0
+        reports.append(RatioReport(float(shown), numerator, denominator, numerator / denominator, seconds))
     fit = None
     if len(reports) >= MIN_FIT_POINTS:
         fit = fit_power_law([rep.param for rep in reports], [rep.ratio for rep in reports])
@@ -304,24 +304,24 @@ def exp_reduction_constant(quad_nodes: int = 2048) -> float:
 # key estimate
 
 
-def exp_key_estimate(config: ExperimentConfig, j_max: int = DEFAULT_J_WINDOW[1]) -> KeyEstimateResult:
-    """Tabulate D_j at the origin and certify its minimum over [j0, j_max].
+def exp_key_estimate(a: float, k_min: int, j0: int, j_max: int = DEFAULT_J_WINDOW[1]) -> KeyEstimateResult:
+    """Tabulate D_j at the origin for the witness (a, k_min) and certify its
+    minimum over [j0, j_max].
 
     A base whose truncation cannot support the table (tail pollution above
     tolerance) is reported as a failure rather than raised: the experiment's
     job is to say whether the configuration certifies, and such a base does
     not.
     """
-    lac = config.lacunary
-    if j_max < lac.j0:
+    if j_max < j0:
         raise BadRange("j_max must reach at least j0")
     try:
-        table, certified = certified_key_table(lac.a, lac.k_min, lac.j0, j_max)
+        table, certified = certified_key_table(a, k_min, j0, j_max)
     except TruncationTooShallow as exc:
-        return KeyEstimateResult(lac.a, lac.j0, (), 0.0, False, reason=str(exc))
+        return KeyEstimateResult(a, j0, (), 0.0, False, reason=str(exc))
     passed = certified >= KEY_THRESHOLD
     reason = "" if passed else f"certified constant {certified:.3e} below {KEY_THRESHOLD:.0e}"
-    return KeyEstimateResult(lac.a, lac.j0, table, certified, passed, reason)
+    return KeyEstimateResult(a, j0, table, certified, passed, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +340,18 @@ def _profile_bundle(config: ExperimentConfig, j1: int) -> tuple[np.ndarray, ...]
     lac = config.lacunary
     if j1 <= lac.j0:
         raise BadRange("deepest scale index must exceed j0")
-    if j1 > MAX_J1_FACTOR * lac.j0:
-        raise BadRange(f"j1 capped at {MAX_J1_FACTOR} * j0")
     _require_admissible(lac.a, lac.k_min, j1)
     window = lac.a ** (-(j1 + 1.0))
     floor = lac.a ** (-(j1 + 4.0))
+    if not floor > 0.0:
+        raise FloatRangeExceeded(f"a^-{j1 + 4} underflows to 0 for a={lac.a}")
 
     # the ladder is spaced over [floor, top] and then cut after its first
     # point past the window; that guard point gives the outermost core point
     # its half gap outward, so the quadrature resolves the drop to zero there
     top = max(0.1, window * lac.a ** 2)
-    decades = math.log10(top / floor)
+    # in logs: near the deepest j1 the floor is subnormal and top / floor overflows
+    decades = math.log10(top) - math.log10(floor)
     # an int past the double range cannot meet a float; 2^1000 points per
     # decade already exceed the cap, as the ladder spans over 1e-16 decades
     n_log = max(8, math.ceil(decades * min(config.grid.log_points_per_decade, 2**1000)))
@@ -485,7 +486,8 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ma
 
     variation, fit = _rows(depths, row)
     reports = tuple(
-        _make_report(v.param, num, v.denominator, v.seconds) for v, num in zip(variation, max_numerators)
+        RatioReport(v.param, num, v.denominator, num / v.denominator, v.seconds)
+        for v, num in zip(variation, max_numerators)
     )
     pairs = tuple(ContrastPair(j1, v.ratio, m.ratio) for j1, v, m in zip(depths, variation, reports))
     max_ratios = [pair.maximal_ratio for pair in pairs]

@@ -216,6 +216,19 @@ class TestKeyEstimateCommand:
         assert run(["key-estimate", *flags, "--out", str(tmp_path)]) == 0
         assert "pass=True" in capsys.readouterr().out
 
+    def test_builds_one_key_table(self, tmp_path, monkeypatch):
+        calls = []
+        original = witnesses.key_estimate_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(witnesses, "key_estimate_table", counting)
+        default_lacunary.cache_clear()
+        assert run(["key-estimate", "--out", str(tmp_path)]) == 0
+        assert calls == [(2.0, -120, 30)]
+
 
 class TestConfigLayers:
     def test_config_file_sets_q(self, tmp_path, capsys):
@@ -245,6 +258,30 @@ class TestConfigLayers:
         assert run(["key-estimate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "key-estimate.csv").read_text().strip().splitlines()
         assert len(lines) == 7
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("reduction-constant", []),
+            ("key-estimate", []),
+            ("linf-blowup", ["--j1-list", "6,10,18"]),
+            ("maximal-contrast", ["--j1-list", "6,10,18"]),
+            ("lr-growth", ["--r-list", "4,8,16"]),
+            ("hilbert-growth", []),
+            ("norm-transfer", ["--trials", "2"]),
+        ],
+    )
+    def test_j_max_flag_and_config_line_agree(self, tmp_path, name, flags):
+        # the window of the certified constant, set either way, on every command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("j_max = 3\n")
+        by_flag = run([name, *flags, "--j-max", "3", "--out", str(tmp_path / "flag")])
+        by_config = run([name, *flags, "--config", str(cfg), "--out", str(tmp_path / "config")])
+        assert by_flag == by_config
+        flag, config = (_read_json(tmp_path / out / f"{name}.json") for out in ("flag", "config"))
+        assert flag["config"] == config["config"] and flag["config"]["j_max"] == 3
+        assert flag["certified_C"] == config["certified_C"]
+        assert flag["certified_C"] == min(witnesses.key_estimate_table(2.0, -120, 3)[2:])
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -325,6 +362,16 @@ class TestParameterCache:
         assert run(["key-estimate", "--a", "1.000000001", "--out", str(tmp_path / "f")]) == 1
         assert cache.read_bytes() == written
 
+    def test_integer_base_reads_as_the_flag_would(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"a": 3, "k_min": -300, "j0": 2}))
+        monkeypatch.setenv("VARLAT_CACHE", str(cache))
+        assert run(["reduction-constant", "--out", str(tmp_path / "cached")]) == 0
+        assert run(["reduction-constant", "--a", "3", "--kmin", "-300", "--out", str(tmp_path / "flag")]) == 0
+        cached, flag = (_read_json(tmp_path / out / "reduction-constant.json") for out in ("cached", "flag"))
+        assert type(cached["config"]["a"]) is float
+        assert cached["config"] == flag["config"]
+
     def test_flag_beats_cache(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "cache.json"
         cache.write_text(json.dumps({"a": 4.0, "k_min": -120, "j0": 2}))
@@ -400,6 +447,9 @@ class TestMalformedInput:
             (["lr-growth"], "p = x\n", None),
             (["lr-growth"], None, "{not json"),
             (["lr-growth"], None, '{"a": "two"}'),
+            (["lr-growth"], None, '{"k_min": 3.5}'),
+            (["lr-growth"], None, '{"j0": true}'),
+            (["lr-growth"], None, '{"a": null}'),
             (["lr-growth", "--a", "0"], None, None),
             (["lr-growth", "--a", "-2"], None, None),
             (["lr-growth", "--a", "1"], None, None),
@@ -421,6 +471,9 @@ class TestMalformedInput:
             "config-value",
             "cache-json",
             "cache-value",
+            "cache-float-kmin",
+            "cache-bool-j0",
+            "cache-null-base",
             "zero-base",
             "negative-base",
             "unit-base",

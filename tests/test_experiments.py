@@ -10,10 +10,13 @@ from varlat import (
     HILBERT_R_LIST,
     BadRange,
     ExperimentConfig,
+    FloatRangeExceeded,
     GridSpec,
     InvalidQ,
     LacunaryParams,
+    NonFiniteValue,
     OperatorFamily,
+    RatioReport,
     default_lacunary,
     exp_hilbert_growth,
     exp_key_estimate,
@@ -39,7 +42,7 @@ from varlat import (
     unit_indicator,
     variation_profile,
 )
-from varlat.experiments import _lr_depth
+from varlat.experiments import DEFAULT_BASE, DEFAULT_J0, DEFAULT_K_MIN, _lr_depth
 
 CERTIFIED_BASE2 = 0.0173073522282
 
@@ -95,32 +98,37 @@ class TestReduction:
             exp_reduction_constant(10**12)
 
 
+class TestRatioReport:
+    @pytest.mark.parametrize("denominator", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+    def test_rejects_a_bad_denominator(self, denominator):
+        with pytest.raises(NonFiniteValue, match="denominator must be finite and positive"):
+            RatioReport(4.0, 1.0, denominator, math.inf, 0.0)
+
+
 class TestKeyEstimateExperiment:
     def test_default_configuration_passes(self):
-        res = exp_key_estimate(ExperimentConfig())
+        res = exp_key_estimate(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0)
         assert res.passed
         assert res.reason == ""
         assert res.certified_c == pytest.approx(CERTIFIED_BASE2, abs=1e-10)
         assert len(res.table) == 31
 
     def test_shallow_truncation_reported_not_raised(self):
-        lac = LacunaryParams(a=1.000000001, k_min=-120, j0=2, key_constant=1.0)
-        res = exp_key_estimate(ExperimentConfig(lacunary=lac))
+        res = exp_key_estimate(1.000000001, -120, 2)
         assert not res.passed
         assert res.certified_c == 0.0
         assert res.table == ()
         assert "tail" in res.reason
 
     def test_subthreshold_constant_reported(self):
-        lac = LacunaryParams(a=1.3, k_min=-400, j0=2, key_constant=1.0)
-        res = exp_key_estimate(ExperimentConfig(lacunary=lac))
+        res = exp_key_estimate(1.3, -400, 2)
         assert not res.passed
         assert 0 < res.certified_c < 1e-4
         assert "below" in res.reason
 
     def test_rejects_window_short_of_j0(self):
         with pytest.raises(BadRange):
-            exp_key_estimate(ExperimentConfig(), j_max=1)
+            exp_key_estimate(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, j_max=1)
 
 
 class TestBlowupSmallRuns:
@@ -162,6 +170,20 @@ class TestBlowupSmallRuns:
         for j1 in self.DEPTHS:
             experiments._profile_bundle(self.CONFIG, j1)
         assert len(calls) == len(self.DEPTHS)
+
+    @pytest.mark.parametrize("a, deepest", [(2.0, 1022), (3.0, 644), (8.0, 340)])
+    def test_depth_reaches_the_double_range(self, a, deepest):
+        # at j0 = 2, j1 = 1022 is 511 * j0: the depth is bounded only by a^-j
+        # staying a normal double, and past it by the ladder floor a^-(j1+4)
+        # staying above 0, so each refusal is a FloatRangeExceeded
+        lac = LacunaryParams(a, -1200, 2, CERTIFIED_BASE2)
+        config = replace(self.CONFIG, lacunary=lac)
+        res = exp_linf_blowup(config, (6, deepest))
+        assert [rep.param for rep in res.reports] == [4.0, deepest - 2.0]
+        assert res.reports[1].ratio > res.reports[0].ratio
+        for j1 in (deepest + 1, 1100):
+            with pytest.raises(FloatRangeExceeded):
+                experiments._profile_bundle(config, j1)
 
     def test_bundle_profiles_match_standalone_profiles(self):
         lac = self.CONFIG.lacunary
