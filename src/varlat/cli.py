@@ -230,6 +230,8 @@ def _resolve(args: argparse.Namespace, command: "Command") -> dict:
         raise BadRange(f"trials must be at least 1, got {resolved['trials']}")
     if resolved["seed"] < 0:
         raise BadRange(f"seed must be nonnegative, got {resolved['seed']}")
+    if resolved["j_max"] < resolved["j0"]:
+        raise BadRange(f"--j-max {resolved['j_max']} must reach at least --j0 {resolved['j0']}")
     if command.fit_over is not None and len(resolved[command.fit_over]) < MIN_FIT_POINTS:
         flag = "--" + command.fit_over.replace("_", "-")
         raise BadRange(
@@ -449,10 +451,10 @@ def _key_estimate(resolved: dict) -> Outcome:
 
 
 def _key_summary(outcome: Outcome) -> str:
-    a = outcome.extras["a"]
+    a = _fmt(outcome.extras["a"])  # the base as run: :g would print 1.000000001 as 1
     if outcome.config is None:
-        return f"key-estimate: a={a:g} C=n/a pass=False ({outcome.extras['reason']})"
-    return f"key-estimate: a={a:g} C={outcome.config.lacunary.key_constant:.6g} pass={outcome.passed}"
+        return f"key-estimate: a={a} C=n/a pass=False ({outcome.extras['reason']})"
+    return f"key-estimate: a={a} C={outcome.config.lacunary.key_constant:.6g} pass={outcome.passed}"
 
 
 def _linf_blowup(resolved: dict) -> Outcome:

@@ -9,13 +9,11 @@ exhaustive search over all subsequences backs it up for short inputs.  At
 q = 1 the value is the total variation, a closed form.
 
 Operator-family profiles need only the value, once per row of a family
-matrix, so they go through :func:`qvariation_rows`.  At q > 1 it runs the
-same candidate rule on all rows at once, without cutting rows to their
-turning points: the candidate links come from whole-array passes, the
-chains are walked one entry per round for every row and column together,
-and only the last step, one gather, add and max per column, loops over
-columns.  Its values equal those of the plain O(m^2) recurrence over every
-predecessor bit for bit; the tests keep that recurrence as the oracle.
+matrix, so they go through :func:`qvariation_rows`, the plain O(m^2)
+recurrence over every predecessor on all rows at once.  The witness
+profiles of the blow-up experiments take :func:`_chain_rows`
+instead, the sum over consecutive entries alone: a lower bound on the
+exact value, and at q = 1 equal to it.
 """
 from __future__ import annotations
 
@@ -82,10 +80,6 @@ _NARROW = 32
 #: The witness DP takes the powers of its narrow columns' gaps in one
 #: :func:`_gap_powers` call once this many are pending.
 _POWER_BATCH = 256
-
-#: The row DP walks its candidate chains in blocks of w columns, w^2 at most
-#: this many times the matrix's columns, and keeps w rounds of each block.
-_ROUNDS_PER_COLUMN = 4
 
 
 @dataclass(frozen=True)
@@ -194,28 +188,25 @@ def _turning_points(v: np.ndarray) -> np.ndarray:
     return idx[np.concatenate(([True], d[:-1] != d[1:], [True]))]
 
 
-def _total_variation(v: np.ndarray) -> np.ndarray:
-    """Sum of the floored |steps| along each row: the q = 1 variation."""
-    return _gap_powers(np.abs(np.diff(v, axis=1)), 1.0).sum(axis=1)
+def _chain_sums(v: np.ndarray, q: float) -> np.ndarray:
+    """Sum of the floored |steps|^q along each row: the variation sum of the
+    consecutive chain, which at q = 1 is the total variation."""
+    return _gap_powers(np.abs(np.diff(v, axis=1)), q).sum(axis=1)
 
 
 def _certified(
     run: Callable[[np.ndarray], tuple[float, Sequence[int]]], v: np.ndarray, q: float
 ) -> VariationCertificate:
-    """The certificate of one sequence from run(w) -> (chain sum, witness).
+    """The certificate of one sequence from run(w) -> (chain sum, witness),
+    with w as :func:`_variation_rows` hands v over, rescaled or rerun."""
+    witness = []
 
-    run sees v as :func:`_rescaled` puts it; when its chain sum overflows,
-    it runs again on v rescaled so that no chain sum can.
-    """
-    (w,), (shift,) = _rescaled(v[None, :], q)
-    total, witness = run(w)
-    if total == math.inf:
-        (w,), (shift,) = _rescaled(v[None, :], q, sums=True)
-        total, witness = run(w)
-        _check_rerun(total, q)
-    if total <= 0.0:
-        return VariationCertificate(0.0, ())
-    return VariationCertificate(float(_scale_back(total ** (1.0 / q), shift, q)), tuple(witness))
+    def sums_of(w: np.ndarray, q: float) -> np.ndarray:
+        total, witness[:] = run(w[0])
+        return np.array([total])
+
+    value = float(_variation_rows(sums_of, v[None, :], q)[0])
+    return VariationCertificate(value, tuple(witness)) if value > 0.0 else VariationCertificate(0.0, ())
 
 
 def _witness_dp(w: list[float], q: float) -> tuple[float, list[int]]:
@@ -369,19 +360,35 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
     return _certified(run, v[kept], q)
 
 
-@np.errstate(over="ignore")
 def qvariation_rows(matrix, q: float) -> np.ndarray:
     """Exact q-variation of every row of a matrix, values only.
 
     At q = 1 this is the total variation of each row, as in
-    :func:`qvariation`.  For q > 1 the chain sums come from the candidate
-    rule of :func:`qvariation`, run on all rows at once by :func:`_row_sums`
-    on the rows as they are, ties, monotone runs and constant stretches
-    included; they equal those of the plain recurrence
-    best[j] = max over all i < j of best[i] + |v_j - v_i|^q bit for bit.
-    The final root is taken on Python floats: numpy's array power can
-    differ from the scalar one in the last ulp.  Rows out of the double
-    range are rescaled as in :func:`qvariation`.
+    :func:`qvariation`.  For q > 1 the chain sums come from the plain
+    recurrence best[j] = max over all i < j of best[i] + |v_j - v_i|^q,
+    run on all rows at once, one column at a time, in O(rows x m^2); its
+    values equal those of :func:`qvariation`'s candidate rule bit for bit.
+    """
+    return _variation_rows(_chain_sums if q == 1.0 else _row_sums, matrix, q)
+
+
+def _chain_rows(matrix, q: float) -> np.ndarray:
+    """The consecutive-chain q-variation of every row,
+    (sum_j |v_(j+1) - v_j|^q)^(1/q), gaps floored as in :func:`qvariation`.
+
+    It is the variation sum of one chain, all of the row, so it is at or
+    below :func:`qvariation_rows`, and equal to it at q = 1.
+    """
+    return _variation_rows(_chain_sums, matrix, q)
+
+
+@np.errstate(over="ignore")
+def _variation_rows(sums_of: Callable[[np.ndarray, float], np.ndarray], matrix, q: float) -> np.ndarray:
+    """(sums_of(rows, q))^(1/q) for every row of a matrix.
+
+    The root is taken on Python floats: numpy's array power can differ from
+    the scalar one in the last ulp.  Rows out of the double range run
+    rescaled as in :func:`qvariation`, and so do rows whose sums overflow.
     """
     if not 1 <= q < math.inf:
         raise InvalidQ("variation exponent must satisfy 1 <= q < inf")
@@ -390,11 +397,11 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
     if n < 2:
         return np.zeros(rows)
     scaled, shifts = _rescaled(v, q)
-    sums = _row_sums(scaled, q)
+    sums = sums_of(scaled, q)
     over = sums == math.inf
     if over.any():
         scaled, shifts[over] = _rescaled(v[over], q, sums=True)
-        sums[over] = _row_sums(scaled, q)
+        sums[over] = sums_of(scaled, q)
         _check_rerun(sums[over], q)
     root = 1.0 / q
     values = [s**root for s in sums.tolist()]
@@ -402,135 +409,15 @@ def qvariation_rows(matrix, q: float) -> np.ndarray:
 
 
 def _row_sums(v: np.ndarray, q: float) -> np.ndarray:
-    """Largest chain sum of each row: the total variation at q = 1, else
-    the candidate rule of :func:`qvariation` run on all rows at once.
-
-    v and -v stand one above the other in a (2, m + 1, rows) array whose
-    row 0 is +inf, addressed flat; one :func:`_previous_greater` pass over
-    it gives the previous strictly greater entry of every entry, and so,
-    from the other half, its previous strictly smaller one.  The chain of
-    position j >= 1 lies in v, or in -v where v steps down into j, so that
-    it climbs into j.  It starts at j - 1 and follows the previous strictly
-    smaller links down to, but not including, the previous strictly greater
-    entry of j.  The candidates depend on the values only, so the DP runs
-    in three steps:
-
-    - links: one :func:`_previous_greater` pass;
-    - chains: walked one entry per round for all rows and columns at once,
-      a chain that has ended holding the first entry after its stop; their
-      gap powers come in one :func:`_gap_powers` call per block of columns;
-    - settle: one gather, add and max per column.
-
-    The columns go in blocks of about sqrt(``_ROUNDS_PER_COLUMN`` * m),
-    each keeping as many rounds as it has columns.  Later rounds can only
-    reach columns settled before the block, and fold into a running
-    maximum as they come; so on a rising sawtooth, where every trough is a
-    candidate of every later peak, the work memory stays O(rows x m).
-
-    The sums are those of best[j] = max over all i < j of
-    best[i] + |v_j - v_i|^q bit for bit, not only in exact arithmetic:
-    rounded addition, subtraction and the q-th power are monotone, so
-    inserting a point outside the range of a step, or moving a step's
-    start to a later equal value, cannot lower a chain's rounded sum; and
-    an entry that is not a candidate, repeated or not, adds no more than
-    the recurrence does for it.
-    """
-    if q == 1.0:
-        return _total_variation(v)
+    """Largest chain sum of each row, for q > 1: best[j] = max over all
+    i < j of best[i] + |v_j - v_i|^q, from 0."""
     rows, m = v.shape
-    half = (m + 1) * rows
-    stacked = np.empty((2, m + 1, rows))
-    stacked[:, 0] = math.inf
-    stacked[0, 1:] = v.T
-    np.negative(stacked[0, 1:], out=stacked[1, 1:])
-    flat = stacked.ravel()
-    greater = _previous_greater(flat, m, rows)
-    smaller = np.empty_like(greater)
-    np.subtract(greater[half:], half, out=smaller[:half])
-    np.add(greater[:half], half, out=smaller[half:])
-    # own[j - 1]: the flat index of position j in the half its chain climbs
-    # in; shift: that half's offset, which takes an entry to its best sum
-    shift = np.empty((m - 1, rows), dtype=np.intp)
-    np.greater(stacked[0, 1:m], stacked[0, 2:], out=shift, casting="unsafe")
-    shift *= half
-    own = np.arange(2 * rows, half).reshape(m - 1, rows)
-    own += shift
-    ends = flat.take(own)
-    # the candidates of position j lie at or after low
-    low = greater.take(own)
-    low += rows
-    best = np.zeros((m + 1, rows))
-    flat_best = best.ravel()
-    width = math.isqrt(_ROUNDS_PER_COLUMN * (m - 1))
-    for start in range(0, m - 1, width):
-        w = min(width, m - 1 - start)
-        cols = slice(start, start + w)
-        # the chain of position j holds at most j entries
-        longest = start + w
-        chain = np.empty((min(w, longest), w, rows), dtype=np.intp)
-        np.subtract(own[cols], rows, out=chain[0])
-        k = 1
-        while k < len(chain):
-            entry = smaller.take(chain[k - 1], out=chain[k])
-            if k + 1 < longest and not np.count_nonzero(entry >= low[cols]):
-                break
-            np.maximum(entry, low[cols], out=entry)
-            k += 1
-        folded = None
-        if k == len(chain) < longest:
-            entry = chain[k - 1]
-            while True:
-                entry = smaller.take(entry)
-                if not np.count_nonzero(entry >= low[cols]):
-                    break
-                np.maximum(entry, low[cols], out=entry)
-                gaps = flat.take(entry)
-                np.subtract(ends[cols], gaps, out=gaps)
-                sums = flat_best.take(entry - shift[cols])
-                sums += _gap_powers(gaps, q)
-                if folded is None:
-                    folded = sums
-                else:
-                    np.maximum(folded, sums, out=folded)
-        index = chain[:k].transpose(1, 0, 2)
-        powers = flat.take(index)
-        np.subtract(ends[cols, None], powers, out=powers)
-        _gap_powers(powers, q)
-        index = index - shift[cols, None]
-        for j in range(start, start + w):
-            top = best[j + 2]
-            sums = flat_best.take(index[j - start])
-            sums += powers[j - start]
-            sums.max(axis=0, out=top)
-            if folded is not None:
-                np.maximum(top, folded[j - start], out=top)
-    return best[m]
-
-
-def _previous_greater(flat: np.ndarray, m: int, rows: int) -> np.ndarray:
-    """For each entry of the (2, m + 1, rows) array behind ``flat``, the
-    flat index of the previous strictly greater entry in its half and
-    column, by binary lifting over window maxima.
-
-    Step k takes an entry's candidate back 2^k rows when the maximum of
-    the 2^k entries ending at it does not exceed the entry; a window
-    reaching row 0 holds its +inf and refuses the step.  Each step builds
-    its window maxima afresh, by k doublings, so that the pass holds two
-    window arrays rather than log2(m).  Row 0's own entries get no meaning.
-    """
-    found = np.arange(-rows, flat.size - rows)
-    steps = np.empty_like(found)
-    for k in reversed(range((m - 1).bit_length())):
-        window = flat
-        for i in range(k):
-            reach = rows << i
-            wider = window.copy()
-            np.maximum(wider[reach:], window[:-reach], out=wider[reach:])
-            window = wider
-        np.less_equal(window.take(found, mode="clip"), flat, out=steps, casting="unsafe")
-        steps *= rows << k
-        found -= steps
-    return found
+    best = np.zeros((rows, m))
+    for j in range(1, m):
+        powers = _gap_powers(np.abs(v[:, j, None] - v[:, :j]), q)
+        powers += best[:, :j]
+        powers.max(axis=1, out=best[:, j])
+    return best.max(axis=1)
 
 
 def qvariation_value(values: Iterable[float], q: float) -> float:
@@ -565,8 +452,7 @@ def _best_combination(v: np.ndarray, q: float) -> tuple[float, tuple[int, ...]]:
     best_combo: tuple[int, ...] = ()
     for k in range(2, n + 1):
         idx = _index_combinations(n, k)
-        gaps = np.abs(np.diff(v[idx], axis=1))
-        sums = _gap_powers(gaps, q).sum(axis=1)
+        sums = _chain_sums(v[idx], q)
         m = int(np.argmax(sums))
         if sums[m] > best_sum:
             best_sum = float(sums[m])
@@ -631,6 +517,9 @@ def vector_variation_field(
     inner_weights: Sequence[float],
 ) -> VectorField:
     """Coordinate-wise variation of a tuple of step functions.
+
+    One :func:`qvariation_rows` call over every coordinate's family matrix,
+    in O(len(fns) x points x |J|^2).
 
     The result keeps the supplied inner norm and weights, so Bochner norms of
     the variation field compare directly against those of the plain field.

@@ -26,6 +26,18 @@ from varlat.corefn import fit_power_law
 from varlat.cli import REPORT_SCHEMA, SUBCOMMANDS, emit_svg_loglog, run
 
 
+#: The seven experiment subcommands, each with flags for a short run.
+EXPERIMENT_COMMANDS = [
+    ("reduction-constant", []),
+    ("key-estimate", []),
+    ("linf-blowup", ["--j1-list", "6,10,18"]),
+    ("maximal-contrast", ["--j1-list", "6,10,18"]),
+    ("lr-growth", ["--r-list", "4,8,16"]),
+    ("hilbert-growth", []),
+    ("norm-transfer", ["--trials", "2"]),
+]
+
+
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -197,6 +209,13 @@ class TestKeyEstimateCommand:
         assert report["certified_C"] == 0.0
         assert "reason" in report["extras"]
 
+    def test_summary_prints_the_base_as_run(self, tmp_path, capsys):
+        # the shortest round-trip form: :g would print a base of 1 here
+        assert run(["key-estimate", "--a", "1.000000001", "--out", str(tmp_path / "fail")]) == 1
+        assert capsys.readouterr().out.startswith("key-estimate: a=1.000000001 C=n/a pass=False (")
+        assert run(["key-estimate", "--out", str(tmp_path / "pass")]) == 0
+        assert capsys.readouterr().out.startswith("key-estimate: a=2.0 C=0.0173074 pass=True")
+
     def test_j_max_flag_controls_table(self, tmp_path):
         assert run(["key-estimate", "--j-max", "5", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "key-estimate.csv").read_text().strip().splitlines()
@@ -259,18 +278,7 @@ class TestConfigLayers:
         lines = (tmp_path / "key-estimate.csv").read_text().strip().splitlines()
         assert len(lines) == 7
 
-    @pytest.mark.parametrize(
-        "name, flags",
-        [
-            ("reduction-constant", []),
-            ("key-estimate", []),
-            ("linf-blowup", ["--j1-list", "6,10,18"]),
-            ("maximal-contrast", ["--j1-list", "6,10,18"]),
-            ("lr-growth", ["--r-list", "4,8,16"]),
-            ("hilbert-growth", []),
-            ("norm-transfer", ["--trials", "2"]),
-        ],
-    )
+    @pytest.mark.parametrize("name, flags", EXPERIMENT_COMMANDS)
     def test_j_max_flag_and_config_line_agree(self, tmp_path, name, flags):
         # the window of the certified constant, set either way, on every command
         cfg = tmp_path / "run.cfg"
@@ -282,6 +290,18 @@ class TestConfigLayers:
         assert flag["config"] == config["config"] and flag["config"]["j_max"] == 3
         assert flag["certified_C"] == config["certified_C"]
         assert flag["certified_C"] == min(witnesses.key_estimate_table(2.0, -120, 3)[2:])
+
+    @pytest.mark.parametrize("window", [["--j-max", "1"], ["--j0", "31"]], ids=["j-max-1", "j0-31"])
+    @pytest.mark.parametrize("name, flags", EXPERIMENT_COMMANDS)
+    def test_j_max_below_j0_exits_2(self, tmp_path, capsys, name, flags, window):
+        # one rule on every command: the window [j0, j_max] of the certified
+        # constant must hold a scale, so a --j0 above the default j_max of
+        # 30 needs a --j-max of its own
+        assert run([name, *flags, *window, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--j-max" in err[0] and "--j0" in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

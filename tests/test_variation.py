@@ -82,27 +82,11 @@ def witness_dp_oracle(values, q):
     return VariationCertificate(math.ldexp(float(best[j_star] ** (1.0 / q)), shift), tuple(chain))
 
 
-def dense_row_sums(v, q):
-    """The plain O(m^2) row recurrence, for q > 1.
-
-    best[j] = max over every i < j of best[i] + |v_j - v_i|^q on all rows
-    at once, one column at a time, with no candidate rule: the value oracle
-    for the row DP behind qvariation_rows.
-    """
-    rows, n = v.shape
-    best = np.zeros((rows, n))
-    for j in range(1, n):
-        gaps = np.abs(v[:, j, None] - v[:, :j])
-        best[:, j] = np.max(best[:, :j] + floored_powers(gaps, q), axis=1)
-    return best.max(axis=1)
-
-
-def dense_qvariation_rows(matrix, q):
-    """qvariation_rows with its row DP swapped for dense_row_sums; the
-    rescaling, the rerun of overflowed rows and the root stay its own."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(variation, "_row_sums", dense_row_sums)
-        return qvariation_rows(matrix, q)
+def assert_rows_match_qvariation(matrix, q):
+    """qvariation_rows equals qvariation's candidate rule, row by row, bit
+    for bit."""
+    got = qvariation_rows(matrix, q)
+    assert got.tolist() == [qvariation(row, q).value for row in np.asarray(matrix)]
 
 
 def rising_sawtooth(m):
@@ -185,7 +169,7 @@ class TestQVariationExamples:
         assert cert.subsequence == ()
 
     def test_value_only_variant_agrees(self, rng):
-        # the witness DP (qvariation_value) against the row kernel
+        # the witness DP (qvariation_value) against the row recurrence
         # (qvariation_rows), bit for bit
         for _ in range(50):
             v = rng.uniform(-3, 3, int(rng.integers(2, 30)))
@@ -241,17 +225,17 @@ class TestQVariationRows:
 
 @pytest.fixture(scope="module")
 def witness_rows():
-    """The heat-matrix rows linf-blowup's numerator sends through
-    qvariation_rows at j1 = 258: one per core point, one column per scale."""
+    """The heat-matrix rows linf-blowup's numerator sends through its chain
+    sums at j1 = 258: one per core point, one column per scale."""
     config = ExperimentConfig(lacunary=replace(default_lacunary(), k_min=-300))
     sent = []
 
     def spy(matrix, q):
         sent.append(np.array(matrix))
-        return qvariation_rows(matrix, q)
+        return variation._chain_rows(matrix, q)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "qvariation_rows", spy)
+        patch.setattr(experiments, "_chain_rows", spy)
         experiments._profile_bundle(config, 258)
     (matrix,) = sent
     return matrix
@@ -264,9 +248,10 @@ ROW_DP_QS = [1.5, 2.0, 3.0, 7.5]
 TIED_VALUES = (-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 2**-52, 3.0)
 
 
-class TestRowDPAgainstDenseRecurrence:
-    """qvariation_rows equals the plain recurrence bit for bit: inserting a
-    point outside a step's range, or moving a step's start to a later equal
+class TestRowsAgainstQVariation:
+    """qvariation_rows, the recurrence over every predecessor, equals
+    qvariation's candidate rule on each row bit for bit: inserting a point
+    outside a step's range, or moving a step's start to a later equal
     value, cannot lower a chain's rounded sum."""
 
     @pytest.mark.parametrize("q", ROW_DP_QS)
@@ -277,8 +262,7 @@ class TestRowDPAgainstDenseRecurrence:
         runs = np.repeat(rng.uniform(-1, 1, (8, m)), 3, axis=1)[:, :m]
         monotone = np.sort(rng.normal(size=(4, m)), axis=1) * [[1.0], [-1.0], [1e-3], [-1e3]]
         constant = np.array([np.zeros(m), np.full(m, -0.25)])
-        matrix = np.concatenate((random, ties, runs, monotone, constant))
-        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+        assert_rows_match_qvariation(np.concatenate((random, ties, runs, monotone, constant)), q)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -288,14 +272,12 @@ class TestRowDPAgainstDenseRecurrence:
         st.sampled_from(ROW_DP_QS),
     )
     def test_small_matrices_of_few_values(self, matrix, q):
-        matrix = np.array(matrix)
-        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+        assert_rows_match_qvariation(matrix, q)
 
     @pytest.mark.parametrize("q", ROW_DP_QS)
     def test_witness_rows_at_depth_258(self, witness_rows, q):
         assert witness_rows.shape == (59, 257)
-        got = qvariation_rows(witness_rows, q)
-        assert np.array_equal(got, dense_qvariation_rows(witness_rows, q))
+        assert_rows_match_qvariation(witness_rows, q)
 
     @pytest.mark.parametrize("q", ROW_DP_QS)
     def test_rows_whose_chain_sums_overflow(self, rng, q):
@@ -308,18 +290,18 @@ class TestRowDPAgainstDenseRecurrence:
         with np.errstate(over="ignore"):
             sums = variation._row_sums(matrix, q)
         assert (sums[:3] == math.inf).all() and np.isfinite(sums[3])
-        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+        assert_rows_match_qvariation(matrix, q)
 
     @pytest.mark.parametrize("q", ROW_DP_QS)
     def test_rising_and_falling_sawtooth_rows(self, rng, q):
         saw = rising_sawtooth(301)
         matrix = np.array([saw, -saw, saw[::-1], saw * 1e-3 + 7.0, saw + rng.normal(0, 0.01, saw.size)])
-        assert np.array_equal(qvariation_rows(matrix, q), dense_qvariation_rows(matrix, q))
+        assert_rows_match_qvariation(matrix, q)
 
     def test_sawtooth_work_memory_stays_linear(self):
-        # the chains of the peaks hold every earlier trough, m / 2 wide; the
-        # candidate arrays, built in column blocks, stay O(rows x m) where
-        # holding every chain at once would take about m / 4 times that
+        # the recurrence takes one column's gaps at a time, so its work
+        # memory stays O(rows x m), where all pairs at once would take about
+        # m / 2 times that
         rows, m = 16, 3000
         matrix = rising_sawtooth(m) * (1.0 + np.arange(rows)[:, None] / rows)
         tracemalloc.start()
@@ -329,7 +311,72 @@ class TestRowDPAgainstDenseRecurrence:
         finally:
             tracemalloc.stop()
         assert peak < 96 * rows * m * 8
-        assert np.array_equal(got, dense_qvariation_rows(matrix, 3.0))
+        assert got.tolist() == [qvariation(row, 3.0).value for row in matrix]
+
+
+class TestChainRows:
+    """The consecutive-chain sums the witness profiles take: a lower bound
+    on the exact variation, equal to it at q = 1."""
+
+    @pytest.mark.parametrize("q", [1.0, *ROW_DP_QS])
+    def test_chain_sum_of_random_rows(self, rng, q):
+        matrix = np.concatenate((rng.uniform(-3, 3, (8, 40)), rng.choice([-1.0, 0.0, 1.0], size=(8, 40))))
+        got = variation._chain_rows(matrix, q)
+        exact = qvariation_rows(matrix, q)
+        for row, value, bound in zip(matrix, got, exact):
+            want = math.fsum(floored_powers(np.abs(np.diff(row)), q).tolist()) ** (1.0 / q)
+            assert value == pytest.approx(want, rel=1e-15)
+            assert value <= bound * (1.0 + 1e-15)
+            if q == 1.0:
+                assert value == bound
+
+    @pytest.mark.parametrize(
+        "a, k_min, depths",
+        [
+            (2.0, -300, (6, 10, 18, 34, 66, 130, 258)),
+            (3.0, -300, (6, 10, 18, 34, 66, 130, 258)),
+            (8.0, -400, (6, 10, 18, 34, 66, 130, 258)),
+        ],
+    )
+    def test_chain_sums_equal_the_exact_variation_on_core_rows(self, a, k_min, depths):
+        # on the lacunary witness every consecutive scale steps by a definite
+        # amount, so the chain of all scales is the optimum: the chain sums,
+        # added pairwise, and qvariation's, added in chain order, agree to
+        # rounding
+        config = ExperimentConfig(lacunary=replace(default_lacunary(), a=a, k_min=k_min))
+        sent = []
+
+        def spy(matrix, q):
+            sent.append(np.array(matrix))
+            return variation._chain_rows(matrix, q)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_chain_rows", spy)
+            for j1 in depths:
+                experiments._profile_bundle(config, j1)
+        assert len(sent) == len(depths)
+        for matrix in sent:
+            chain = variation._chain_rows(matrix, config.q)
+            exact = [qvariation(row, config.q).value for row in matrix]
+            assert min(exact) > 0.0
+            assert np.abs(chain / exact - 1.0).max() <= 2e-15
+
+    def test_q_400_linf_blowup_completes(self, tmp_path, monkeypatch):
+        # 0.02^400 underflows: without the rescale every chain sum would
+        # read 0 and the run would exit 2; it completes, and fails only the
+        # r^2 check of its fit (0.72 against 0.98), as the ratios barely grow
+        argv = ["linf-blowup", "--kmin", "-300", "--j1-list", "6,10,18,34", "--q", "400"]
+        assert run([*argv, "--out", str(tmp_path / "chain")]) == 1
+        monkeypatch.setattr(experiments, "_chain_rows", qvariation_rows)
+        assert run([*argv, "--out", str(tmp_path / "exact")]) == 1
+
+        def numerators(name):
+            lines = (tmp_path / name / "linf-blowup.csv").read_text().splitlines()[1:]
+            return np.array([float(line.split(",")[1]) for line in lines])
+
+        chain, exact = numerators("chain"), numerators("exact")
+        assert np.all(np.isfinite(chain)) and np.all(chain > 0.0)
+        assert np.abs(chain / exact - 1.0).max() <= 2e-15
 
 
 class TestCertificates:
