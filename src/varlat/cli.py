@@ -46,8 +46,8 @@ from .experiments import (
     exp_linf_blowup,
     exp_lr_growth,
     exp_maximal_contrast,
-    exp_norm_transfer,
     exp_reduction_constant,
+    norm_transfer_trials,
 )
 from .variation import qvariation
 from .witnesses import DEFAULT_J_WINDOW, LacunaryParams, certified_key_table
@@ -492,21 +492,14 @@ def _hilbert_growth(resolved: dict) -> Outcome:
 def _norm_transfer(resolved: dict) -> Outcome:
     config = _experiment_config(resolved)
     seed, trials = resolved["seed"], resolved["trials"]
-    reports = []
-    worst = 0.0
-    for trial_seed in range(seed, seed + trials):
-        trial_start = time.perf_counter()
-        result = exp_norm_transfer(trial_seed, p=config.p, q=config.q, r=config.r_list[0])
-        worst = max(worst, result.max_rel_discrepancy)
-        reports.append(
-            RatioReport(
-                float(trial_seed),
-                result.variation_integral,
-                result.variation_sequence,
-                result.variation_integral / result.variation_sequence,
-                time.perf_counter() - trial_start,
-            )
+    rows, seconds = norm_transfer_trials(seed, trials, p=config.p, q=config.q, r=config.r_list[0])
+    reports = [
+        RatioReport(float(trial_seed), integral, sequence, integral / sequence, spent)
+        for trial_seed, (integral, sequence), spent in zip(
+            range(seed, seed + trials), rows[:, 2:4].tolist(), seconds.tolist()
         )
+    ]
+    worst = float(rows[:, 4].max())
     extras = {"trials": trials, "max_rel_discrepancy": worst}
     return Outcome(worst <= TRANSFER_TOLERANCE, reports, extras=extras, config=config)
 

@@ -44,25 +44,20 @@ from .corefn import (
     MIN_FIT_POINTS,
     GrowthFit,
     fit_power_law,
-    integral_norm,
-    make_grid,
-    make_pcf,
-    make_vector_field,
-    bochner_norm,
-    pcf_eval_many,
-    sequence_norm,
     trapezoid_weights,
 )
 from .errors import (
     BadRange,
+    EmptyInput,
     FloatRangeExceeded,
     InvalidQ,
     LengthMismatch,
     NonFiniteValue,
+    NonMonotoneBreakpoints,
+    NonPositiveRadius,
     TruncationTooShallow,
 )
 from .operators import (
-    OperatorFamily,
     _subordination_weight,
     gauss_legendre_integrate,
 )
@@ -70,7 +65,7 @@ from .variation import (
     RadiusSet,
     _chain_rows,
     make_radius_set,
-    vector_variation_field,
+    qvariation_rows,
 )
 from .witnesses import (
     DEFAULT_J_WINDOW,
@@ -104,6 +99,7 @@ __all__ = [
     "exp_hilbert_growth",
     "exp_norm_transfer",
     "norm_transfer_pair",
+    "norm_transfer_trials",
     "hilbert_inner_norm",
 ]
 
@@ -623,6 +619,122 @@ def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
 # norm transfer
 
 
+#: Trials per stacked block of norm-transfer: a run's working memory is that
+#: of one block, whatever its trial count.
+_TRANSFER_BLOCK = 16
+
+
+def _transfer_block(
+    bounds: np.ndarray, coeffs: np.ndarray, widths: np.ndarray, p: float, q: float, r: float, J
+) -> np.ndarray:
+    """Both sides of the norm-transfer identity for a block of simple functions.
+
+    Trial b is f_b(x, k) = coeffs[b, c, k] on the cell [bounds[b, c],
+    bounds[b, c + 1]), with inner widths widths[b, k]: bounds is
+    (trials, cells + 1), coeffs (trials, cells, m) and widths (trials, m).
+    The result has one row per trial, NormTransferResult's five fields.
+
+    Each cell is cut into ceil(length / 0.1) equal pieces with a grid point at
+    each midpoint, weighted by the piece length, so plain norms of single
+    blocks come out exact.  Every trial's points sit in one array with an
+    owner index.  A_t f(x) = (F(x + t) - F(x - t)) / t takes F from the
+    trial's own antiderivative knots by np.interp's formula, one
+    :func:`qvariation_rows` call takes the variation of every row of the
+    block, and each trial's outer p-sum is a sum over its own points.
+    """
+    if coeffs.ndim != 3 or coeffs.shape[:2] != (bounds.shape[0], bounds.shape[1] - 1):
+        raise LengthMismatch("one coefficient row per cell")
+    if coeffs.shape[2] != widths.shape[1]:
+        raise LengthMismatch("one coefficient column per inner width")
+    trials, cells, m = coeffs.shape
+    if cells < 1:
+        raise LengthMismatch("a simple function needs at least one cell")
+    if m < 1:
+        raise EmptyInput("a simple function needs at least one inner coordinate")
+    if not all(np.all(np.isfinite(a)) for a in (bounds, coeffs, widths)):
+        raise NonFiniteValue("cell bounds, coefficients and inner widths must be finite")
+    if np.any(widths <= 0):
+        raise BadRange("inner widths must be positive")
+    lengths = np.diff(bounds, axis=1)
+    if not np.all(lengths > 0):
+        raise NonMonotoneBreakpoints("cell bounds must be strictly increasing")
+    if not r > 1:
+        raise BadRange("inner norm exponent must satisfy r > 1")
+    if not (p == math.inf or p >= 1):
+        raise BadRange("outer exponent must satisfy p >= 1")
+    radii = np.array([float(t) for t in J])
+    if not np.all(radii > 0):
+        raise NonPositiveRadius("averaging radii must be positive")
+
+    # the grid: flat cell index c = trial * cells + cell of each point
+    pieces = np.maximum(1, np.ceil(lengths / 0.1)).astype(np.intp).ravel()
+    step = lengths.ravel() / pieces
+    cell = np.repeat(np.arange(pieces.size), pieces)
+    local = np.arange(cell.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    x = bounds[:, :-1].ravel()[cell] + step[cell] * (local + 0.5)
+    x_w = step[cell]
+    owner = cell // cells
+    if not np.all(np.diff(x)[owner[1:] == owner[:-1]] > 0):
+        raise NonMonotoneBreakpoints("grid points must be strictly increasing")
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+
+    # F on each bracket [knot j, knot j + 1), j = -1 .. cells, as in np.interp:
+    # slope (F(j + 1) - F(j)) / length from the knot's value F(j), and flat
+    # (slope 0) outside the support
+    mass = np.zeros((trials, cells + 1, m))
+    np.cumsum(lengths[:, :, None] * coeffs, axis=1, out=mass[:, 1:])
+    zero = np.zeros((trials, 1, m))
+    slope = np.concatenate((zero, np.diff(mass, axis=1) / lengths[:, :, None], zero), axis=1)
+    knot = np.concatenate((bounds[:, :1], bounds), axis=1)
+    base = np.concatenate((zero, mass), axis=1)
+    at = owner[:, None]
+
+    def antiderivative(y: np.ndarray) -> np.ndarray:
+        # the bracket is the number of the trial's own knots at or below y
+        parts = np.split(y, starts[1:])
+        bracket = np.concatenate(
+            [np.searchsorted(b, v, side="right") for b, v in zip(bounds, parts)]
+        )
+        return slope[at, bracket] * (y - knot[at, bracket])[:, :, None] + base[at, bracket]
+
+    upper = antiderivative(x[:, None] + radii)
+    averages = (upper - antiderivative(x[:, None] - radii)) / radii[:, None]
+    # one row per (point, coordinate), its values along the radii
+    rows = averages.transpose(0, 2, 1).reshape(-1, radii.size)
+    variation = qvariation_rows(rows, q).reshape(-1, m)
+
+    point_widths = widths[owner]
+    point_scale = (widths ** (1.0 / r))[owner]
+
+    def outer(inner: np.ndarray) -> np.ndarray:
+        if p == math.inf:
+            return np.maximum.reduceat(inner, starts)
+        return np.add.reduceat(x_w * inner**p, starts) ** (1.0 / p)
+
+    def norm_pair(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the integral route weighs coordinate k by its width inside ell^r,
+        # the sequence route scales it by width^(1/r) first
+        scaled = values * point_scale
+        if not np.all(np.isfinite(scaled)):
+            raise NonFiniteValue("scaled values leave the double range")
+        integral = (np.abs(values) ** r * point_widths).sum(axis=1) ** (1.0 / r)
+        sequence = (np.abs(scaled) ** r).sum(axis=1) ** (1.0 / r)
+        return outer(integral), outer(sequence)
+
+    def rel_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ref = np.maximum(np.abs(a), np.abs(b))
+        return np.divide(np.abs(a - b), ref, out=np.zeros_like(ref), where=ref != 0.0)
+
+    plain_integral, plain_sequence = norm_pair(coeffs.reshape(-1, m)[cell])
+    variation_integral, variation_sequence = norm_pair(variation)
+    gap = np.maximum(
+        rel_gap(plain_integral, plain_sequence), rel_gap(variation_integral, variation_sequence)
+    )
+    return np.stack(
+        (plain_integral, plain_sequence, variation_integral, variation_sequence, gap), axis=1
+    )
+
+
 def norm_transfer_pair(
     cell_bounds: Sequence[float],
     coefficient_matrix: Sequence[Sequence[float]],
@@ -640,61 +752,63 @@ def norm_transfer_pair(
     and takes plain ell^r.  Both the plain norms and the coordinate-wise
     variation norms must agree up to rounding, on any x grid; the grid used
     here subdivides each cell so plain norms of single blocks come out exact.
+    It is a block of one trial; see :func:`_transfer_block`.
     """
-    bounds = tuple(float(b) for b in cell_bounds)
+    bounds = np.array([float(b) for b in cell_bounds])
     coeffs = np.asarray(coefficient_matrix, dtype=float)
     widths = np.asarray(tuple(inner_widths), dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[0] != len(bounds) - 1:
-        raise LengthMismatch("one coefficient row per cell")
-    if coeffs.shape[1] != widths.size:
-        raise LengthMismatch("one coefficient column per inner width")
-    if np.any(widths <= 0):
-        raise BadRange("inner widths must be positive")
+    row = _transfer_block(bounds[None], coeffs[None], widths[None], p, q, r, J)[0]
+    return NormTransferResult(*row.tolist())
 
-    fns = [make_pcf(bounds, coeffs[:, k]) for k in range(widths.size)]
 
-    pieces = []
-    for left, right in zip(bounds[:-1], bounds[1:]):
-        sub = max(1, int(math.ceil((right - left) / 0.1)))
-        step = (right - left) / sub
-        pieces.append(left + step * (np.arange(sub) + 0.5))
-    x_pts = np.concatenate(pieces)
-    x_w = np.concatenate(
-        [np.full(len(block), (right - left) / len(block))
-         for block, left, right in zip(pieces, bounds[:-1], bounds[1:])]
-    )
-    grid = make_grid(x_pts, x_w)
+def _transfer_draw(seed: int, m: int, n: int) -> tuple[list[float], list[np.ndarray], np.ndarray]:
+    """The random simple function of one norm-transfer trial: its cell
+    bounds, coefficient rows and inner widths, from its own generator."""
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.2, 1.0, m)
+    bounds = [float(rng.uniform(-1.0, 0.0))]
+    coeff_rows = []
+    for block in range(n):
+        bounds.append(bounds[-1] + float(rng.uniform(0.3, 1.0)))
+        coeff_rows.append(rng.uniform(-1.0, 1.0, m))
+        if block != n - 1:
+            bounds.append(bounds[-1] + float(rng.uniform(0.2, 0.6)))
+            coeff_rows.append(np.zeros(m))
+    return bounds, coeff_rows, widths
 
-    plain = np.stack([pcf_eval_many(f, x_pts) for f in fns], axis=1)
-    scale = widths ** (1.0 / r)
-    plain_integral = bochner_norm(
-        make_vector_field(grid, plain, integral_norm(r), widths), p
-    )
-    plain_sequence = bochner_norm(
-        make_vector_field(grid, plain * scale, sequence_norm(r), np.ones_like(widths)), p
-    )
 
-    var_field = vector_variation_field(
-        fns, OperatorFamily.AVERAGES, J, grid, q, integral_norm(r), widths
-    )
-    variation_integral = bochner_norm(var_field, p)
-    variation_sequence = bochner_norm(
-        make_vector_field(
-            grid, var_field.values_array * scale, sequence_norm(r), np.ones_like(widths)
-        ),
-        p,
-    )
+def norm_transfer_trials(
+    seed: int,
+    trials: int,
+    m: int = 3,
+    n: int = 4,
+    p: float = 2.0,
+    q: float = 3.0,
+    r: float = 4.0,
+    J: RadiusSet | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`exp_norm_transfer` at the seeds seed, ..., seed + trials - 1.
 
-    def rel_gap(x: float, y: float) -> float:
-        scale_ref = max(abs(x), abs(y))
-        if scale_ref == 0.0:
-            return 0.0
-        return abs(x - y) / scale_ref
-
-    gap = max(rel_gap(plain_integral, plain_sequence), rel_gap(variation_integral, variation_sequence))
-    return NormTransferResult(
-        plain_integral, plain_sequence, variation_integral, variation_sequence, gap
-    )
+    Returns a (trials, 5) array, NormTransferResult's fields in a row per
+    trial, and each trial's seconds.  Each trial draws from its own
+    generator; the trials run in stacked blocks of _TRANSFER_BLOCK, and a
+    trial's seconds are its block's time divided by the block's trial count.
+    """
+    if m < 1 or n < 1:
+        raise BadRange("need at least one block in each direction")
+    if trials < 1:
+        raise BadRange("need at least one trial")
+    radii = J or make_radius_set((0.25, 0.0625, 0.015625))
+    rows = np.empty((trials, 5))
+    seconds = np.empty(trials)
+    for first in range(0, trials, _TRANSFER_BLOCK):
+        t0 = time.perf_counter()
+        block = slice(first, min(first + _TRANSFER_BLOCK, trials))
+        draws = (_transfer_draw(seed + i, m, n) for i in range(block.start, block.stop))
+        bounds, coeffs, widths = (np.array(part) for part in zip(*draws))
+        rows[block] = _transfer_block(bounds, coeffs, widths, p, q, r, radii)
+        seconds[block] = (time.perf_counter() - t0) / len(bounds)
+    return rows, seconds
 
 
 def exp_norm_transfer(
@@ -713,18 +827,5 @@ def exp_norm_transfer(
     widths.  Equality of each norm pair to 1e-10 relative is the pass
     condition the acceptance run asserts.
     """
-    if m < 1 or n < 1:
-        raise BadRange("need at least one block in each direction")
-    rng = np.random.default_rng(seed)
-    radii = J or make_radius_set((0.25, 0.0625, 0.015625))
-    widths = rng.uniform(0.2, 1.0, m)
-
-    bounds = [float(rng.uniform(-1.0, 0.0))]
-    coeff_rows = []
-    for block in range(n):
-        bounds.append(bounds[-1] + float(rng.uniform(0.3, 1.0)))
-        coeff_rows.append(rng.uniform(-1.0, 1.0, m))
-        if block != n - 1:
-            bounds.append(bounds[-1] + float(rng.uniform(0.2, 0.6)))
-            coeff_rows.append(np.zeros(m))
-    return norm_transfer_pair(bounds, np.asarray(coeff_rows), widths, p, q, r, radii)
+    rows, _ = norm_transfer_trials(seed, 1, m, n, p, q, r, J)
+    return NormTransferResult(*rows[0].tolist())

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 
 import mpmath
 import numpy as np
@@ -14,7 +15,9 @@ from varlat import (
     GridSpec,
     InvalidQ,
     LacunaryParams,
+    LengthMismatch,
     NonFiniteValue,
+    NonMonotoneBreakpoints,
     OperatorFamily,
     RatioReport,
     default_lacunary,
@@ -24,23 +27,30 @@ from varlat import (
     exp_maximal_contrast,
     exp_norm_transfer,
     exp_reduction_constant,
+    bochner_norm,
     heat_of_g_matrix,
     hilbert_apply,
     hilbert_inner_norm,
+    integral_norm,
     lacunary_sign,
     lr_numerator,
     make_grid,
+    make_pcf,
     make_profile,
     make_radius_set,
+    make_vector_field,
     maximal_profile,
     norm_transfer_pair,
+    norm_transfer_trials,
     pcf_eval_many,
     qvariation_rows,
+    sequence_norm,
     sliding_power_sum,
     sliding_sup,
     trapezoid_weights,
     unit_indicator,
     variation_profile,
+    vector_variation_field,
 )
 from varlat.experiments import DEFAULT_BASE, DEFAULT_J0, DEFAULT_K_MIN, _lr_depth
 
@@ -414,7 +424,86 @@ class TestHilbertNorms:
         assert ratios[0] == ratios[1]
 
 
+def transfer_draw(seed: int, m: int = 3, n: int = 4):
+    """exp_norm_transfer's random simple function, drawn as it always was."""
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.2, 1.0, m)
+    bounds = [float(rng.uniform(-1.0, 0.0))]
+    coeff_rows = []
+    for block in range(n):
+        bounds.append(bounds[-1] + float(rng.uniform(0.3, 1.0)))
+        coeff_rows.append(rng.uniform(-1.0, 1.0, m))
+        if block != n - 1:
+            bounds.append(bounds[-1] + float(rng.uniform(0.2, 0.6)))
+            coeff_rows.append(np.zeros(m))
+    return bounds, np.asarray(coeff_rows), widths
+
+
+def composed_norm_transfer(bounds, coeffs, widths, p, q, r, J):
+    """The norm-transfer fields of one simple function, composed trial by
+    trial from step functions, a grid, vector fields and Bochner norms."""
+    fns = [make_pcf(bounds, coeffs[:, k]) for k in range(widths.size)]
+    pieces = []
+    for left, right in zip(bounds[:-1], bounds[1:]):
+        sub = max(1, int(math.ceil((right - left) / 0.1)))
+        pieces.append(left + (right - left) / sub * (np.arange(sub) + 0.5))
+    x_pts = np.concatenate(pieces)
+    x_w = np.concatenate(
+        [np.full(len(block), (right - left) / len(block))
+         for block, left, right in zip(pieces, bounds[:-1], bounds[1:])]
+    )
+    grid = make_grid(x_pts, x_w)
+    plain = np.stack([pcf_eval_many(f, x_pts) for f in fns], axis=1)
+    scale = widths ** (1.0 / r)
+    ones = np.ones_like(widths)
+    var = vector_variation_field(fns, OperatorFamily.AVERAGES, J, grid, q, integral_norm(r), widths)
+    norms = (
+        bochner_norm(make_vector_field(grid, plain, integral_norm(r), widths), p),
+        bochner_norm(make_vector_field(grid, plain * scale, sequence_norm(r), ones), p),
+        bochner_norm(var, p),
+        bochner_norm(make_vector_field(grid, var.values_array * scale, sequence_norm(r), ones), p),
+    )
+    gaps = [abs(a - b) / max(abs(a), abs(b)) for a, b in (norms[:2], norms[2:])]
+    return (*norms, max(gaps))
+
+
 class TestNormTransfer:
+    J = make_radius_set((0.25, 0.0625, 0.015625))
+
+    @pytest.mark.parametrize(
+        "seeds, p, q, r",
+        [(range(300), 2.0, 3.0, 4.0), (range(40), math.inf, 2.5, 1.5), (range(40), 1.0, 6.0, 9.0)],
+    )
+    def test_blocks_match_the_per_trial_composition(self, seeds, p, q, r):
+        rows, _ = norm_transfer_trials(seeds[0], len(seeds), p=p, q=q, r=r)
+        for seed, row in zip(seeds, rows.tolist()):
+            want = composed_norm_transfer(*transfer_draw(seed), p, q, r, self.J)
+            for got, old in zip(row[:4], want[:4]):
+                assert abs(got - old) <= 1e-15 * old
+            # the discrepancy is a relative rounding gap itself
+            assert abs(row[4] - want[4]) <= 1e-15
+
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_multi_block_rows_are_single_trials(self, extra):
+        block = experiments._TRANSFER_BLOCK
+        rows, seconds = norm_transfer_trials(11, 2 * block + extra)
+        for i, row in enumerate(rows.tolist()):
+            assert tuple(row) == astuple(exp_norm_transfer(11 + i))
+        # a trial's seconds are its block's time over the block's trials
+        assert [len(set(seconds[k : k + block])) for k in range(0, len(rows), block)] == [1, 1, 1]
+
+    def test_memory_is_flat_in_trials(self):
+        norm_transfer_trials(0, 20)
+        peaks = []
+        for trials in (100, 1000):
+            tracemalloc.start()
+            try:
+                norm_transfer_trials(3, trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_single_block_closed_form(self):
         # one cell of length 2, one inner coordinate of width 0.7, value 1.5:
         # every route reduces to |v| w^(1/r) L^(1/p)
@@ -455,3 +544,9 @@ class TestNormTransfer:
             norm_transfer_pair((0.0, 1.0), [[1.0]], [0.0], 2.0, 3.0, 4.0, J)
         with pytest.raises(BadRange):
             exp_norm_transfer(0, m=0)
+        with pytest.raises(NonFiniteValue):
+            norm_transfer_pair((0.0, 1.0, 2.0), [[1.0], [math.nan]], [0.5], 2.0, 3.0, 4.0, J)
+        with pytest.raises(NonMonotoneBreakpoints):
+            norm_transfer_pair((0.0, 1.0, 1.0), [[1.0], [2.0]], [0.5], 2.0, 3.0, 4.0, J)
+        with pytest.raises(LengthMismatch):
+            norm_transfer_pair((0.0, 1.0, 2.0), [[1.0]], [0.5], 2.0, 3.0, 4.0, J)
