@@ -2,8 +2,7 @@
 
 The package is organized in layers:
 
-- ``corefn``: step functions, sample grids, mixed norms, sliding-window
-  kernels, and power-law fitting.
+- ``corefn``: step functions, trapezoid weights, and power-law fitting.
 - ``operators``: differential averages, heat smoothing, and a logarithmic
   singular transform acting on step functions.
 - ``variation``: q-variation certificates along decreasing radius sets.

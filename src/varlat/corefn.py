@@ -1,15 +1,13 @@
-"""Piecewise-constant function algebra, sample grids, Bochner-type norms, and
-sliding-window norm kernels.
+"""Piecewise-constant function algebra, trapezoid weights and power-law
+fitting.
 
 Everything in this module is pure: values are immutable after construction and
-all operations are safe to call concurrently.  Each value type holds its data
-once, as read-only float64 arrays (``breakpoints_array``, ``values_array``,
-``points_array``, ``weights_array``, ``inner_weights_array``) copied from the
-caller's input when the ``make_*`` constructor validates it.
+all operations are safe to call concurrently.  A step function holds its data
+once, as read-only float64 arrays (``breakpoints_array``, ``values_array``)
+copied from the caller's input when :func:`make_pcf` validates it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -17,36 +15,21 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
-    BadRange,
     DegenerateInput,
     EmptyInput,
     LengthMismatch,
     NonFiniteValue,
     NonMonotoneBreakpoints,
-    NonPositiveRadius,
 )
 
 __all__ = [
     "PiecewiseConstantFn",
-    "SampleGrid",
-    "ScalarProfile",
-    "InnerNorm",
-    "VectorField",
     "GrowthFit",
     "make_pcf",
     "pcf_eval",
     "pcf_eval_many",
     "pcf_antiderivative_eval_many",
     "trapezoid_weights",
-    "make_grid",
-    "make_profile",
-    "sup_norm",
-    "integral_norm",
-    "sequence_norm",
-    "make_vector_field",
-    "bochner_norm",
-    "sliding_sup",
-    "sliding_power_sum",
     "MIN_FIT_POINTS",
     "fit_power_law",
 ]
@@ -170,22 +153,7 @@ def pcf_antiderivative_eval_many(f: PiecewiseConstantFn, xs: Iterable[float]) ->
 
 
 # ---------------------------------------------------------------------------
-# grids and profiles
-
-
-@dataclass(frozen=True, eq=False)
-class SampleGrid:
-    """Strictly increasing points with nonnegative quadrature weights."""
-
-    points_array: np.ndarray
-    weights_array: np.ndarray
-
-    def __len__(self) -> int:
-        return self.points_array.size
-
-    def __repr__(self) -> str:
-        lo, hi = float(self.points_array[0]), float(self.points_array[-1])
-        return f"SampleGrid(<{len(self)} points on [{lo!r}, {hi!r}]>)"
+# sample points
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -212,190 +180,6 @@ def trapezoid_weights(points: Iterable[float]) -> np.ndarray:
     if pts.size > 2:
         w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
     return w
-
-
-def make_grid(points: Iterable[float], weights: Iterable[float] | None = None) -> SampleGrid:
-    pts = _as_float_array(points, "grid points")
-    if pts.size == 0:
-        raise EmptyInput("a grid needs at least one point")
-    if not np.all(np.diff(pts) > 0):
-        raise NonMonotoneBreakpoints("grid points must be strictly increasing")
-    w = _as_float_array(trapezoid_weights(pts) if weights is None else weights, "grid weights")
-    if w.size != pts.size:
-        raise LengthMismatch("weights must match points in length")
-    if np.any(w < 0):
-        raise BadRange("grid weights must be nonnegative")
-    return SampleGrid(pts, w)
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarProfile:
-    """Values of a derived quantity sampled on a grid."""
-
-    grid: SampleGrid
-    values_array: np.ndarray
-
-    def __repr__(self) -> str:
-        return f"ScalarProfile(<{self.values_array.size} samples>)"
-
-
-def make_profile(grid: SampleGrid, values: Iterable[float]) -> ScalarProfile:
-    vals = _as_float_array(values, "profile values")
-    if vals.size != len(grid):
-        raise LengthMismatch("profile values must match the grid length")
-    return ScalarProfile(grid, vals)
-
-
-# ---------------------------------------------------------------------------
-# lattice norms
-
-
-@dataclass(frozen=True)
-class InnerNorm:
-    """Norm applied in the inner variable of a vector field.
-
-    kind is one of "sup" (weighted essential sup), "integral" (L^r against the
-    inner weights) or "sequence" (plain ell^r, weights ignored).
-    """
-
-    kind: str
-    r: float | None = None
-
-
-def sup_norm() -> InnerNorm:
-    return InnerNorm("sup")
-
-
-def integral_norm(r: float) -> InnerNorm:
-    if not r > 1:
-        raise BadRange("integral norm exponent must satisfy r > 1")
-    return InnerNorm("integral", float(r))
-
-
-def sequence_norm(r: float) -> InnerNorm:
-    if not r > 1:
-        raise BadRange("sequence norm exponent must satisfy r > 1")
-    return InnerNorm("sequence", float(r))
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """A function on (x grid) x (inner index), with its inner norm attached.
-
-    inner_weights carry the measures of the inner cells; the "sequence" norm
-    ignores them, the "sup" norm only uses them to skip zero-measure indices.
-    """
-
-    x_grid: SampleGrid
-    values_array: np.ndarray
-    inner_norm: InnerNorm
-    inner_weights_array: np.ndarray
-
-    @property
-    def inner_dim(self) -> int:
-        return self.inner_weights_array.size
-
-    def __repr__(self) -> str:
-        return (
-            f"VectorField(<{len(self.x_grid)} x {self.inner_dim}>, "
-            f"inner_norm={self.inner_norm!r})"
-        )
-
-
-def make_vector_field(
-    x_grid: SampleGrid,
-    values: Iterable[Iterable[float]],
-    inner_norm: InnerNorm,
-    inner_weights: Iterable[float],
-) -> VectorField:
-    mat = _as_float_array(values, "vector field values", ndim=2)
-    w = _as_float_array(inner_weights, "inner weights")
-    if np.any(w < 0):
-        raise BadRange("inner weights must be nonnegative")
-    if mat.shape != (len(x_grid), w.size):
-        raise LengthMismatch(
-            f"value matrix {mat.shape} does not match grid {len(x_grid)} x weights {w.size}"
-        )
-    return VectorField(x_grid, mat, inner_norm, w)
-
-
-def _inner_norms(field: VectorField) -> np.ndarray:
-    mat = np.abs(field.values_array)
-    norm = field.inner_norm
-    if norm.kind == "sup":
-        mask = field.inner_weights_array > 0
-        if not np.any(mask):
-            return np.zeros(mat.shape[0])
-        return mat[:, mask].max(axis=1)
-    if norm.kind == "integral":
-        return (mat**norm.r @ field.inner_weights_array) ** (1.0 / norm.r)
-    if norm.kind == "sequence":
-        return (mat**norm.r).sum(axis=1) ** (1.0 / norm.r)
-    raise BadRange(f"unknown inner norm kind {norm.kind!r}")
-
-
-def bochner_norm(field: VectorField, p: float) -> float:
-    """The mixed norm: p-integral over the x grid of the inner lattice norm.
-
-    ``p = math.inf`` takes the sup over grid points instead.
-    """
-    if not (p == math.inf or p >= 1):
-        raise BadRange("outer exponent must satisfy p >= 1")
-    inner = _inner_norms(field)
-    if p == math.inf:
-        return float(inner.max()) if inner.size else 0.0
-    return float((field.x_grid.weights_array @ inner**p) ** (1.0 / p))
-
-
-# ---------------------------------------------------------------------------
-# sliding-window kernels
-
-
-def sliding_sup(profile: ScalarProfile, radius: float) -> ScalarProfile:
-    """x -> max of the profile over grid points within ``radius`` of x.
-
-    The window of each grid point is an index range found by searchsorted.
-    A window of length L, with 2^k <= L < 2^(k+1), is the union of two
-    (possibly overlapping) blocks of 2^k values, so after k doubling steps
-    of block maxima every window at level k is one vectorized lookup.
-    O(n log w) time for the widest window of w points, O(n) memory.
-    """
-    if not radius > 0:
-        raise NonPositiveRadius("window radius must be positive")
-    pts = profile.grid.points_array
-    vals = profile.values_array
-    lo = np.searchsorted(pts, pts - radius, side="left")
-    hi = np.searchsorted(pts, pts + radius, side="right")
-    # every window holds its own point, so its length is at least 1
-    level = np.frexp(hi - lo)[1] - 1
-    out = np.empty(pts.size)
-    blocks = vals.copy()  # blocks[j]: max of vals[j : j + 2^k], cut at the end
-    for k, windows in enumerate(np.bincount(level).tolist()):
-        if k:
-            half = 1 << (k - 1)
-            np.maximum(blocks[:-half], blocks[half:], out=blocks[:-half])
-        if windows:
-            at = np.flatnonzero(level == k)
-            out[at] = np.maximum(blocks[lo[at]], blocks[hi[at] - (1 << k)])
-    return make_profile(profile.grid, out)
-
-
-def sliding_power_sum(profile: ScalarProfile, radius: float, r: float) -> ScalarProfile:
-    """x -> (sum of w |v|^r over grid points within ``radius`` of x)^(1/r).
-
-    Prefix sums of w |v|^r make the whole profile one vectorized pass.
-    """
-    if not radius > 0:
-        raise NonPositiveRadius("window radius must be positive")
-    if not r >= 1:
-        raise BadRange("power-sum exponent must satisfy r >= 1")
-    pts = profile.grid.points_array
-    contrib = profile.grid.weights_array * np.abs(profile.values_array) ** r
-    prefix = np.concatenate(([0.0], np.cumsum(contrib)))
-    lo = np.searchsorted(pts, pts - radius, side="left")
-    hi = np.searchsorted(pts, pts + radius, side="right")
-    out = (prefix[hi] - prefix[lo]) ** (1.0 / r)
-    return make_profile(profile.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ def _window_norm(points, weights, values, p: float, r: float | None = None) -> f
     """
 
     def value(v: np.ndarray, w: np.ndarray) -> float:
-        # a sequential sum, so at x = 0 it equals sliding_power_sum's prefix sum bit for bit
+        # a sequential sum, so at x = 0 it equals a prefix-sum window power sum bit for bit
         return float(v.max()) if r is None else float(np.cumsum(w * v**r)[-1]) ** (1.0 / r)
 
     whole = value(values, weights)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

@@ -8,7 +8,7 @@ that looks back only at the few predecessors an optimal chain can use; an
 exhaustive search over all subsequences backs it up for short inputs.  At
 q = 1 the value is the total variation, a closed form.
 
-Operator-family profiles need only the value, once per row of a family
+The norm-transfer fields need only the value, once per row of a family
 matrix, so they go through :func:`qvariation_rows`, the plain O(m^2)
 recurrence over every predecessor on all rows at once.  The witness
 profiles of the blow-up experiments take :func:`_chain_rows`
@@ -26,27 +26,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corefn import (
-    PiecewiseConstantFn,
-    SampleGrid,
-    ScalarProfile,
-    InnerNorm,
-    VectorField,
-    _as_float_array,
-    make_profile,
-    make_vector_field,
-)
+from .corefn import _as_float_array
 from .errors import (
     BadRange,
     EmptyInput,
     FloatRangeExceeded,
     InvalidQ,
-    LengthMismatch,
     NonFiniteValue,
     NonPositiveRadius,
     TooLong,
 )
-from .operators import OperatorFamily, family_value_matrix
+from .operators import family_value_matrix  # noqa: F401  read by perfbench's wrapper-restore self-test
 
 __all__ = [
     "RadiusSet",
@@ -58,9 +48,6 @@ __all__ = [
     "qvariation_bruteforce",
     "prune_to_local_extrema",
     "maximal",
-    "variation_profile",
-    "maximal_profile",
-    "vector_variation_field",
 ]
 
 #: Pair gaps below this threshold contribute zero to the variation sum; the
@@ -363,11 +350,15 @@ def qvariation(values: Iterable[float], q: float) -> VariationCertificate:
 def qvariation_rows(matrix, q: float) -> np.ndarray:
     """Exact q-variation of every row of a matrix, values only.
 
-    At q = 1 this is the total variation of each row, as in
-    :func:`qvariation`.  For q > 1 the chain sums come from the plain
-    recurrence best[j] = max over all i < j of best[i] + |v_j - v_i|^q,
-    run on all rows at once, one column at a time, in O(rows x m^2); its
-    values equal those of :func:`qvariation`'s candidate rule bit for bit.
+    At q = 1 this is the total variation of each row, a closed form in
+    O(rows x m); :func:`qvariation` takes its value from here.  For q > 1
+    the chain sums come from the plain recurrence best[j] = max over all
+    i < j of best[i] + |v_j - v_i|^q, run on all rows at once, one column
+    at a time, in O(rows x m^2) time; its values equal those of
+    :func:`qvariation`'s candidate rule bit for bit.  Its one caller at
+    q > 1, the norm-transfer blocks, sends a row per point and coordinate
+    along the radii, three of them by default, so the quadratic cost stays
+    small; a long row belongs to :func:`qvariation`.
     """
     return _variation_rows(_chain_sums if q == 1.0 else _row_sums, matrix, q)
 
@@ -478,57 +469,3 @@ def maximal(values: Iterable[float]) -> float:
     if v.size == 0:
         raise EmptyInput("maximal needs at least one value")
     return float(np.abs(v).max())
-
-
-def variation_profile(
-    f: PiecewiseConstantFn,
-    family: OperatorFamily,
-    J: RadiusSet,
-    grid: SampleGrid,
-    q: float,
-) -> ScalarProfile:
-    """q-variation of the operator family along its radii, per grid point.
-
-    One family matrix, then one :func:`qvariation_rows` call over all of its
-    rows; the rows are not pruned.
-    """
-    matrix = family_value_matrix(f, family, J, grid.points_array)
-    return make_profile(grid, qvariation_rows(matrix, q))
-
-
-def maximal_profile(
-    f: PiecewiseConstantFn,
-    family: OperatorFamily,
-    J: RadiusSet,
-    grid: SampleGrid,
-) -> ScalarProfile:
-    """Pointwise maximal function of the family over its radius set."""
-    matrix = family_value_matrix(f, family, J, grid.points_array)
-    return make_profile(grid, np.abs(matrix).max(axis=1))
-
-
-def vector_variation_field(
-    fns: Sequence[PiecewiseConstantFn],
-    family: OperatorFamily,
-    J: RadiusSet,
-    x_grid: SampleGrid,
-    q: float,
-    inner_norm: InnerNorm,
-    inner_weights: Sequence[float],
-) -> VectorField:
-    """Coordinate-wise variation of a tuple of step functions.
-
-    One :func:`qvariation_rows` call over every coordinate's family matrix,
-    in O(len(fns) x points x |J|^2).
-
-    The result keeps the supplied inner norm and weights, so Bochner norms of
-    the variation field compare directly against those of the plain field.
-    """
-    if len(fns) != len(inner_weights):
-        raise LengthMismatch("one inner weight per coordinate function")
-    if not fns:
-        raise EmptyInput("vector variation needs at least one coordinate")
-    x = x_grid.points_array
-    stacked = np.concatenate([family_value_matrix(f, family, J, x) for f in fns])
-    matrix = qvariation_rows(stacked, q).reshape(len(fns), x.size).T
-    return make_vector_field(x_grid, matrix, inner_norm, inner_weights)

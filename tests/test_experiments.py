@@ -27,34 +27,36 @@ from varlat import (
     exp_maximal_contrast,
     exp_norm_transfer,
     exp_reduction_constant,
-    bochner_norm,
+    family_value_matrix,
     heat_of_g_matrix,
     hilbert_apply,
     hilbert_inner_norm,
-    integral_norm,
     lacunary_sign,
     lr_numerator,
-    make_grid,
     make_pcf,
-    make_profile,
     make_radius_set,
-    make_vector_field,
-    maximal_profile,
     norm_transfer_pair,
     norm_transfer_trials,
     pcf_eval_many,
     qvariation_rows,
-    sequence_norm,
-    sliding_power_sum,
-    sliding_sup,
     trapezoid_weights,
     unit_indicator,
-    variation_profile,
-    vector_variation_field,
 )
 from varlat.experiments import DEFAULT_BASE, DEFAULT_J0, DEFAULT_K_MIN, _lr_depth
 
 CERTIFIED_BASE2 = 0.0173073522282
+
+
+def window_values(points, weights, values, r):
+    """At each point x, the sup (r None) of the values at the points in
+    [x - 1, x + 1], or (sum of weight |value|^r over them)^(1/r), by brute
+    force: the window's index bounds, then a slice max or prefix sums."""
+    lo = np.searchsorted(points, points - 1.0, side="left")
+    hi = np.searchsorted(points, points + 1.0, side="right")
+    if r is None:
+        return np.array([values[i:j].max() for i, j in zip(lo.tolist(), hi.tolist())])
+    prefix = np.concatenate(([0.0], np.cumsum(weights * np.abs(values) ** r)))
+    return (prefix[hi] - prefix[lo]) ** (1.0 / r)
 
 
 class TestConfigTypes:
@@ -201,15 +203,13 @@ class TestBlowupSmallRuns:
         pts, weights, var, mx = experiments._profile_bundle(self.CONFIG, j1)
         assert np.all(np.abs(pts) <= lac.a ** (-(j1 + 1.0))) and np.all(np.diff(pts) > 0)
         assert weights.shape == pts.shape and weights[pts == 0.0].tolist() == [0.0]
-        core_grid = make_grid(pts)
         # the time route: the heat times themselves, which the bundle takes
         # at their roots; sqrt(2^(-2j)) is exact, so a = 2 matches bit for bit
         J = make_radius_set(lac.a ** (-2.0 * np.arange(lac.j0, j1 + 1)))
         witness = lacunary_sign(lac.a, lac.k_min)
-        want_var = variation_profile(witness, OperatorFamily.HEAT, J, core_grid, self.CONFIG.q)
-        want_max = maximal_profile(witness, OperatorFamily.HEAT, J, core_grid)
-        assert var.tolist() == want_var.values_array.tolist()
-        assert mx.tolist() == want_max.values_array.tolist()
+        matrix = family_value_matrix(witness, OperatorFamily.HEAT, J, pts)
+        assert var.tolist() == qvariation_rows(matrix, self.CONFIG.q).tolist()
+        assert mx.tolist() == np.abs(matrix).max(axis=1).tolist()
 
     def test_depth_list_validation(self):
         with pytest.raises(BadRange):
@@ -252,11 +252,9 @@ class TestDenominators:
         lac = default_lacunary()
         # the window [-1.1, 2.1] of the replaced pipeline, at 8x its resolution
         pts = np.linspace(-1.1, 2.1, 8 * (1501 - 1) + 1)
-        grid = make_grid(pts)
-        prof = make_profile(grid, np.abs(pcf_eval_many(lacunary_sign(lac.a, lac.k_min), pts)))
-        swept = sliding_sup(prof, 1.0) if r is None else sliding_power_sum(prof, 1.0, r)
-        v = swept.values_array
-        return float(v.max()) if p == math.inf else float((grid.weights_array @ v**p) ** (1.0 / p))
+        w = trapezoid_weights(pts)
+        v = window_values(pts, w, np.abs(pcf_eval_many(lacunary_sign(lac.a, lac.k_min), pts)), r)
+        return float(v.max()) if p == math.inf else float((w @ v**p) ** (1.0 / p))
 
     def _check(self, closed: float, p: float, r: float | None) -> None:
         with mpmath.workdps(50):
@@ -340,10 +338,8 @@ class TestClosedFormNumerators:
         matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), pts[core]).T
         vals = np.zeros(pts.size)
         vals[core] = qvariation_rows(matrix, config.q)
-        prof = make_profile(make_grid(pts, w), vals)
-        swept = sliding_sup(prof, 1.0) if r is None else sliding_power_sum(prof, 1.0, r)
         unit = (pts >= 0.0) & (pts <= 1.0)
-        v = swept.values_array[unit]
+        v = window_values(pts, w, vals, r)[unit]
         return float(v.max()) if p == math.inf else float((w[unit] @ v**p) ** (1.0 / p))
 
     @staticmethod
@@ -441,7 +437,7 @@ def transfer_draw(seed: int, m: int = 3, n: int = 4):
 
 def composed_norm_transfer(bounds, coeffs, widths, p, q, r, J):
     """The norm-transfer fields of one simple function, composed trial by
-    trial from step functions, a grid, vector fields and Bochner norms."""
+    trial from step functions, their averaging matrices and mixed norms."""
     fns = [make_pcf(bounds, coeffs[:, k]) for k in range(widths.size)]
     pieces = []
     for left, right in zip(bounds[:-1], bounds[1:]):
@@ -452,17 +448,19 @@ def composed_norm_transfer(bounds, coeffs, widths, p, q, r, J):
         [np.full(len(block), (right - left) / len(block))
          for block, left, right in zip(pieces, bounds[:-1], bounds[1:])]
     )
-    grid = make_grid(x_pts, x_w)
     plain = np.stack([pcf_eval_many(f, x_pts) for f in fns], axis=1)
+    stacked = np.concatenate([family_value_matrix(f, OperatorFamily.AVERAGES, J, x_pts) for f in fns])
+    var = qvariation_rows(stacked, q).reshape(len(fns), x_pts.size).T
+
+    def mixed_norm(values, inner_weights=None):
+        # L^p over the points of the inner ell^r norm, or of the inner L^r
+        # norm against inner_weights; rows C-ordered, so sums run in order
+        powers = np.ascontiguousarray(np.abs(values)) ** r
+        inner = (powers.sum(axis=1) if inner_weights is None else powers @ inner_weights) ** (1.0 / r)
+        return float(inner.max()) if p == math.inf else float((x_w @ inner**p) ** (1.0 / p))
+
     scale = widths ** (1.0 / r)
-    ones = np.ones_like(widths)
-    var = vector_variation_field(fns, OperatorFamily.AVERAGES, J, grid, q, integral_norm(r), widths)
-    norms = (
-        bochner_norm(make_vector_field(grid, plain, integral_norm(r), widths), p),
-        bochner_norm(make_vector_field(grid, plain * scale, sequence_norm(r), ones), p),
-        bochner_norm(var, p),
-        bochner_norm(make_vector_field(grid, var.values_array * scale, sequence_norm(r), ones), p),
-    )
+    norms = (mixed_norm(plain, widths), mixed_norm(plain * scale), mixed_norm(var, widths), mixed_norm(var * scale))
     gaps = [abs(a - b) / max(abs(a), abs(b)) for a, b in (norms[:2], norms[2:])]
     return (*norms, max(gaps))
 

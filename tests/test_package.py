@@ -1,5 +1,6 @@
 """Package-level checks: the public name list, imports and the runnable demos."""
 import ast
+import importlib
 import os
 import pathlib
 import runpy
@@ -65,6 +66,31 @@ def test_only_operators_evaluates_the_heat_kernel():
     }
     assert users == {"operators"}
 
+
+
+def test_no_module_keeps_an_unused_import():
+    # a module-level import must be used or exported; a deliberate one says
+    # why on its own line, after "# noqa: F401"
+    unused = []
+    for path in sorted(pathlib.Path(varlat.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = varlat if path.stem == "__init__" else importlib.import_module(f"varlat.{path.stem}")
+        exported = set(getattr(module, "__all__", ()))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(alias, (alias.asname or alias.name).split(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(alias, alias.asname or alias.name) for alias in node.names if alias.name != "*"]
+            else:
+                continue
+            for alias, name in bound:
+                if name in used or name in exported or "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []
 
 def test_demos_found():
     assert DEMOS

@@ -20,23 +20,15 @@ from varlat import (
     InvalidQ,
     LengthMismatch,
     NonFiniteValue,
-    OperatorFamily,
     TooLong,
     default_lacunary,
-    heat_apply,
-    make_grid,
-    make_pcf,
     make_radius_set,
     maximal,
-    maximal_profile,
     prune_to_local_extrema,
     qvariation,
     qvariation_bruteforce,
     qvariation_rows,
     qvariation_value,
-    variation_profile,
-    vector_variation_field,
-    sequence_norm,
 )
 
 EXAMPLE = (0.0, 1.0, 0.9, 2.0)
@@ -204,23 +196,15 @@ class TestQVariationRows:
         with pytest.raises(NonFiniteValue):
             qvariation_rows(matrix, 2.0)
 
-    def test_profile_rejects_q_below_one(self):
-        f = make_pcf([0.0, 1.0], [1.0])
-        grid = make_grid(np.linspace(-1, 2, 5))
+    def test_rejects_q_below_one_on_rows_too_short_to_vary(self):
         with pytest.raises(InvalidQ):
-            variation_profile(f, OperatorFamily.HEAT, make_radius_set((1.0, 0.5)), grid, 0.5)
+            qvariation_rows(np.zeros((2, 1)), 0.5)
 
-    def test_profile_rejects_nan_family_values(self, monkeypatch):
-        def nan_matrix(f, family, J, xs):
-            out = np.ones((len(xs), len(J)))
-            out[0, 0] = np.nan
-            return out
-
-        monkeypatch.setattr(variation, "family_value_matrix", nan_matrix)
-        f = make_pcf([0.0, 1.0], [1.0])
-        grid = make_grid(np.linspace(-1, 2, 5))
+    def test_rejects_infinity_at_q_one(self):
+        matrix = np.zeros((2, 3))
+        matrix[0, 1] = np.inf
         with pytest.raises(NonFiniteValue):
-            variation_profile(f, OperatorFamily.HEAT, make_radius_set((1.0, 0.5)), grid, 2.0)
+            qvariation_rows(matrix, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -763,77 +747,3 @@ class TestRadiusSet:
             make_radius_set(())
         with pytest.raises(Exception):
             make_radius_set((1.0, 0.0))
-
-
-class TestProfiles:
-    def test_zero_function_gives_zero_profile(self):
-        z = make_pcf([0.0, 1.0], [0.0])
-        grid = make_grid(np.linspace(-1, 2, 11))
-        J = make_radius_set((1.0, 0.5, 0.25))
-        prof = variation_profile(z, OperatorFamily.HEAT, J, grid, 2.0)
-        assert prof.values_array.tolist() == [0.0] * 11
-
-    def test_single_radius_profile_is_zero(self):
-        f = make_pcf([0.0, 1.0], [1.0])
-        grid = make_grid(np.linspace(-1, 2, 7))
-        prof = variation_profile(f, OperatorFamily.HEAT, make_radius_set((0.5,)), grid, 2.0)
-        assert prof.values_array.tolist() == [0.0] * 7
-
-    def test_profile_dominates_single_pair_gap(self, rng, make_random_pcf):
-        f = make_random_pcf()
-        grid = make_grid(np.sort(rng.uniform(-2, 2, 20)))
-        J = make_radius_set((2.0, 1.0, 0.5, 0.25))
-        prof = variation_profile(f, OperatorFamily.HEAT, J, grid, 3.0)
-        big = np.array([heat_apply(f, 2.0, x) for x in grid.points_array.tolist()])
-        small = np.array([heat_apply(f, 0.25, x) for x in grid.points_array.tolist()])
-        assert np.all(prof.values_array >= np.abs(big - small) - 1e-12)
-
-    def test_maximal_profile_single_radius_is_absolute_value(self, make_random_pcf):
-        f = make_random_pcf()
-        grid = make_grid(np.linspace(-2, 2, 15))
-        J = make_radius_set((0.7,))
-        prof = maximal_profile(f, OperatorFamily.HEAT, J, grid)
-        want = np.abs([heat_apply(f, 0.7, x) for x in grid.points_array.tolist()])
-        assert prof.values_array == pytest.approx(want, rel=1e-14)
-
-
-class TestVectorVariation:
-    def test_single_coordinate_matches_scalar_profile(self, make_random_pcf):
-        f = make_random_pcf()
-        grid = make_grid(np.linspace(-2, 2, 9))
-        J = make_radius_set((1.0, 0.5))
-        field = vector_variation_field(
-            [f], OperatorFamily.HEAT, J, grid, 2.0, sequence_norm(2.0), [1.0]
-        )
-        prof = variation_profile(f, OperatorFamily.HEAT, J, grid, 2.0)
-        assert field.values_array[:, 0].tolist() == prof.values_array.tolist()
-
-    def test_each_column_matches_its_scalar_profile(self, make_random_pcf):
-        fns = [make_random_pcf() for _ in range(3)]
-        grid = make_grid(np.linspace(-2, 2, 11))
-        J = make_radius_set((2.0, 1.0, 0.5, 0.25))
-        field = vector_variation_field(
-            fns, OperatorFamily.AVERAGES, J, grid, 3.0, sequence_norm(2.0), [1.0] * 3
-        )
-        for k, f in enumerate(fns):
-            prof = variation_profile(f, OperatorFamily.AVERAGES, J, grid, 3.0)
-            assert field.values_array[:, k].tolist() == prof.values_array.tolist()
-
-    def test_duplicated_coordinates_are_identical(self, make_random_pcf):
-        f = make_random_pcf()
-        grid = make_grid(np.linspace(-2, 2, 9))
-        J = make_radius_set((1.0, 0.25))
-        field = vector_variation_field(
-            [f, f], OperatorFamily.AVERAGES, J, grid, 3.0, sequence_norm(2.0), [1.0, 1.0]
-        )
-        mat = field.values_array
-        assert mat[:, 0].tolist() == mat[:, 1].tolist()
-
-    def test_weight_count_checked(self, make_random_pcf):
-        f = make_random_pcf()
-        grid = make_grid(np.linspace(-1, 1, 5))
-        with pytest.raises(Exception):
-            vector_variation_field(
-                [f], OperatorFamily.HEAT, make_radius_set((1.0,)), grid, 2.0,
-                sequence_norm(2.0), [1.0, 1.0],
-            )
