@@ -10,6 +10,7 @@ from varlat import experiments
 from varlat import (
     HILBERT_R_LIST,
     BadRange,
+    EmptyInput,
     ExperimentConfig,
     FloatRangeExceeded,
     GridSpec,
@@ -18,6 +19,7 @@ from varlat import (
     LengthMismatch,
     NonFiniteValue,
     NonMonotoneBreakpoints,
+    NonPositiveRadius,
     OperatorFamily,
     RatioReport,
     default_lacunary,
@@ -57,6 +59,49 @@ def window_values(points, weights, values, r):
         return np.array([values[i:j].max() for i, j in zip(lo.tolist(), hi.tolist())])
     prefix = np.concatenate(([0.0], np.cumsum(weights * np.abs(values) ** r)))
     return (prefix[hi] - prefix[lo]) ** (1.0 / r)
+
+
+class TestWindowValues:
+    """The brute-force window oracle against a plain membership mask."""
+
+    @staticmethod
+    def _masked(points, weights, values, r):
+        out = []
+        for x in points:
+            inside = (points >= x - 1.0) & (points <= x + 1.0)
+            if r is None:
+                out.append(values[inside].max())
+            else:
+                out.append(float((weights[inside] * np.abs(values[inside]) ** r).sum()) ** (1.0 / r))
+        return np.array(out)
+
+    @pytest.mark.parametrize("r", [None, 2.5])
+    def test_matches_the_membership_mask(self, rng, r):
+        # a log-clustered grid gives windows from one point to the whole grid
+        for n in (2, 3, 17, 300):
+            pts = np.sort(np.concatenate((-np.geomspace(1e-6, 3.0, n), np.geomspace(1e-6, 4.0, n))))
+            vals = rng.choice([-1.0, 0.0, 0.5, 2.0], size=pts.size) * rng.uniform(0.5, 1.0, pts.size)
+            w = trapezoid_weights(pts)
+            got = window_values(pts, w, vals, r)
+            want = self._masked(pts, w, vals, r)
+            if r is None:
+                assert got.tolist() == want.tolist()
+            else:
+                # prefix sums resolve each window to the scale of the total mass
+                total = float((w * np.abs(vals) ** r).sum())
+                assert got**r == pytest.approx(want**r, rel=1e-9, abs=1e-12 * (1.0 + total))
+
+    def test_windows_narrower_than_the_spacing_hold_one_point(self, rng):
+        pts = np.cumsum(rng.uniform(1.1, 2.0, 40))
+        vals = rng.uniform(-3, 3, 40)
+        w = rng.uniform(0.1, 1.0, 40)
+        assert window_values(pts, w, vals, None).tolist() == vals.tolist()
+        assert window_values(pts, w, vals, 3.0) == pytest.approx((w * np.abs(vals) ** 3) ** (1 / 3), rel=1e-14)
+
+    def test_one_point_grid(self):
+        pts, w, vals = np.array([0.3]), np.array([0.5]), np.array([-2.0])
+        assert window_values(pts, w, vals, None).tolist() == [-2.0]
+        assert window_values(pts, w, vals, 2.0) == pytest.approx([math.sqrt(2.0)], rel=1e-15)
 
 
 class TestConfigTypes:
@@ -377,6 +422,98 @@ class TestClosedFormNumerators:
         assert abs(num / old - 1.0) <= 1e-3
 
 
+class TestWindowNorm:
+    """experiments._window_norm, the closed-form outer integral over [0, 1]
+    of the radius-1 window sup or power sum of a profile on a core inside
+    (-1, 1), on small and random cores."""
+
+    # points, weights and values with a hand-computed answer: the window
+    # holds all three points for x <= 0.75 and the last two after that
+    POINTS, WEIGHTS, VALUES = np.array([-0.25, 0.0, 0.5]), np.full(3, 0.5), np.array([3.0, 1.0, 2.0])
+
+    @staticmethod
+    def _random_core(rng, n):
+        points = np.sort(rng.uniform(-0.4, 0.4, n))
+        return points, rng.uniform(0.01, 0.2, n), rng.uniform(0.0, 5.0, n)
+
+    def test_sup_by_hand(self):
+        # 0.75 * 3 + 0.25 * 2
+        assert experiments._window_norm(self.POINTS, self.WEIGHTS, self.VALUES, 1.0) == 2.75
+
+    def test_power_sum_by_hand(self):
+        # squared window sums 0.5 (9 + 1 + 4) = 7 and 0.5 (1 + 4) = 2.5
+        got = experiments._window_norm(self.POINTS, self.WEIGHTS, self.VALUES, 2.0, 2.0)
+        assert got == pytest.approx(math.sqrt(0.75 * 7.0 + 0.25 * 2.5), rel=1e-15)
+
+    @pytest.mark.parametrize("r", [None, 2.0])
+    def test_p_infinity_is_the_whole_core(self, rng, r):
+        points, weights, values = self._random_core(rng, 30)
+        got = experiments._window_norm(points, weights, values, math.inf, r)
+        want = values.max() if r is None else float((weights * values**r).sum()) ** (1.0 / r)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [None, 3.0])
+    def test_zero_profile(self, r):
+        points = np.array([-0.3, 0.0, 0.2])
+        for p in (1.0, 2.5, math.inf):
+            assert experiments._window_norm(points, np.full(3, 0.1), np.zeros(3), p, r) == 0.0
+
+    @pytest.mark.parametrize("r", [None, 3.0])
+    def test_monotone_under_pointwise_increase(self, rng, r):
+        points, weights, v1 = self._random_core(rng, 50)
+        v2 = v1 + rng.uniform(0.0, 1.0, 50)
+        for p in (1.0, 2.5, math.inf):
+            low = experiments._window_norm(points, weights, v1, p, r)
+            assert experiments._window_norm(points, weights, v2, p, r) >= low * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize("r", [None, 3.0])
+    def test_homogeneity(self, rng, r):
+        points, weights, values = self._random_core(rng, 25)
+        for p in (1.0, 2.5, math.inf):
+            base = experiments._window_norm(points, weights, values, p, r)
+            scaled = experiments._window_norm(points, weights, 3.5 * values, p, r)
+            assert scaled == pytest.approx(3.5 * base, rel=1e-13)
+
+    def test_core_right_of_zero_gives_its_whole_value(self, rng):
+        points, weights, values = self._random_core(rng, 20)
+        points = np.abs(points) + 1e-3
+        points.sort()
+        for r in (None, 3.0):
+            whole = experiments._window_norm(points, weights, values, math.inf, r)
+            for p in (1.0, 2.5):
+                got = experiments._window_norm(points, weights, values, p, r)
+                assert got == pytest.approx(whole, rel=1e-14)
+
+    def test_large_r_approaches_the_sup(self, rng):
+        points, weights, values = self._random_core(rng, 20)
+        values = values / values.max() * 1.5
+        for p in (1.0, 2.5, math.inf):
+            sup = experiments._window_norm(points, weights, values, p)
+            approx = experiments._window_norm(points, weights, values, p, 1000.0)
+            assert abs(approx - sup) <= 0.02 * sup
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 7.0])
+    @pytest.mark.parametrize("r", [None, 3.0])
+    def test_at_or_below_the_step_integral_within_the_sliver(self, rng, p, r):
+        # the window holds the core points from index k on for x - 1 in
+        # (y_(k-1), y_k]: a step function with one step per negative point;
+        # the closed form gives the sliver x > 1 + y_0 the last step's value
+        for n in (1, 2, 5, 40):
+            points, weights, values = self._random_core(rng, n)
+            n_neg = int(np.sum(points < 0))
+            if r is None:
+                steps = np.array([values[k:].max() for k in range(n_neg + 1)])
+            else:
+                sums = [(weights[k:] * values[k:] ** r).sum() for k in range(n_neg + 1)]
+                steps = np.array(sums) ** (1.0 / r)
+            edges = np.concatenate(([0.0], 1.0 + points[:n_neg], [1.0]))
+            exact = float(np.sum(np.diff(edges) * steps**p))
+            got = experiments._window_norm(points, weights, values, p, r) ** p
+            assert got <= exact * (1.0 + 1e-13)
+            sliver = -min(float(points[0]), 0.0) * (steps[0] ** p - steps[-1] ** p)
+            assert exact - got <= sliver + 1e-13 * exact
+
+
 class TestHilbertNorms:
     def test_quadratic_norm_closed_form(self):
         assert hilbert_inner_norm(2.0) == pytest.approx(
@@ -533,6 +670,74 @@ class TestNormTransfer:
         for seed in range(20):
             res = exp_norm_transfer(seed)
             assert res.max_rel_discrepancy <= 1e-10
+
+    def test_zero_function_gives_zero_norms(self):
+        res = norm_transfer_pair((0.0, 0.5, 1.5), np.zeros((2, 3)), [0.5, 1.0, 0.2], 2.0, 3.0, 4.0, self.J)
+        assert astuple(res) == (0.0,) * 5
+
+    def test_euclidean_three_four_five(self):
+        # unit widths make both inner norms plain ell^2; the cell has length 1
+        res = norm_transfer_pair((0.0, 1.0), [[3.0, 4.0]], [1.0, 1.0], 1.0, 3.0, 2.0, self.J)
+        assert res.plain_integral == pytest.approx(5.0, rel=1e-12)
+        assert res.plain_sequence == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_homogeneity_under_a_negative_factor(self, p):
+        bounds, coeffs, widths = transfer_draw(5)
+        base = norm_transfer_pair(bounds, coeffs, widths, p, 3.0, 1.5, self.J)
+        scaled = norm_transfer_pair(bounds, -3.5 * coeffs, widths, p, 3.0, 1.5, self.J)
+        for got, want in zip(astuple(scaled)[:4], astuple(base)[:4]):
+            assert got == pytest.approx(3.5 * want, rel=1e-12)
+
+    def test_p_infinity_is_the_largest_inner_norm(self):
+        bounds, coeffs, widths = transfer_draw(8)
+        res = norm_transfer_pair(bounds, coeffs, widths, math.inf, 3.0, 4.0, self.J)
+        inner = (np.abs(coeffs) ** 4 * widths).sum(axis=1) ** 0.25
+        assert res.plain_integral == pytest.approx(inner.max(), rel=1e-14)
+        assert res.plain_sequence == pytest.approx(inner.max(), rel=1e-14)
+
+    def test_split_inner_cell_keeps_every_norm(self):
+        # coordinate k with width w is the same lattice element as two equal
+        # coordinates with width w/2 each
+        bounds, coeffs, widths = transfer_draw(13, m=1)
+        one = norm_transfer_pair(bounds, coeffs, widths, 2.0, 3.0, 4.0, self.J)
+        halves = np.repeat(coeffs, 2, axis=1), np.repeat(widths / 2.0, 2)
+        two = norm_transfer_pair(bounds, *halves, 2.0, 3.0, 4.0, self.J)
+        for got, want in zip(astuple(two)[:4], astuple(one)[:4]):
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_coordinate_order_does_not_matter(self):
+        bounds, coeffs, widths = transfer_draw(21, m=4)
+        order = [2, 0, 3, 1]
+        base = norm_transfer_pair(bounds, coeffs, widths, 2.0, 3.0, 4.0, self.J)
+        shuffled = norm_transfer_pair(bounds, coeffs[:, order], widths[order], 2.0, 3.0, 4.0, self.J)
+        for got, want in zip(astuple(shuffled)[:4], astuple(base)[:4]):
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_fortran_ordered_coefficients_give_identical_rows(self):
+        for seed in range(5):
+            bounds, coeffs, widths = transfer_draw(seed, m=7)
+            for p, r in ((1.0, 3.0), (2.0, 1.5), (3.5, 2.0)):
+                c_res = norm_transfer_pair(bounds, coeffs, widths, p, 3.0, r, self.J)
+                f_res = norm_transfer_pair(bounds, np.asfortranarray(coeffs), widths, p, 3.0, r, self.J)
+                assert astuple(f_res) == astuple(c_res)
+
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_rejects_inner_exponent_at_or_below_one(self, r):
+        with pytest.raises(BadRange):
+            norm_transfer_pair((0.0, 1.0), [[1.0]], [0.5], 2.0, 3.0, r, self.J)
+
+    def test_rejects_outer_exponent_below_one(self):
+        with pytest.raises(BadRange):
+            norm_transfer_pair((0.0, 1.0), [[1.0]], [0.5], 0.5, 3.0, 4.0, self.J)
+
+    def test_rejects_a_nonpositive_radius(self):
+        with pytest.raises(NonPositiveRadius):
+            norm_transfer_pair((0.0, 1.0), [[1.0]], [0.5], 2.0, 3.0, 4.0, (0.25, 0.0))
+
+    def test_rejects_no_inner_coordinates(self):
+        with pytest.raises(EmptyInput):
+            norm_transfer_pair((0.0, 1.0), [[]], [], 2.0, 3.0, 4.0, self.J)
 
     def test_shape_validation(self):
         J = make_radius_set((0.25, 0.0625, 0.015625))

@@ -20,8 +20,12 @@ from varlat import (
     InvalidQ,
     LengthMismatch,
     NonFiniteValue,
+    OperatorFamily,
     TooLong,
     default_lacunary,
+    family_value_matrix,
+    heat_apply,
+    make_pcf,
     make_radius_set,
     maximal,
     prune_to_local_extrema,
@@ -205,6 +209,50 @@ class TestQVariationRows:
         matrix[0, 1] = np.inf
         with pytest.raises(NonFiniteValue):
             qvariation_rows(matrix, 1.0)
+
+
+class TestFamilyRows:
+    """Variation and maximal values of a family along its radii, one row per
+    point: qvariation_rows and the row max over family_value_matrix, the
+    composition the blow-up profiles and the norm-transfer blocks run."""
+
+    def test_zero_function_gives_zero_rows(self):
+        zero = make_pcf([0.0, 1.0], [0.0])
+        J = make_radius_set((1.0, 0.5, 0.25))
+        matrix = family_value_matrix(zero, OperatorFamily.HEAT, J, np.linspace(-1, 2, 11))
+        assert qvariation_rows(matrix, 2.0).tolist() == [0.0] * 11
+
+    def test_single_radius_rows_are_zero(self):
+        f = make_pcf([0.0, 1.0], [1.0])
+        matrix = family_value_matrix(f, OperatorFamily.HEAT, make_radius_set((0.5,)), np.linspace(-1, 2, 7))
+        assert qvariation_rows(matrix, 2.0).tolist() == [0.0] * 7
+
+    def test_rows_dominate_a_single_pair_gap(self, rng, make_random_pcf):
+        f = make_random_pcf()
+        xs = np.sort(rng.uniform(-2, 2, 20))
+        J = make_radius_set((2.0, 1.0, 0.5, 0.25))
+        rows = qvariation_rows(family_value_matrix(f, OperatorFamily.HEAT, J, xs), 3.0)
+        big = np.array([heat_apply(f, 2.0, x) for x in xs.tolist()])
+        small = np.array([heat_apply(f, 0.25, x) for x in xs.tolist()])
+        assert np.all(rows >= np.abs(big - small) - 1e-12)
+
+    def test_single_radius_maximum_is_the_absolute_value(self, make_random_pcf):
+        f = make_random_pcf()
+        xs = np.linspace(-2, 2, 15)
+        matrix = family_value_matrix(f, OperatorFamily.HEAT, make_radius_set((0.7,)), xs)
+        want = np.abs([heat_apply(f, 0.7, x) for x in xs.tolist()])
+        assert np.abs(matrix).max(axis=1) == pytest.approx(want, rel=1e-14)
+
+    def test_stacked_functions_give_each_its_own_rows(self, make_random_pcf):
+        # rows are independent: stacking coordinates, as the norm-transfer
+        # blocks do, changes no bit of any one of them
+        fns = [make_random_pcf() for _ in range(3)]
+        xs = np.linspace(-2, 2, 11)
+        J = make_radius_set((2.0, 1.0, 0.5, 0.25))
+        matrices = [family_value_matrix(f, OperatorFamily.AVERAGES, J, xs) for f in fns]
+        stacked = qvariation_rows(np.concatenate(matrices), 3.0).reshape(len(fns), xs.size)
+        for rows, matrix in zip(stacked.tolist(), matrices):
+            assert rows == qvariation_rows(matrix, 3.0).tolist()
 
 
 @pytest.fixture(scope="module")
