@@ -10,7 +10,8 @@ configuration or input errors.
 Parameter precedence, highest first: explicit flags, then a key=value config
 file, then the parameter cache named by VARLAT_CACHE, then built-in
 defaults (the default r-list depends on the subcommand).  One parser reads
-all three sources, and every subcommand takes every key.
+all three sources, and every subcommand takes every key, given before or after
+its name; only variation reads --values.
 """
 from __future__ import annotations
 
@@ -130,8 +131,9 @@ class _Param(NamedTuple):
 
 #: Every key a flag, a config file or the parameter cache sets, in --help
 #: order; every subcommand takes every key.  A default the library states is
-#: read from the library.  None marks the one value filled in from j0
-#: (j1_list).  A command may override the r-list default.
+#: read from the library.  None marks a key with no fixed default: j1_list,
+#: filled in from j0, and values, the file only variation reads.  A command
+#: may override the r-list default.
 _PARAMS: dict[str, _Param] = {
     "p": _Param(float, ExperimentConfig.p),
     "q": _Param(float, ExperimentConfig.q),
@@ -146,21 +148,18 @@ _PARAMS: dict[str, _Param] = {
     "nodes": _Param(int, inspect.signature(exp_reduction_constant).parameters["quad_nodes"].default),
     "trials": _Param(int, 100),
     "j_max": _Param(int, DEFAULT_J_WINDOW[1]),
+    "values": _Param(str, None, "file of comma/space separated values"),
 }
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="varlat", description=__doc__)
-    top.add_argument("--version", action="version", version=f"varlat {__version__}")
-    subs = top.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        sub = subs.add_parser(name)
-        sub.add_argument("--config", help="key=value file, one pair per line")
-        for key, param in _PARAMS.items():
-            sub.add_argument("--" + key.replace("_", "-"), help=param.help)
-        if name == "variation":
-            sub.add_argument("--values", required=True, help="file of comma/space separated values")
-    return top
+    parser = argparse.ArgumentParser(prog="varlat", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"varlat {__version__}")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", help="key=value file, one pair per line")
+    for key, param in _PARAMS.items():
+        parser.add_argument("--" + key.replace("_", "-"), help=param.help)
+    return parser
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -222,7 +221,6 @@ def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     resolved = {**{key: param.default for key, param in _PARAMS.items()}, **command.defaults}
     for key, raw, where in _raw_values(args):
         resolved[key] = _parse_value(key, raw, where)
-    resolved["values"] = getattr(args, "values", None)  # the variation input file
     if resolved["j1_list"] is None:
         resolved["j1_list"] = tuple(resolved["j0"] + gap for gap in (4, 8, 16, 32, 64))
 
@@ -403,7 +401,8 @@ class Outcome:
     fit: GrowthFit | None = None
     extras: dict = field(default_factory=dict)
     config: ExperimentConfig | None = None
-    #: CSV header and rows, when they are not the report rows
+    #: CSV header and rows, when they are not the report rows; a run with
+    #: neither reports nor csv rows writes no CSV or JSON report
     csv: tuple[str, Sequence[str]] | None = None
 
 
@@ -418,8 +417,6 @@ class Command:
     plots: bool = False
     #: resolved key whose points the pass condition fits a power law over
     fit_over: str | None = None
-    #: whether the run writes CSV and JSON reports
-    writes_reports: bool = True
     #: whether a passing run records its witness parameters in VARLAT_CACHE
     caches: bool = False
 
@@ -506,6 +503,8 @@ def _norm_transfer(resolved: dict) -> Outcome:
 
 def _variation(resolved: dict) -> Outcome:
     path = resolved["values"]
+    if path is None:
+        raise BadRange("variation needs a --values file")
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().replace(",", " ").split()
     if not tokens:
@@ -567,7 +566,6 @@ _COMMANDS: dict[str, Command] = {
     "variation": Command(
         _variation,
         lambda o: f"{o.extras['value']:.12g}\n" + " ".join(str(i) for i in o.extras["subsequence"]),
-        writes_reports=False,
     ),
 }
 
@@ -585,7 +583,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         resolved = _resolve(args, command)
         outcome = command.run(resolved)
-        if command.writes_reports:
+        if outcome.reports or outcome.csv:
             _write_reports(args.subcommand, command, resolved, outcome, t0)
         cache = os.environ.get(_CACHE_ENV)
         if cache and outcome.passed and command.caches:

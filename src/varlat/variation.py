@@ -8,12 +8,13 @@ that looks back only at the few predecessors an optimal chain can use; an
 exhaustive search over all subsequences backs it up for short inputs.  At
 q = 1 the value is the total variation, a closed form.
 
-The norm-transfer fields need only the value, once per row of a family
-matrix, so they go through :func:`qvariation_rows`, the plain O(m^2)
+The norm-transfer blocks need only the value of each row of averages, one
+row per grid point and inner coordinate, along the averaging radii (three by
+default), so they go through :func:`qvariation_rows`, the plain O(m^2)
 recurrence over every predecessor on all rows at once.  The witness
-profiles of the blow-up experiments take :func:`_chain_rows`
-instead, the sum over consecutive entries alone: a lower bound on the
-exact value, and at q = 1 equal to it.
+profiles of the blow-up experiments take :func:`_chain_rows` instead, the
+sum over consecutive entries alone: a lower bound on the exact value, and at
+q = 1 equal to it.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ __all__ = [
     "qvariation_value",
     "qvariation_bruteforce",
     "prune_to_local_extrema",
-    "maximal",
 ]
 
 #: Pair gaps below this threshold contribute zero to the variation sum; the
@@ -461,11 +461,3 @@ def prune_to_local_extrema(values: Iterable[float]) -> tuple[tuple[float, ...], 
     v = _as_float_array(values, "variation input")
     out = _turning_points(v)
     return tuple(v[out].tolist()), tuple(out.tolist())
-
-
-def maximal(values: Iterable[float]) -> float:
-    """Largest absolute value; the maximal-operator analogue of variation."""
-    v = _as_float_array(values, "variation input")
-    if v.size == 0:
-        raise EmptyInput("maximal needs at least one value")
-    return float(np.abs(v).max())

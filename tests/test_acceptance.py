@@ -17,7 +17,6 @@ from varlat import (
     DEFAULT_BASE_CANDIDATES,
     ExperimentConfig,
     GridSpec,
-    delta_halving_radius,
     exp_hilbert_growth,
     exp_linf_blowup,
     exp_lr_growth,

@@ -23,7 +23,7 @@ from varlat import (
 )
 from varlat import witnesses
 from varlat.corefn import fit_power_law
-from varlat.cli import REPORT_SCHEMA, SUBCOMMANDS, emit_svg_loglog, run
+from varlat.cli import _PARAMS, REPORT_SCHEMA, SUBCOMMANDS, _parser, emit_svg_loglog, run
 
 
 #: The seven experiment subcommands, each with flags for a short run.
@@ -55,18 +55,95 @@ class TestExitCodes:
         # there is no thread pool to size
         assert run(["linf-blowup", "--workers", "2"]) == 2
 
-    def test_variation_requires_values(self):
-        assert run(["variation"]) == 2
+    def test_variation_requires_values(self, tmp_path, capsys):
+        # neither a flag nor a config line names the file
+        (tmp_path / "run.cfg").write_text("q = 2\n")
+        for argv in (["variation"], ["variation", "--config", str(tmp_path / "run.cfg")]):
+            assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: variation needs a --values file\n"
+        assert not (tmp_path / "out").exists()
 
     def test_version_is_the_package_version(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out == f"varlat {varlat.__version__}\n"
 
-    def test_help_exits_clean(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["--help"])
-            raise SystemExit(0)  # pragma: no cover - run swallows help itself
-        assert exc.value.code == 0
+    def test_help_exits_clean(self, capsys):
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: varlat")
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_help_is_the_shared_help(self, capsys, name):
+        assert run(["--help"]) == 0
+        shared = capsys.readouterr().out
+        assert run([name, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: varlat")
+        assert out == shared
+
+
+class TestOneParser:
+    """One parser takes every key on every subcommand, before or after the
+    subcommand's name; only variation reads --values."""
+
+    @pytest.fixture
+    def values(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("0, 1, 0.9, 2\n")
+        return path
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_every_subcommand_takes_every_key(self, name):
+        keys = [*_PARAMS, "config"]
+        assert "values" in keys
+        argv = [name]
+        for key in keys:
+            argv += ["--" + key.replace("_", "-"), f"raw-{key}"]
+        args = _parser().parse_args(argv)
+        assert args.subcommand == name
+        assert {key: getattr(args, key) for key in keys} == {key: f"raw-{key}" for key in keys}
+
+    def test_flags_before_the_subcommand(self, values, capsys):
+        assert run(["--q", "2", "variation", "--values", str(values)]) == 0
+        before = capsys.readouterr().out
+        assert run(["variation", "--values", str(values), "--q", "2"]) == 0
+        assert capsys.readouterr().out == before == "2\n0 3\n"
+
+    def test_out_before_the_subcommand(self, tmp_path):
+        assert run(["--out", str(tmp_path), "reduction-constant"]) == 0
+        assert (tmp_path / "reduction-constant.json").exists()
+
+    def test_config_line_feeds_variation(self, tmp_path, values, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"values = {values}\nq = 2\n")
+        assert run(["variation", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "2\n0 3\n"
+
+    def test_values_flag_beats_config_line(self, tmp_path, values, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"values = {tmp_path / 'nope.txt'}\n")
+        assert run(["variation", "--config", str(cfg), "--values", str(values), "--q", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "2.2"
+
+    def test_other_commands_ignore_values(self, tmp_path, capsys):
+        # the file is never opened: it need not exist
+        assert run(["reduction-constant", "--out", str(tmp_path / "a")]) == 0
+        plain = capsys.readouterr().out
+        argv = ["reduction-constant", "--values", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "b")]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "b" / "reduction-constant.csv").read_text() == (
+            tmp_path / "a" / "reduction-constant.csv"
+        ).read_text()
+
+    def test_variation_writes_no_reports(self, tmp_path, values):
+        out = tmp_path / "out"
+        assert run(["variation", "--values", str(values), "--out", str(out)]) == 0
+        assert not out.exists()
+
+    def test_v_abbreviation_is_ambiguous(self, values, capsys):
+        assert run(["variation", "--v", str(values)]) == 2
+        assert "ambiguous option: --v could match --version, --values" in capsys.readouterr().err
 
 
 class TestVariationCommand:

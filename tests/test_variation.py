@@ -27,7 +27,6 @@ from varlat import (
     heat_apply,
     make_pcf,
     make_radius_set,
-    maximal,
     prune_to_local_extrema,
     qvariation,
     qvariation_bruteforce,
@@ -662,16 +661,6 @@ class TestVariationOrderings:
             assert qvariation_value(v[keep], 2.0) <= qvariation_value(v, 2.0) + 1e-12
 
 
-class TestMaximal:
-    def test_simple(self):
-        assert maximal((-3.0, 2.0)) == 3.0
-        assert maximal((0.0,)) == 0.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyInput):
-            maximal(())
-
-
 class TestMalformedInput:
     # every entry point validates through corefn._as_float_array: text is not
     # a sequence of numbers, ragged input is not a flat sequence or matrix
@@ -687,7 +676,6 @@ class TestMalformedInput:
                 lambda: qvariation_bruteforce("12", 2.0), LengthMismatch, id="bruteforce-text"
             ),
             pytest.param(lambda: qvariation_rows([["a", "b"]], 2.0), LengthMismatch, id="rows-text"),
-            pytest.param(lambda: maximal("9"), LengthMismatch, id="maximal-text"),
             pytest.param(
                 lambda: prune_to_local_extrema([0.0, float("nan"), 1.0]),
                 NonFiniteValue,
