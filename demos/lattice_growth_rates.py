@@ -26,14 +26,14 @@ config = ExperimentConfig(grid=GridSpec(log_points_per_decade=16))
 
 lr = exp_lr_growth(config)
 print("power-sum growth (certified floor in parentheses):")
-for rep, bound in zip(lr.reports, lr.bound_values):
+for rep, bound in zip(lr.reports, lr.extras["bounds"]):
     print(f"  r={rep.param:4.0f}  ratio={rep.ratio:.6f}  (floor {bound:.6f}, "
           f"margin {rep.ratio / bound:.2f}x)")
 print(f"fitted exponent {lr.fit.slope:.4f} vs 1/q = {1.0 / config.q:.4f}")
-print(f"oscillation survives within radius {lr.delta_radius:.3e} of the origin")
+print(f"oscillation survives within radius {lr.extras['delta_radius']:.3e} of the origin")
 
 hil = exp_hilbert_growth(ExperimentConfig(r_list=HILBERT_R_LIST))
 print("\nsingular-integral growth:")
-for rep, bound in zip(hil.reports, hil.bound_values):
+for rep, bound in zip(hil.reports, hil.extras["bounds"]):
     print(f"  r={rep.param:4.0f}  ratio={rep.ratio:.6f}  (floor {bound:.6f})")
 print(f"fitted exponent {hil.fit.slope:.4f} vs linear target 1.0")

@@ -26,8 +26,8 @@ print(f"denominator {result.reports[0].denominator:.6f}: the plain norm of the "
 
 contrast = exp_maximal_contrast(config, depths)
 print("\nsame runs, maximal operator instead of variation:")
-for pair in contrast.pairs:
-    print(f"  j1={pair.j1:3d}  variation {pair.variation_ratio:.6f}  "
-          f"maximal {pair.maximal_ratio:.6f}")
-print(f"variation grew {contrast.variation_growth:.2f}x while the maximal "
-      f"ratio moved {contrast.maximal_spread:.2%}")
+for pair in contrast.extras["pairs"]:
+    print(f"  j1={pair['j1']:3d}  variation {pair['variation_ratio']:.6f}  "
+          f"maximal {pair['maximal_ratio']:.6f}")
+print(f"variation grew {contrast.extras['variation_growth']:.2f}x while the maximal "
+      f"ratio moved {contrast.extras['maximal_spread']:.2%}")

@@ -2,8 +2,9 @@
 
 Eight subcommands map one-to-one onto the experiment operations, through one
 command table.  Every experiment run writes a CSV of rows, a JSON report
-validating against REPORT_SCHEMA with the run manifest echoed inside, and
-(when a growth fit exists) a log-log SVG.  Exit status: 0 when the run
+validating against REPORT_SCHEMA, with a "manifest" object that records the
+subcommand, its configuration, seed, output directory, version and wall time,
+and (when a growth fit exists) a log-log SVG.  Exit status: 0 when the run
 passed, 1 when an experiment ran but failed its certification, 2 for usage,
 configuration or input errors.
 
@@ -24,13 +25,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .corefn import MIN_FIT_POINTS, GrowthFit, fit_power_law
+from .corefn import MIN_FIT_POINTS, fit_power_law
 from .errors import BadRange, EmptyInput, VarlatError
 from .experiments import (
     DEFAULT_BASE,
@@ -41,7 +42,9 @@ from .experiments import (
     TRANSFER_TOLERANCE,
     ExperimentConfig,
     GridSpec,
+    Outcome,
     RatioReport,
+    _lr_depth,
     exp_hilbert_growth,
     exp_key_estimate,
     exp_linf_blowup,
@@ -53,7 +56,7 @@ from .experiments import (
 from .variation import qvariation
 from .witnesses import DEFAULT_J_WINDOW, LacunaryParams, certified_key_table
 
-__all__ = ["run", "main", "RunManifest", "REPORT_SCHEMA", "emit_svg_loglog", "SUBCOMMANDS"]
+__all__ = ["run", "main", "REPORT_SCHEMA", "emit_svg_loglog", "SUBCOMMANDS"]
 
 REPORT_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -100,18 +103,6 @@ REPORT_SCHEMA: dict = {
     },
     "additionalProperties": True,
 }
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block echoed verbatim into every JSON report."""
-
-    subcommand: str
-    config: dict
-    seed: int
-    out_dir: str
-    version: str
-    wall_clock_seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +230,8 @@ def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     return resolved
 
 
-def _experiment_config(resolved: dict, key_constant: float | None = None) -> ExperimentConfig:
-    """The run's configuration; its key constant is certified here unless the
-    caller already holds it."""
+def _experiment_config(resolved: dict, key_constant: float) -> ExperimentConfig:
     a, k_min, j0 = resolved["a"], resolved["kmin"], resolved["j0"]
-    if key_constant is None:
-        _, key_constant = certified_key_table(a, k_min, j0, resolved["j_max"])
     lac = LacunaryParams(a=a, k_min=k_min, j0=j0, key_constant=key_constant)
     grid = GridSpec(resolved["log_per_decade"])
     return ExperimentConfig(
@@ -361,27 +348,31 @@ def _out_path(resolved: dict, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_reports(name: str, command: "Command", resolved: dict, outcome: "Outcome", t0: float) -> None:
+def _write_reports(
+    name: str, command: "Command", resolved: dict, outcome: Outcome, config: ExperimentConfig | None, t0: float
+) -> None:
     """The CSV, the optional SVG and the JSON report of one finished run."""
-    header, rows = outcome.csv or (_REPORT_HEADER, [_report_row(rep) for rep in outcome.reports])
+    if outcome.table is None:
+        header, rows = _REPORT_HEADER, [_report_row(rep) for rep in outcome.reports]
+    else:
+        header, rows = "j,D_j", [f"{j},{_fmt(d)}" for j, d in enumerate(outcome.table)]
     _write_text(_out_path(resolved, f"{name}.csv"), "\n".join([header, *rows]) + "\n")
     if command.plots:
         emit_svg_loglog(outcome.reports, _out_path(resolved, f"{name}.svg"))
-    config = outcome.config
-    manifest = RunManifest(
-        subcommand=name,
-        config=_config_payload(resolved, config),
-        seed=resolved["seed"],
-        out_dir=resolved["out"],
-        version=__version__,
-        wall_clock_seconds=time.perf_counter() - t0,
-    )
+    config_payload = _config_payload(resolved, config)
     payload = {
-        "config": manifest.config,
+        "config": config_payload,
         "certified_C": 0.0 if config is None else config.lacunary.key_constant,
         "fit": None if outcome.fit is None else asdict(outcome.fit),
         "pass": outcome.passed,
-        "manifest": asdict(manifest),
+        "manifest": {
+            "subcommand": name,
+            "config": config_payload,
+            "seed": resolved["seed"],
+            "out_dir": resolved["out"],
+            "version": __version__,
+            "wall_clock_seconds": time.perf_counter() - t0,
+        },
     }
     if outcome.extras:
         payload["extras"] = outcome.extras
@@ -392,116 +383,54 @@ def _write_reports(name: str, command: "Command", resolved: dict, outcome: "Outc
 # the command table
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """One finished run, in the shape the writers and summaries take."""
+class Command(NamedTuple):
+    """One subcommand: its experiment call, summary line, defaults and output shape."""
 
-    passed: bool
-    reports: Sequence[RatioReport] = ()
-    fit: GrowthFit | None = None
-    extras: dict = field(default_factory=dict)
-    config: ExperimentConfig | None = None
-    #: CSV header and rows, when they are not the report rows; a run with
-    #: neither reports nor csv rows writes no CSV or JSON report
-    csv: tuple[str, Sequence[str]] | None = None
-
-
-@dataclass(frozen=True)
-class Command:
-    """One subcommand: its experiment call, defaults and output shape."""
-
-    run: Callable[[dict], Outcome]
-    summary: Callable[[Outcome], str]
-    #: parameter defaults that replace the table's for this command
-    defaults: dict = field(default_factory=dict)
+    #: the experiment, from the resolved keys and the run's configuration
+    run: Callable[[dict, ExperimentConfig | None], Outcome]
+    summary: Callable[[Outcome, ExperimentConfig | None], str]
+    #: parameter defaults that replace the table's for this command (read only)
+    defaults: dict = {}
     plots: bool = False
     #: resolved key whose points the pass condition fits a power law over
     fit_over: str | None = None
-    #: whether a passing run records its witness parameters in VARLAT_CACHE
-    caches: bool = False
+    #: the deepest witness scale the run evaluates, from the resolved keys (0
+    #: for none); the key constant is certified before the run over every
+    #: scale up to it, and up to j_max.  None for a run that certifies none
+    #: first: key-estimate, whose output the constant is, and variation.
+    deepest: Callable[[dict], int] | None = lambda resolved: 0
 
 
-def _reduction_constant(resolved: dict) -> Outcome:
-    config = _experiment_config(resolved)
+def _reduction_constant(resolved: dict, config: ExperimentConfig) -> Outcome:
     nodes = resolved["nodes"]
     value = exp_reduction_constant(nodes)
     report = RatioReport(float(nodes), value, REDUCTION_TARGET, value / REDUCTION_TARGET, 0.0)
-    return Outcome(
-        abs(value - REDUCTION_TARGET) <= 1e-6,
-        [report],
-        extras={"value": value, "target": REDUCTION_TARGET},
-        config=config,
-    )
+    extras = {"value": value, "target": REDUCTION_TARGET}
+    return Outcome(abs(value - REDUCTION_TARGET) <= 1e-6, (report,), None, extras)
 
 
-def _key_estimate(resolved: dict) -> Outcome:
-    # the certified constant is this subcommand's output, not its input: an
-    # inadmissible truncation is a reportable FAIL here, and leaves no config
-    result = exp_key_estimate(resolved["a"], resolved["kmin"], resolved["j0"], resolved["j_max"])
-    config = _experiment_config(resolved, result.certified_c) if result.table else None
-    return Outcome(
-        result.passed,
-        extras={"a": result.a, "j0": result.j0, "reason": result.reason},
-        config=config,
-        csv=("j,D_j", [f"{j},{_fmt(d)}" for j, d in enumerate(result.table)]),
-    )
-
-
-def _key_summary(outcome: Outcome) -> str:
+def _key_summary(outcome: Outcome, config: ExperimentConfig | None) -> str:
     a = _fmt(outcome.extras["a"])  # the base as run: :g would print 1.000000001 as 1
-    if outcome.config is None:
+    if config is None:
         return f"key-estimate: a={a} C=n/a pass=False ({outcome.extras['reason']})"
-    return f"key-estimate: a={a} C={outcome.config.lacunary.key_constant:.6g} pass={outcome.passed}"
+    return f"key-estimate: a={a} C={config.lacunary.key_constant:.6g} pass={outcome.passed}"
 
 
-def _linf_blowup(resolved: dict) -> Outcome:
-    config = _experiment_config(resolved)
-    result = exp_linf_blowup(config, resolved["j1_list"])
-    extras = {"denominator_target": result.denominator_target}
-    return Outcome(result.passed, result.reports, result.fit, extras, config)
-
-
-def _maximal_contrast(resolved: dict) -> Outcome:
-    config = _experiment_config(resolved)
-    result = exp_maximal_contrast(config, resolved["j1_list"])
-    extras = {
-        "variation_growth": result.variation_growth,
-        "maximal_spread": result.maximal_spread,
-        "pairs": [asdict(pair) for pair in result.pairs],
-    }
-    return Outcome(result.passed, result.reports, result.fit, extras, config)
-
-
-def _lr_growth(resolved: dict) -> Outcome:
-    config = _experiment_config(resolved)
-    result = exp_lr_growth(config)
-    extras = {"delta_radius": result.delta_radius, "bounds": list(result.bound_values)}
-    return Outcome(result.passed, result.reports, result.fit, extras, config)
-
-
-def _hilbert_growth(resolved: dict) -> Outcome:
-    config = _experiment_config(resolved)
-    result = exp_hilbert_growth(config)
-    extras = {"bounds": list(result.bound_values)}
-    return Outcome(result.passed, result.reports, result.fit, extras, config)
-
-
-def _norm_transfer(resolved: dict) -> Outcome:
-    config = _experiment_config(resolved)
+def _norm_transfer(resolved: dict, config: ExperimentConfig) -> Outcome:
     seed, trials = resolved["seed"], resolved["trials"]
     rows, seconds = norm_transfer_trials(seed, trials, p=config.p, q=config.q, r=config.r_list[0])
-    reports = [
+    reports = tuple(
         RatioReport(float(trial_seed), integral, sequence, integral / sequence, spent)
         for trial_seed, (integral, sequence), spent in zip(
             range(seed, seed + trials), rows[:, 2:4].tolist(), seconds.tolist()
         )
-    ]
+    )
     worst = float(rows[:, 4].max())
     extras = {"trials": trials, "max_rel_discrepancy": worst}
-    return Outcome(worst <= TRANSFER_TOLERANCE, reports, extras=extras, config=config)
+    return Outcome(worst <= TRANSFER_TOLERANCE, reports, None, extras)
 
 
-def _variation(resolved: dict) -> Outcome:
+def _variation(resolved: dict, config: None) -> Outcome:
     path = resolved["values"]
     if path is None:
         raise BadRange("variation needs a --values file")
@@ -517,32 +446,44 @@ def _variation(resolved: dict) -> Outcome:
         raise BadRange(f"{path}: {exc}") from None
     del tokens
     certificate = qvariation(values, resolved["q"])
-    return Outcome(True, extras={"value": certificate.value, "subsequence": certificate.subsequence})
+    return Outcome(True, (), None, {"value": certificate.value, "subsequence": certificate.subsequence})
 
 
-def _slope_summary(name: str, target: Callable[[ExperimentConfig], float]) -> Callable[[Outcome], str]:
-    return lambda o: (
-        f"{name}: slope={o.fit.slope:.3f} target={target(o.config):.3f} pass={o.passed}"
+def _slope_summary(
+    name: str, target: Callable[[ExperimentConfig], float]
+) -> Callable[[Outcome, ExperimentConfig], str]:
+    return lambda o, config: (
+        f"{name}: slope={o.fit.slope:.3f} target={target(config):.3f} pass={o.passed}"
     )
 
 
+def _deepest_j1(resolved: dict) -> int:
+    return max(resolved["j1_list"])
+
+
 _COMMANDS: dict[str, Command] = {
-    "reduction-constant": Command(_reduction_constant, lambda o: f"{o.extras['value']:.12g}"),
-    "key-estimate": Command(_key_estimate, _key_summary, caches=True),
+    "reduction-constant": Command(_reduction_constant, lambda o, _: f"{o.extras['value']:.12g}"),
+    "key-estimate": Command(
+        lambda r, _: exp_key_estimate(r["a"], r["kmin"], r["j0"], r["j_max"]),
+        _key_summary,
+        deepest=None,
+    ),
     "linf-blowup": Command(
-        _linf_blowup,
+        lambda r, config: exp_linf_blowup(config, r["j1_list"]),
         _slope_summary("linf-blowup", lambda c: 1.0 / c.q),
         plots=True,
         fit_over="j1_list",
+        deepest=_deepest_j1,
     ),
     "lr-growth": Command(
-        _lr_growth,
+        lambda r, config: exp_lr_growth(config),
         _slope_summary("lr-growth", lambda c: 1.0 / c.q),
         plots=True,
         fit_over="r_list",
+        deepest=lambda r: _lr_depth(r["r_list"][-1], r["j0"]),
     ),
     "hilbert-growth": Command(
-        _hilbert_growth,
+        lambda r, config: exp_hilbert_growth(config),
         _slope_summary("hilbert-growth", lambda c: 1.0),
         defaults={"r_list": HILBERT_R_LIST},
         plots=True,
@@ -550,22 +491,24 @@ _COMMANDS: dict[str, Command] = {
     ),
     "norm-transfer": Command(
         _norm_transfer,
-        lambda o: (
+        lambda o, _: (
             f"norm-transfer: trials={o.extras['trials']} "
             f"worst={o.extras['max_rel_discrepancy']:.3e} pass={o.passed}"
         ),
     ),
     "maximal-contrast": Command(
-        _maximal_contrast,
-        lambda o: (
+        lambda r, config: exp_maximal_contrast(config, r["j1_list"]),
+        lambda o, _: (
             f"maximal-contrast: spread={o.extras['maximal_spread']:.3f} "
             f"growth={o.extras['variation_growth']:.2f} pass={o.passed}"
         ),
         plots=True,
+        deepest=_deepest_j1,
     ),
     "variation": Command(
         _variation,
-        lambda o: f"{o.extras['value']:.12g}\n" + " ".join(str(i) for i in o.extras["subsequence"]),
+        lambda o, _: f"{o.extras['value']:.12g}\n" + " ".join(str(i) for i in o.extras["subsequence"]),
+        deepest=None,
     ),
 }
 
@@ -582,14 +525,24 @@ def run(argv: Sequence[str]) -> int:
     command = _COMMANDS[args.subcommand]
     try:
         resolved = _resolve(args, command)
-        outcome = command.run(resolved)
-        if outcome.reports or outcome.csv:
-            _write_reports(args.subcommand, command, resolved, outcome, t0)
+        config = None
+        if command.deepest is not None:
+            # D_j reads the scales j and j + 1
+            j_max = max(resolved["j_max"], command.deepest(resolved) - 1)
+            _, key_constant = certified_key_table(resolved["a"], resolved["kmin"], resolved["j0"], j_max)
+            config = _experiment_config(resolved, key_constant)
+        outcome = command.run(resolved, config)
+        if outcome.table:
+            # key-estimate's output: the certified constant of its own table
+            config = _experiment_config(resolved, min(outcome.table[resolved["j0"] :]))
+        if outcome.reports or outcome.table is not None:
+            _write_reports(args.subcommand, command, resolved, outcome, config, t0)
         cache = os.environ.get(_CACHE_ENV)
-        if cache and outcome.passed and command.caches:
-            _write_json(cache, asdict(outcome.config.lacunary))
+        if cache and outcome.passed and outcome.table:
+            # a passing key-estimate records the witness it certified
+            _write_json(cache, asdict(config.lacunary))
         try:
-            print(command.summary(outcome), flush=True)
+            print(command.summary(outcome, config), flush=True)
         except BrokenPipeError:
             # the reader closed stdout early (`| head`): that ends the output,
             # not the run, so say nothing and point stdout at devnull, where

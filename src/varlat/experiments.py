@@ -35,10 +35,13 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401  norm-transfer's generator, loaded with the package
+# norm-transfer's generator loads with the package, not where it draws.  The
+# import takes 12-20 ms (2 shared vCPUs, numpy 2.4); inside the run it would
+# add 25-35% to the wall time of perfbench's small-commands (about 0.055 s)
+import numpy.random  # noqa: F401  loaded with the package, as said above
 
 from .corefn import (
     MIN_FIT_POINTS,
@@ -81,12 +84,7 @@ __all__ = [
     "GridSpec",
     "ExperimentConfig",
     "RatioReport",
-    "KeyEstimateResult",
-    "BlowupResult",
-    "ContrastPair",
-    "MaximalContrastResult",
-    "LrGrowthResult",
-    "HilbertGrowthResult",
+    "Outcome",
     "NormTransferResult",
     "HILBERT_R_LIST",
     "default_lacunary",
@@ -228,60 +226,25 @@ def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], Gro
     return tuple(reports), fit
 
 
-@dataclass(frozen=True)
-class KeyEstimateResult:
-    a: float
-    j0: int
-    table: tuple[float, ...]
-    certified_c: float
+class Outcome(NamedTuple):
+    """One finished experiment, as the CLI writes it: whether it passed, its
+    report rows (the CSV), the power-law fit of their ratios, and extras, the
+    JSON report's "extras" object, key for key.  table is key-estimate's
+    D_0, D_1, ... (its CSV in place of report rows), empty when the
+    truncation cannot support one, and None for every other experiment.
+    """
+
     passed: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class BlowupResult:
     reports: tuple[RatioReport, ...]
     fit: GrowthFit | None
-    denominator_target: float
-    passed: bool
+    extras: dict
+    table: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ContrastPair:
-    j1: int
-    variation_ratio: float
-    maximal_ratio: float
+class NormTransferResult(NamedTuple):
+    """Both sides of the norm-transfer identity, plain and variation, and
+    the largest relative gap between the two sides of a pair."""
 
-
-@dataclass(frozen=True)
-class MaximalContrastResult:
-    pairs: tuple[ContrastPair, ...]
-    reports: tuple[RatioReport, ...]  # the maximal-operator rows
-    fit: GrowthFit | None  # of the variation ratios against j1 - j0
-    variation_growth: float
-    maximal_spread: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class LrGrowthResult:
-    reports: tuple[RatioReport, ...]
-    fit: GrowthFit | None
-    delta_radius: float
-    bound_values: tuple[float, ...]
-    passed: bool
-
-
-@dataclass(frozen=True)
-class HilbertGrowthResult:
-    reports: tuple[RatioReport, ...]
-    fit: GrowthFit | None
-    bound_values: tuple[float, ...]
-    passed: bool
-
-
-@dataclass(frozen=True)
-class NormTransferResult:
     plain_integral: float
     plain_sequence: float
     variation_integral: float
@@ -308,24 +271,25 @@ def exp_reduction_constant(quad_nodes: int = 2048) -> float:
 # key estimate
 
 
-def exp_key_estimate(a: float, k_min: int, j0: int, j_max: int = DEFAULT_J_WINDOW[1]) -> KeyEstimateResult:
+def exp_key_estimate(a: float, k_min: int, j0: int, j_max: int = DEFAULT_J_WINDOW[1]) -> Outcome:
     """Tabulate D_j at the origin for the witness (a, k_min) and certify its
-    minimum over [j0, j_max].
+    minimum over [j0, j_max], min(table[j0:]).  The extras hold a, j0 and
+    the reason a failing run failed ("" when it passed).
 
     A base whose truncation cannot support the table (tail pollution above
-    tolerance) is reported as a failure rather than raised: the experiment's
-    job is to say whether the configuration certifies, and such a base does
-    not.
+    tolerance) is reported as a failure with an empty table rather than
+    raised: the experiment's job is to say whether the configuration
+    certifies, and such a base does not.
     """
     if j_max < j0:
         raise BadRange("j_max must reach at least j0")
     try:
         table, certified = certified_key_table(a, k_min, j0, j_max)
     except TruncationTooShallow as exc:
-        return KeyEstimateResult(a, j0, (), 0.0, False, reason=str(exc))
+        return Outcome(False, (), None, {"a": a, "j0": j0, "reason": str(exc)}, ())
     passed = certified >= KEY_THRESHOLD
     reason = "" if passed else f"certified constant {certified:.3e} below {KEY_THRESHOLD:.0e}"
-    return KeyEstimateResult(a, j0, table, certified, passed, reason)
+    return Outcome(passed, (), None, {"a": a, "j0": j0, "reason": reason}, table)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +409,7 @@ def _validated_j1_list(config: ExperimentConfig, j1_list: Sequence[int]) -> tupl
     return out
 
 
-def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> BlowupResult:
+def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> Outcome:
     """Sup-norm variation ratio against depth.
 
     numerator: L^p over the unit interval of the radius-1 sliding sup of the
@@ -453,7 +417,7 @@ def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> BlowupR
     a^(-2j), j0 <= j <= j1, evaluated at their roots a^-j.  denominator: the
     same norm of |G| itself, in closed form (3 - a^k_min)^(1/p) rounded up,
     which is 3^(1/p) to within rounding.  The ratio must grow like
-    (j1 - j0)^(1/q).
+    (j1 - j0)^(1/q).  The extras hold denominator_target, 3^(1/p).
     """
     depths = _validated_j1_list(config, j1_list)
 
@@ -470,10 +434,11 @@ def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> BlowupR
     den_ok = abs(reports[0].denominator / target - 1.0) <= DENOMINATOR_TOLERANCE
     slope_ok = fit is not None and abs(fit.slope - 1.0 / config.q) <= SLOPE_TOLERANCE
     r2_ok = fit is not None and fit.r_squared >= LINF_R_SQUARED_FLOOR
-    return BlowupResult(reports, fit, target, increasing and den_ok and slope_ok and r2_ok)
+    passed = increasing and den_ok and slope_ok and r2_ok
+    return Outcome(passed, reports, fit, {"denominator_target": target})
 
 
-def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> MaximalContrastResult:
+def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Outcome:
     """Same pipeline with the maximal operator in place of the variation.
 
     The variation ratios are shared bit for bit with exp_linf_blowup (same
@@ -481,6 +446,9 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ma
     point of the contrast is that the maximal ratio stays flat while the
     variation ratio grows.  The fit is that of the variation ratios; the
     reports are the maximal rows, each timed as the row that computed both.
+    The extras hold the pairs (one {j1, variation_ratio, maximal_ratio} per
+    depth), variation_growth, the last variation ratio over the first, and
+    maximal_spread, the largest maximal ratio over the smallest, less 1.
     """
     depths = _validated_j1_list(config, j1_list)
     max_numerators = []
@@ -495,12 +463,16 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ma
         RatioReport(v.param, num, v.denominator, num / v.denominator, v.seconds)
         for v, num in zip(variation, max_numerators)
     )
-    pairs = tuple(ContrastPair(j1, v.ratio, m.ratio) for j1, v, m in zip(depths, variation, reports))
-    max_ratios = [pair.maximal_ratio for pair in pairs]
+    pairs = [
+        {"j1": j1, "variation_ratio": v.ratio, "maximal_ratio": m.ratio}
+        for j1, v, m in zip(depths, variation, reports)
+    ]
+    max_ratios = [m.ratio for m in reports]
     spread = max(max_ratios) / min(max_ratios) - 1.0
-    growth = pairs[-1].variation_ratio / pairs[0].variation_ratio
+    growth = variation[-1].ratio / variation[0].ratio
     passed = spread < CONTRAST_SPREAD_LIMIT and growth > CONTRAST_GROWTH_FLOOR
-    return MaximalContrastResult(pairs, reports, fit, growth, spread, passed)
+    extras = {"variation_growth": growth, "maximal_spread": spread, "pairs": pairs}
+    return Outcome(passed, reports, fit, extras)
 
 
 def _lr_depth(r: float, j0: int) -> int:
@@ -517,7 +489,7 @@ def lr_numerator(config: ExperimentConfig, r: float) -> float:
     return _window_norm(points, weights, var_vals, config.p, r)
 
 
-def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:
+def exp_lr_growth(config: ExperimentConfig) -> Outcome:
     """Power-sum variation ratio against the inner exponent r.
 
     For each r in config.r_list the depth is j1 = floor(r) * j0, the
@@ -525,7 +497,8 @@ def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:
     and the denominator is the closed-form upper bound (1 + 2r/(r+p))^(1/p)
     for the power-sum norm of |G|, rounded up (it is at most
     2^(1/r) 3^(1/p)).  Each ratio must clear the certified closed-form floor
-    (C/4) r^(1/q) / (2^(1/r) 3^(1/p)).
+    (C/4) r^(1/q) / (2^(1/r) 3^(1/p)).  The extras hold those floors, bounds,
+    and delta_radius, the witness's halving radius at the deepest scale.
     """
     lac = config.lacunary
     reports, fit = _rows(
@@ -533,16 +506,17 @@ def exp_lr_growth(config: ExperimentConfig) -> LrGrowthResult:
     )
     deepest = _lr_depth(config.r_list[-1], lac.j0)
     delta = delta_halving_radius(lac.a, lac.k_min, lac.j0, deepest)
-    bounds = tuple(
+    bounds = [
         (lac.key_constant / 4.0)
         * r ** (1.0 / config.q)
         / (2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p))
         for r in config.r_list
-    )
+    ]
     above = all(rep.ratio >= b for rep, b in zip(reports, bounds))
     slope_ok = fit is not None and abs(fit.slope - 1.0 / config.q) <= SLOPE_TOLERANCE
     r2_ok = fit is not None and fit.r_squared >= LR_R_SQUARED_FLOOR
-    return LrGrowthResult(reports, fit, delta, bounds, above and slope_ok and r2_ok)
+    passed = above and slope_ok and r2_ok
+    return Outcome(passed, reports, fit, {"delta_radius": delta, "bounds": bounds})
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +562,7 @@ def hilbert_inner_norm(r: float) -> float:
     return (2.0 * r * math.gamma(r) * eta) ** (1.0 / r) * _ROUND_DOWN
 
 
-def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
+def exp_hilbert_growth(config: ExperimentConfig) -> Outcome:
     """Variation-free singular-integral growth: ratio against the exponent r.
 
     numerator: L^p over the unit interval of the inner L^r norm of the
@@ -600,19 +574,20 @@ def exp_hilbert_growth(config: ExperimentConfig) -> HilbertGrowthResult:
     ratio is a certified lower bound, and none depends on the grid.  The
     ratio must grow linearly in r and clear r / (2e * denominator); run it
     with r_list=HILBERT_R_LIST, as the CLI does, for the slope to show that.
+    The extras hold those floors, bounds.
     """
     reports, fit = _rows(
         config.r_list,
         lambda r: (r, hilbert_inner_norm(r), 2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p)),
     )
-    bounds = tuple(
+    bounds = [
         r / (2.0 * math.e * 2.0 ** (1.0 / r) * 3.0 ** (1.0 / config.p))
         for r in config.r_list
-    )
+    ]
     above = all(rep.ratio >= b for rep, b in zip(reports, bounds))
     lo, hi = HILBERT_SLOPE_WINDOW
     slope_ok = fit is not None and lo <= fit.slope <= hi
-    return HilbertGrowthResult(reports, fit, bounds, above and slope_ok)
+    return Outcome(above and slope_ok, reports, fit, {"bounds": bounds})
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,9 @@ def key_estimate_table(a: float, k_min: int, j_max: int) -> tuple[float, ...]:
     if j_max < 0:
         raise BadRange("j_max must be nonnegative")
     _require_admissible(a, k_min, j_max + 1)
+    # heat_of_g_matrix refuses the same scale, but only after listing them all
+    if not a ** -(j_max + 1.0) >= np.finfo(float).tiny:
+        raise FloatRangeExceeded(f"a^-{j_max + 1} is not a normal IEEE double for a={a}")
     column = heat_of_g_matrix(a, k_min, range(j_max + 2), (0.0,))[:, 0]
     return tuple(np.abs(np.diff(column)).tolist())
 

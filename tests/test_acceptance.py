@@ -175,7 +175,7 @@ def test_criterion_05_linf_blowup(base_config, blowup_run):
     ratios = [rep.ratio for rep in res.reports]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     target_slope = 1.0 / base_config.q
-    den_err = abs(res.reports[0].denominator / res.denominator_target - 1.0)
+    den_err = abs(res.reports[0].denominator / res.extras["denominator_target"] - 1.0)
     ok = (
         increasing
         and res.fit is not None
@@ -198,20 +198,21 @@ def test_criterion_05_linf_blowup(base_config, blowup_run):
 
 def test_criterion_06_maximal_contrast(contrast_run):
     res = contrast_run.result
-    ok = res.maximal_spread < 0.25 and res.variation_growth > 2.0
+    spread, growth = res.extras["maximal_spread"], res.extras["variation_growth"]
+    ok = spread < 0.25 and growth > 2.0
     _announce(6, "maximal-contrast", ok,
-              f"maximal spread={res.maximal_spread:.4f} (< 0.25) "
-              f"variation growth={res.variation_growth:.2f}x (> 2x) "
+              f"maximal spread={spread:.4f} (< 0.25) "
+              f"variation growth={growth:.2f}x (> 2x) "
               f"({contrast_run.seconds:.1f}s)")
-    assert res.maximal_spread < 0.25
-    assert res.variation_growth > 2.0
+    assert spread < 0.25
+    assert growth > 2.0
     assert res.passed
 
 
 def test_criterion_07_lr_growth(base_config, lr_run):
     res = lr_run.result
     target_slope = 1.0 / base_config.q
-    margins = [rep.ratio / b for rep, b in zip(res.reports, res.bound_values)]
+    margins = [rep.ratio / b for rep, b in zip(res.reports, res.extras["bounds"])]
     ok = (
         res.fit is not None
         and abs(res.fit.slope - target_slope) <= 0.15
@@ -225,9 +226,9 @@ def test_criterion_07_lr_growth(base_config, lr_run):
               f"({lr_run.seconds:.1f}s)")
     assert abs(res.fit.slope - target_slope) <= 0.15
     assert res.fit.r_squared >= 0.95
-    for rep, bound in zip(res.reports, res.bound_values):
+    for rep, bound in zip(res.reports, res.extras["bounds"]):
         assert rep.ratio >= bound
-    assert res.delta_radius > 0
+    assert res.extras["delta_radius"] > 0
     assert res.passed
     assert lr_run.seconds < 900.0
 
@@ -244,7 +245,7 @@ def test_criterion_08_hilbert_growth(hilbert_config, hilbert_run):
     extra_seconds = time.perf_counter() - t0
 
     res = hilbert_run.result
-    margins = [rep.ratio / b for rep, b in zip(res.reports, res.bound_values)]
+    margins = [rep.ratio / b for rep, b in zip(res.reports, res.extras["bounds"])]
     total = hilbert_run.seconds + extra_seconds
     ok = (
         l2_err <= 1e-3
@@ -261,7 +262,7 @@ def test_criterion_08_hilbert_growth(hilbert_config, hilbert_run):
     assert l2_err <= 1e-3
     assert pointwise_ok
     assert 0.9 <= res.fit.slope <= 1.1
-    for rep, bound in zip(res.reports, res.bound_values):
+    for rep, bound in zip(res.reports, res.extras["bounds"]):
         assert rep.ratio >= bound
     assert res.passed
     assert total < 120.0

@@ -368,6 +368,27 @@ class TestConfigLayers:
         assert flag["certified_C"] == config["certified_C"]
         assert flag["certified_C"] == min(witnesses.key_estimate_table(2.0, -120, 3)[2:])
 
+    @pytest.mark.parametrize(
+        "name, flags, table_end",
+        [
+            ("linf-blowup", ["--j1-list", "6,8,10"], 9),
+            ("maximal-contrast", ["--j1-list", "6,8,10"], 9),
+            ("lr-growth", ["--r-list", "2,3,4"], 7),
+            ("hilbert-growth", [], 3),
+        ],
+    )
+    def test_certified_constant_covers_every_scale_the_run_evaluates(self, tmp_path, name, flags, table_end):
+        # at a = 1.5, D_2 = 0.029 and D_3 = 0.0098 but D_4 = 0.0017, so the
+        # window [j0, j_max] = [2, 3] alone misses the smallest D_j of a run
+        # to depth 10 (linf-blowup, maximal-contrast) or 4 * j0 = 8 (lr-growth
+        # at r = 4); D_j reads the scales j and j + 1.  hilbert-growth
+        # evaluates no witness scale and keeps [j0, j_max].
+        argv = [name, *flags, "--a", "1.5", "--kmin", "-800", "--j-max", "3"]
+        assert run([*argv, "--log-per-decade", "8", "--out", str(tmp_path)]) in (0, 1)
+        report = _read_json(tmp_path / f"{name}.json")
+        assert report["certified_C"] == min(witnesses.key_estimate_table(1.5, -800, table_end)[2:])
+        assert report["config"]["j_max"] == 3
+
     @pytest.mark.parametrize("window", [["--j-max", "1"], ["--j0", "31"]], ids=["j-max-1", "j0-31"])
     @pytest.mark.parametrize("name, flags", EXPERIMENT_COMMANDS)
     def test_j_max_below_j0_exits_2(self, tmp_path, capsys, name, flags, window):

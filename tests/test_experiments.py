@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -166,22 +166,21 @@ class TestKeyEstimateExperiment:
     def test_default_configuration_passes(self):
         res = exp_key_estimate(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0)
         assert res.passed
-        assert res.reason == ""
-        assert res.certified_c == pytest.approx(CERTIFIED_BASE2, abs=1e-10)
+        assert res.extras == {"a": DEFAULT_BASE, "j0": DEFAULT_J0, "reason": ""}
+        assert min(res.table[DEFAULT_J0:]) == pytest.approx(CERTIFIED_BASE2, abs=1e-10)
         assert len(res.table) == 31
 
     def test_shallow_truncation_reported_not_raised(self):
         res = exp_key_estimate(1.000000001, -120, 2)
         assert not res.passed
-        assert res.certified_c == 0.0
         assert res.table == ()
-        assert "tail" in res.reason
+        assert "tail" in res.extras["reason"]
 
     def test_subthreshold_constant_reported(self):
         res = exp_key_estimate(1.3, -400, 2)
         assert not res.passed
-        assert 0 < res.certified_c < 1e-4
-        assert "below" in res.reason
+        assert 0 < min(res.table[2:]) < 1e-4
+        assert "below" in res.extras["reason"]
 
     def test_rejects_window_short_of_j0(self):
         with pytest.raises(BadRange):
@@ -199,21 +198,21 @@ class TestBlowupSmallRuns:
         ratios = [rep.ratio for rep in res.reports]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         target = 3.0 ** (1.0 / self.CONFIG.p)
-        assert res.denominator_target == pytest.approx(target, rel=1e-15)
+        assert res.extras["denominator_target"] == pytest.approx(target, rel=1e-15)
         assert abs(res.reports[0].denominator / target - 1.0) <= 0.01
 
     def test_contrast_shares_variation_ratios_exactly(self):
         blow = exp_linf_blowup(self.CONFIG, self.DEPTHS)
         contrast = exp_maximal_contrast(self.CONFIG, self.DEPTHS)
         j0 = self.CONFIG.lacunary.j0
-        for rep, pair in zip(blow.reports, contrast.pairs):
-            assert rep.param == pair.j1 - j0
-            assert pair.variation_ratio == rep.ratio
+        for rep, pair in zip(blow.reports, contrast.extras["pairs"]):
+            assert rep.param == pair["j1"] - j0
+            assert pair["variation_ratio"] == rep.ratio
 
     def test_maximal_ratio_flat_while_variation_grows(self):
         contrast = exp_maximal_contrast(self.CONFIG, self.DEPTHS)
-        assert contrast.maximal_spread < 0.25
-        assert contrast.variation_growth > 1.2
+        assert contrast.extras["maximal_spread"] < 0.25
+        assert contrast.extras["variation_growth"] > 1.2
 
     def test_profile_bundle_builds_one_family_matrix_per_depth(self, monkeypatch):
         calls = []
@@ -623,7 +622,7 @@ class TestNormTransfer:
         block = experiments._TRANSFER_BLOCK
         rows, seconds = norm_transfer_trials(11, 2 * block + extra)
         for i, row in enumerate(rows.tolist()):
-            assert tuple(row) == astuple(exp_norm_transfer(11 + i))
+            assert tuple(row) == tuple(exp_norm_transfer(11 + i))
         # a trial's seconds are its block's time over the block's trials
         assert [len(set(seconds[k : k + block])) for k in range(0, len(rows), block)] == [1, 1, 1]
 
@@ -673,7 +672,7 @@ class TestNormTransfer:
 
     def test_zero_function_gives_zero_norms(self):
         res = norm_transfer_pair((0.0, 0.5, 1.5), np.zeros((2, 3)), [0.5, 1.0, 0.2], 2.0, 3.0, 4.0, self.J)
-        assert astuple(res) == (0.0,) * 5
+        assert tuple(res) == (0.0,) * 5
 
     def test_euclidean_three_four_five(self):
         # unit widths make both inner norms plain ell^2; the cell has length 1
@@ -686,7 +685,7 @@ class TestNormTransfer:
         bounds, coeffs, widths = transfer_draw(5)
         base = norm_transfer_pair(bounds, coeffs, widths, p, 3.0, 1.5, self.J)
         scaled = norm_transfer_pair(bounds, -3.5 * coeffs, widths, p, 3.0, 1.5, self.J)
-        for got, want in zip(astuple(scaled)[:4], astuple(base)[:4]):
+        for got, want in zip(tuple(scaled)[:4], tuple(base)[:4]):
             assert got == pytest.approx(3.5 * want, rel=1e-12)
 
     def test_p_infinity_is_the_largest_inner_norm(self):
@@ -703,7 +702,7 @@ class TestNormTransfer:
         one = norm_transfer_pair(bounds, coeffs, widths, 2.0, 3.0, 4.0, self.J)
         halves = np.repeat(coeffs, 2, axis=1), np.repeat(widths / 2.0, 2)
         two = norm_transfer_pair(bounds, *halves, 2.0, 3.0, 4.0, self.J)
-        for got, want in zip(astuple(two)[:4], astuple(one)[:4]):
+        for got, want in zip(tuple(two)[:4], tuple(one)[:4]):
             assert got == pytest.approx(want, rel=1e-14)
 
     def test_coordinate_order_does_not_matter(self):
@@ -711,7 +710,7 @@ class TestNormTransfer:
         order = [2, 0, 3, 1]
         base = norm_transfer_pair(bounds, coeffs, widths, 2.0, 3.0, 4.0, self.J)
         shuffled = norm_transfer_pair(bounds, coeffs[:, order], widths[order], 2.0, 3.0, 4.0, self.J)
-        for got, want in zip(astuple(shuffled)[:4], astuple(base)[:4]):
+        for got, want in zip(tuple(shuffled)[:4], tuple(base)[:4]):
             assert got == pytest.approx(want, rel=1e-14)
 
     def test_fortran_ordered_coefficients_give_identical_rows(self):
@@ -720,7 +719,7 @@ class TestNormTransfer:
             for p, r in ((1.0, 3.0), (2.0, 1.5), (3.5, 2.0)):
                 c_res = norm_transfer_pair(bounds, coeffs, widths, p, 3.0, r, self.J)
                 f_res = norm_transfer_pair(bounds, np.asfortranarray(coeffs), widths, p, 3.0, r, self.J)
-                assert astuple(f_res) == astuple(c_res)
+                assert tuple(f_res) == tuple(c_res)
 
     @pytest.mark.parametrize("r", [1.0, 0.5])
     def test_rejects_inner_exponent_at_or_below_one(self, r):

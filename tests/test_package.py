@@ -1,5 +1,6 @@
 """Package-level checks: the public name list, imports and the runnable demos."""
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -95,6 +96,29 @@ def test_no_module_keeps_an_unused_import():
                     continue
                 unused.append(f"{path.parent.name}/{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+def test_the_dataclasses_are_the_value_types():
+    # creating a dataclass compiles its methods, which costs every process
+    # about 1-1.5 ms of import; a new one has to be argued for here
+    import varlat.cli
+
+    found = {
+        name
+        for module in (*MODULES, varlat.cli)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
+    }
+    assert found == {
+        "PiecewiseConstantFn",
+        "GrowthFit",
+        "RadiusSet",
+        "VariationCertificate",
+        "LacunaryParams",
+        "GridSpec",
+        "ExperimentConfig",
+        "RatioReport",
+    }
+
 
 def test_demos_found():
     assert DEMOS
