@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ from .experiments import (
     Outcome,
     RatioReport,
     _lr_depth,
+    _validated_j1_list,
     exp_hilbert_growth,
     exp_key_estimate,
     exp_linf_blowup,
@@ -54,7 +55,7 @@ from .experiments import (
     norm_transfer_trials,
 )
 from .variation import qvariation
-from .witnesses import DEFAULT_J_WINDOW, LacunaryParams, certified_key_table
+from .witnesses import DEFAULT_J_WINDOW, LacunaryParams, _certified_constant, certified_key_table
 
 __all__ = ["run", "main", "REPORT_SCHEMA", "emit_svg_loglog", "SUBCOMMANDS"]
 
@@ -230,12 +231,19 @@ def _resolve(args: argparse.Namespace, command: "Command") -> dict:
     return resolved
 
 
-def _experiment_config(resolved: dict, key_constant: float) -> ExperimentConfig:
-    a, k_min, j0 = resolved["a"], resolved["kmin"], resolved["j0"]
-    lac = LacunaryParams(a=a, k_min=k_min, j0=j0, key_constant=key_constant)
+def _witness(resolved: dict, key_constant: float) -> LacunaryParams:
+    return LacunaryParams(resolved["a"], resolved["kmin"], resolved["j0"], key_constant)
+
+
+#: The witness a run's configuration is checked with before its own key
+#: constant is certified; no experiment reads it.
+_STAND_IN = LacunaryParams(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, 1.0)
+
+
+def _experiment_config(resolved: dict, lacunary: LacunaryParams) -> ExperimentConfig:
     grid = GridSpec(resolved["log_per_decade"])
     return ExperimentConfig(
-        p=resolved["p"], q=resolved["q"], lacunary=lac, grid=grid, r_list=resolved["r_list"]
+        p=resolved["p"], q=resolved["q"], lacunary=lacunary, grid=grid, r_list=resolved["r_list"]
     )
 
 
@@ -349,14 +357,16 @@ def _out_path(resolved: dict, name: str) -> str:
 
 
 def _write_reports(
-    name: str, command: "Command", resolved: dict, outcome: Outcome, config: ExperimentConfig | None, t0: float
+    name: str,
+    command: "Command",
+    resolved: dict,
+    outcome: Outcome,
+    config: ExperimentConfig | None,
+    csv_lines: list[str],
+    t0: float,
 ) -> None:
     """The CSV, the optional SVG and the JSON report of one finished run."""
-    if outcome.table is None:
-        header, rows = _REPORT_HEADER, [_report_row(rep) for rep in outcome.reports]
-    else:
-        header, rows = "j,D_j", [f"{j},{_fmt(d)}" for j, d in enumerate(outcome.table)]
-    _write_text(_out_path(resolved, f"{name}.csv"), "\n".join([header, *rows]) + "\n")
+    _write_text(_out_path(resolved, f"{name}.csv"), "\n".join(csv_lines) + "\n")
     if command.plots:
         emit_svg_loglog(outcome.reports, _out_path(resolved, f"{name}.svg"))
     config_payload = _config_payload(resolved, config)
@@ -394,11 +404,13 @@ class Command(NamedTuple):
     plots: bool = False
     #: resolved key whose points the pass condition fits a power law over
     fit_over: str | None = None
-    #: the deepest witness scale the run evaluates, from the resolved keys (0
-    #: for none); the key constant is certified before the run over every
-    #: scale up to it, and up to j_max.  None for a run that certifies none
-    #: first: key-estimate, whose output the constant is, and variation.
-    deepest: Callable[[dict], int] | None = lambda resolved: 0
+    #: the deepest witness scale the run evaluates (0 for none), from the
+    #: resolved keys and the checked configuration; it raises for a depth
+    #: list the run would refuse.  The key constant is certified before the
+    #: run over every scale up to it, and up to j_max.  None for a run that
+    #: certifies none first: key-estimate, whose output the constant is,
+    #: and variation.
+    deepest: Callable[[dict, ExperimentConfig], int] | None = lambda resolved, config: 0
 
 
 def _reduction_constant(resolved: dict, config: ExperimentConfig) -> Outcome:
@@ -457,8 +469,8 @@ def _slope_summary(
     )
 
 
-def _deepest_j1(resolved: dict) -> int:
-    return max(resolved["j1_list"])
+def _deepest_j1(resolved: dict, config: ExperimentConfig) -> int:
+    return max(_validated_j1_list(resolved["j1_list"]))
 
 
 _COMMANDS: dict[str, Command] = {
@@ -480,7 +492,7 @@ _COMMANDS: dict[str, Command] = {
         _slope_summary("lr-growth", lambda c: 1.0 / c.q),
         plots=True,
         fit_over="r_list",
-        deepest=lambda r: _lr_depth(r["r_list"][-1], r["j0"]),
+        deepest=lambda r, config: _lr_depth(config.r_list[-1], r["j0"]),
     ),
     "hilbert-growth": Command(
         lambda r, config: exp_hilbert_growth(config),
@@ -527,20 +539,29 @@ def run(argv: Sequence[str]) -> int:
         resolved = _resolve(args, command)
         config = None
         if command.deepest is not None:
-            # D_j reads the scales j and j + 1
-            j_max = max(resolved["j_max"], command.deepest(resolved) - 1)
+            # the configuration and the depth list are checked first, with a
+            # stand-in witness, so the key table only reaches the deepest
+            # scale of a run that can go ahead; D_j reads the scales j, j + 1
+            config = _experiment_config(resolved, _STAND_IN)
+            j_max = max(resolved["j_max"], command.deepest(resolved, config) - 1)
             _, key_constant = certified_key_table(resolved["a"], resolved["kmin"], resolved["j0"], j_max)
-            config = _experiment_config(resolved, key_constant)
+            config = replace(config, lacunary=_witness(resolved, key_constant))
         outcome = command.run(resolved, config)
-        if outcome.table:
-            # key-estimate's output: the certified constant of its own table
-            config = _experiment_config(resolved, min(outcome.table[resolved["j0"] :]))
-        if outcome.reports or outcome.table is not None:
-            _write_reports(args.subcommand, command, resolved, outcome, config, t0)
-        cache = os.environ.get(_CACHE_ENV)
-        if cache and outcome.passed and outcome.table:
-            # a passing key-estimate records the witness it certified
-            _write_json(cache, asdict(config.lacunary))
+        if outcome.table is not None:
+            # key-estimate: its D_j table is the CSV, and a nonempty table
+            # certifies the witness that the report and, when the run
+            # passes, the parameter cache record
+            if outcome.table:
+                key_constant = _certified_constant(outcome.table, resolved["j0"])
+                config = _experiment_config(resolved, _witness(resolved, key_constant))
+            csv_lines = ["j,D_j", *(f"{j},{_fmt(d)}" for j, d in enumerate(outcome.table))]
+            _write_reports(args.subcommand, command, resolved, outcome, config, csv_lines, t0)
+            cache = os.environ.get(_CACHE_ENV)
+            if cache and outcome.passed:
+                _write_json(cache, asdict(config.lacunary))
+        elif outcome.reports:
+            csv_lines = [_REPORT_HEADER, *map(_report_row, outcome.reports)]
+            _write_reports(args.subcommand, command, resolved, outcome, config, csv_lines, t0)
         try:
             print(command.summary(outcome, config), flush=True)
         except BrokenPipeError:

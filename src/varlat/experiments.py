@@ -400,7 +400,7 @@ def _blowup_numerators(config: ExperimentConfig, j1: int) -> tuple[float, float]
     return tuple(_window_norm(points, weights, v, config.p) for v in (var_vals, max_vals))
 
 
-def _validated_j1_list(config: ExperimentConfig, j1_list: Sequence[int]) -> tuple[int, ...]:
+def _validated_j1_list(j1_list: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(j) for j in j1_list)
     if len(out) < 2:
         raise BadRange("need at least two depths to report growth")
@@ -419,7 +419,7 @@ def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> Outcome
     which is 3^(1/p) to within rounding.  The ratio must grow like
     (j1 - j0)^(1/q).  The extras hold denominator_target, 3^(1/p).
     """
-    depths = _validated_j1_list(config, j1_list)
+    depths = _validated_j1_list(j1_list)
 
     def row(j1: int) -> tuple[int, float, float]:
         num, _ = _blowup_numerators(config, j1)
@@ -450,7 +450,7 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ou
     depth), variation_growth, the last variation ratio over the first, and
     maximal_spread, the largest maximal ratio over the smallest, less 1.
     """
-    depths = _validated_j1_list(config, j1_list)
+    depths = _validated_j1_list(j1_list)
     max_numerators = []
 
     def row(j1: int) -> tuple[int, float, float]:

@@ -131,10 +131,16 @@ def heat_of_g_matrix(
     j_arr = np.asarray(tuple(js), dtype=float)
     if np.any(j_arr < 0):
         raise BadRange("heat scale indices must be nonnegative")
+    return _heat_matrix(g, _normal_roots(a, j_arr), np.asarray(tuple(ys), dtype=float)).T
+
+
+def _normal_roots(a: float, j_arr: np.ndarray) -> np.ndarray:
+    """The roots a^-j; raises FloatRangeExceeded unless each is a positive
+    normal double."""
     roots = np.power(a, -j_arr)
     if not np.all(roots >= np.finfo(float).tiny):
         raise FloatRangeExceeded(f"a^-{j_arr.max():.0f} is not a normal IEEE double for a={a}")
-    return _heat_matrix(g, roots, np.asarray(tuple(ys), dtype=float)).T
+    return roots
 
 
 def truncation_tail_bound(a: float, k_min: int, j: int) -> float:
@@ -170,9 +176,7 @@ def key_estimate_table(a: float, k_min: int, j_max: int) -> tuple[float, ...]:
     if j_max < 0:
         raise BadRange("j_max must be nonnegative")
     _require_admissible(a, k_min, j_max + 1)
-    # heat_of_g_matrix refuses the same scale, but only after listing them all
-    if not a ** -(j_max + 1.0) >= np.finfo(float).tiny:
-        raise FloatRangeExceeded(f"a^-{j_max + 1} is not a normal IEEE double for a={a}")
+    _normal_roots(a, np.array([j_max + 1.0]))  # before listing every scale
     column = heat_of_g_matrix(a, k_min, range(j_max + 2), (0.0,))[:, 0]
     return tuple(np.abs(np.diff(column)).tolist())
 
@@ -182,7 +186,12 @@ def certified_key_table(a: float, k_min: int, j0: int, j_max: int) -> tuple[tupl
     the certified key constant.
     """
     table = key_estimate_table(a, k_min, max(j_max, j0))
-    return table, float(min(table[j0:]))
+    return table, _certified_constant(table, j0)
+
+
+def _certified_constant(table: Sequence[float], j0: int) -> float:
+    """The key constant a key table certifies: its minimum over j >= j0."""
+    return float(min(table[j0:]))
 
 
 def search_key_params(

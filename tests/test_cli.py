@@ -366,7 +366,11 @@ class TestConfigLayers:
         flag, config = (_read_json(tmp_path / out / f"{name}.json") for out in ("flag", "config"))
         assert flag["config"] == config["config"] and flag["config"]["j_max"] == 3
         assert flag["certified_C"] == config["certified_C"]
-        assert flag["certified_C"] == min(witnesses.key_estimate_table(2.0, -120, 3)[2:])
+        # D_j reads the scales j and j + 1: the table ends at j_max = 3, or
+        # one short of the run's deepest scale, max(j1) or floor(max r) * j0
+        deepest = {"linf-blowup": 18, "maximal-contrast": 18, "lr-growth": 16 * 2}.get(name, 0)
+        table = witnesses.key_estimate_table(2.0, -120, max(3, deepest - 1))
+        assert flag["certified_C"] == min(table[2:])
 
     @pytest.mark.parametrize(
         "name, flags, table_end",
@@ -580,6 +584,11 @@ class TestMalformedInput:
             (["linf-blowup"], "grid_points = 1501\n", None),
             # an int past the double range, refused before any float product
             (["linf-blowup", "--log-per-decade", "1" + "0" * 400], None, None),
+            # exponents the run refuses are refused before the key table
+            # reaches the depth floor(r) * j0 they would ask for
+            (["lr-growth", "--r-list", "4,8,nan"], None, None),
+            (["lr-growth", "--r-list", "4,8,inf"], None, None),
+            (["lr-growth", "--r-list", "4,8,100"], None, None),
         ],
         ids=[
             "r-list-token",
@@ -601,6 +610,9 @@ class TestMalformedInput:
             "nodes-size",
             "grid-points-key",
             "ladder-size-huge",
+            "nan-exponent",
+            "inf-exponent",
+            "exponent-above-64",
         ],
     )
     def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, argv, config, cache):
@@ -615,6 +627,28 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lr-growth", "--r-list", "4,8,nan"], "power exponents must lie in (1, 64.0]"),
+            (["lr-growth", "--r-list", "4,8,100"], "power exponents must lie in (1, 64.0]"),
+            (["lr-growth", "--r-list", "8,4,16"], "r_list must be strictly increasing"),
+            (["linf-blowup", "--j1-list", "1000,6,8"], "j1 list must be strictly increasing"),
+            (["maximal-contrast", "--j1-list", "1000,6"], "j1 list must be strictly increasing"),
+            (["linf-blowup", "--q", "2", "--kmin", "-3000", "--j1-list", "6,10,2000"], "q > 2"),
+        ],
+        ids=["nan-exponent", "exponent-above-64", "exponents-unordered", "depths-unordered",
+             "contrast-depths-unordered", "q-with-deep-list"],
+    )
+    def test_refused_before_the_key_table_reaches_the_run_depth(self, tmp_path, capsys, argv, message):
+        # the key constant is certified down to the run's deepest scale, but
+        # only once the run's own checks pass: the user sees the error of the
+        # key they set, not a tail bound or double range error at that depth
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, base",
