@@ -17,12 +17,11 @@ the unit indicator grows linearly in r, which rules out any uniform bound.
 from varlat import (
     HILBERT_R_LIST,
     ExperimentConfig,
-    GridSpec,
     exp_hilbert_growth,
     exp_lr_growth,
 )
 
-config = ExperimentConfig(grid=GridSpec(log_points_per_decade=16))
+config = ExperimentConfig(log_points_per_decade=16)
 
 lr = exp_lr_growth(config)
 print("power-sum growth (certified floor in parentheses):")

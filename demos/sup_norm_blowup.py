@@ -8,10 +8,10 @@ fresh oscillation per scale near the origin, while the plain sup norm of the
 witness stays put.  The certified ratio therefore grows like depth^(1/q),
 and the maximal operator, which forgets oscillation, stays flat.
 """
-from varlat import ExperimentConfig, GridSpec, exp_linf_blowup, exp_maximal_contrast
+from varlat import ExperimentConfig, exp_linf_blowup, exp_maximal_contrast
 
 # a coarse grid keeps the demo quick; the acceptance suite runs full size
-config = ExperimentConfig(grid=GridSpec(log_points_per_decade=16))
+config = ExperimentConfig(log_points_per_decade=16)
 depths = (6, 10, 18, 34)
 
 result = exp_linf_blowup(config, depths)

@@ -41,7 +41,6 @@ from .experiments import (
     REDUCTION_TARGET,
     TRANSFER_TOLERANCE,
     ExperimentConfig,
-    GridSpec,
     Outcome,
     RatioReport,
     _lr_depth,
@@ -134,7 +133,7 @@ _PARAMS: dict[str, _Param] = {
     "j0": _Param(int, DEFAULT_J0),
     "r_list": _Param(float, ExperimentConfig.r_list, "comma-separated exponents"),
     "j1_list": _Param(int, None, "comma-separated depths"),
-    "log_per_decade": _Param(int, GridSpec.log_points_per_decade),
+    "log_per_decade": _Param(int, ExperimentConfig.log_points_per_decade),
     "seed": _Param(int, 0),
     "out": _Param(str, "."),
     "nodes": _Param(int, inspect.signature(exp_reduction_constant).parameters["quad_nodes"].default),
@@ -188,21 +187,29 @@ def _cache_values() -> Iterator[tuple[str, str, str]]:
             yield key, json.dumps(data[name]), f"{_CACHE_ENV} file {path}: {name}"
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file named on the command line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise BadRange(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _raw_values(args: argparse.Namespace) -> Iterator[tuple[str, str, str]]:
     """(key, raw value, where it came from), lowest precedence first: the
     parameter cache, then config file lines, then flags."""
     yield from _cache_values()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                where = f"{args.config}:{lineno}"
-                if "=" not in stripped:
-                    raise BadRange(f"{where}: expected key=value, got {stripped!r}")
-                key, raw = (part.strip() for part in stripped.split("=", 1))
-                yield key.replace("-", "_"), raw, where
+        for lineno, line in enumerate(_read_text(args.config).split("\n"), 1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            where = f"{args.config}:{lineno}"
+            if "=" not in stripped:
+                raise BadRange(f"{where}: expected key=value, got {stripped!r}")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            yield key.replace("-", "_"), raw, where
     for key, raw in vars(args).items():
         if key in _PARAMS and raw is not None:
             yield key, raw, "--" + key.replace("_", "-")
@@ -241,9 +248,12 @@ _STAND_IN = LacunaryParams(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, 1.0)
 
 
 def _experiment_config(resolved: dict, lacunary: LacunaryParams) -> ExperimentConfig:
-    grid = GridSpec(resolved["log_per_decade"])
     return ExperimentConfig(
-        p=resolved["p"], q=resolved["q"], lacunary=lacunary, grid=grid, r_list=resolved["r_list"]
+        p=resolved["p"],
+        q=resolved["q"],
+        lacunary=lacunary,
+        log_points_per_decade=resolved["log_per_decade"],
+        r_list=resolved["r_list"],
     )
 
 
@@ -373,7 +383,7 @@ def _write_reports(
     payload = {
         "config": config_payload,
         "certified_C": 0.0 if config is None else config.lacunary.key_constant,
-        "fit": None if outcome.fit is None else asdict(outcome.fit),
+        "fit": None if outcome.fit is None else outcome.fit._asdict(),
         "pass": outcome.passed,
         "manifest": {
             "subcommand": name,
@@ -416,7 +426,7 @@ class Command(NamedTuple):
 def _reduction_constant(resolved: dict, config: ExperimentConfig) -> Outcome:
     nodes = resolved["nodes"]
     value = exp_reduction_constant(nodes)
-    report = RatioReport(float(nodes), value, REDUCTION_TARGET, value / REDUCTION_TARGET, 0.0)
+    report = RatioReport(float(nodes), value, REDUCTION_TARGET, 0.0)
     extras = {"value": value, "target": REDUCTION_TARGET}
     return Outcome(abs(value - REDUCTION_TARGET) <= 1e-6, (report,), None, extras)
 
@@ -432,7 +442,7 @@ def _norm_transfer(resolved: dict, config: ExperimentConfig) -> Outcome:
     seed, trials = resolved["seed"], resolved["trials"]
     rows, seconds = norm_transfer_trials(seed, trials, p=config.p, q=config.q, r=config.r_list[0])
     reports = tuple(
-        RatioReport(float(trial_seed), integral, sequence, integral / sequence, spent)
+        RatioReport(float(trial_seed), integral, sequence, spent)
         for trial_seed, (integral, sequence), spent in zip(
             range(seed, seed + trials), rows[:, 2:4].tolist(), seconds.tolist()
         )
@@ -446,8 +456,7 @@ def _variation(resolved: dict, config: None) -> Outcome:
     path = resolved["values"]
     if path is None:
         raise BadRange("variation needs a --values file")
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().replace(",", " ").split()
+    tokens = _read_text(path).replace(",", " ").split()
     if not tokens:
         raise EmptyInput(f"no values found in {path}")
     # numpy converts each token with Python's float; the text and the tokens

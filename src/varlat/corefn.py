@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -186,8 +186,7 @@ def trapezoid_weights(points: Iterable[float]) -> np.ndarray:
 # growth fitting
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Least-squares line through (ln x, ln y); slope = empirical exponent."""
 
     slope: float

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,7 +65,6 @@ from .operators import (
     gauss_legendre_integrate,
 )
 from .variation import (
-    RadiusSet,
     _chain_rows,
     make_radius_set,
     qvariation_rows,
@@ -81,7 +80,6 @@ from .witnesses import (
 )
 
 __all__ = [
-    "GridSpec",
     "ExperimentConfig",
     "RatioReport",
     "Outcome",
@@ -128,30 +126,6 @@ HILBERT_R_LIST: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
 # configuration types
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Resolution of the profile grids: points per decade of the
-    logarithmic core ladder around the origin.  The outer integral over the
-    unit interval is taken in closed form, so it has no grid.
-    """
-
-    log_points_per_decade: int = 32
-
-    def __post_init__(self) -> None:
-        if self.log_points_per_decade < 4:
-            raise BadRange("need at least 4 log points per decade")
-
-    def doubled(self) -> "GridSpec":
-        """The same grid at twice the resolution, for stability checks.
-
-        The profile grids built from the two do not nest: _profile_bundle
-        re-spaces its log ladder to ceil(decades * log_points_per_decade)
-        points.  A comparison across them is a refinement check, not a
-        monotonicity check.
-        """
-        return replace(self, log_points_per_decade=2 * self.log_points_per_decade)
-
-
 #: The default witness.  Base 2 with j0 = 2 is the configuration whose
 #: power-sum window factor works out cleanly, so it is the default even
 #: though wider bases certify larger key constants.
@@ -167,15 +141,24 @@ def default_lacunary() -> LacunaryParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared experiment parameters; frozen, so a run cannot change them."""
+    """Shared experiment parameters; frozen, so a run cannot change them.
+
+    log_points_per_decade sets the profile grids: points per decade of the
+    logarithmic core ladder around the origin (the outer integral over the
+    unit interval is in closed form, with no grid).  Ladders at two
+    resolutions do not nest, so comparing them checks refinement, not
+    monotonicity.
+    """
 
     p: float = 2.0
     q: float = 3.0
     lacunary: LacunaryParams = field(default_factory=default_lacunary)
-    grid: GridSpec = field(default_factory=GridSpec)
+    log_points_per_decade: int = 32
     r_list: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0)
 
     def __post_init__(self) -> None:
+        if self.log_points_per_decade < 4:
+            raise BadRange("need at least 4 log points per decade")
         if not self.p > 1:
             raise BadRange("outer exponent must satisfy p > 1")
         if not self.q > 2:
@@ -194,19 +177,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """One experiment row: parameter, the two norms, their ratio, wall time.
-    Both norms must be finite and positive."""
+    """One experiment row: parameter, the two norms and wall time; ratio is
+    numerator / denominator.  Both norms must be finite and positive."""
 
     param: float
     numerator: float
     denominator: float
-    ratio: float
     seconds: float
 
     def __post_init__(self) -> None:
         for name, value in (("numerator", self.numerator), ("denominator", self.denominator)):
             if not math.isfinite(value) or value <= 0:
                 raise NonFiniteValue(f"{name} must be finite and positive, got {value}")
+
+    @property
+    def ratio(self) -> float:
+        return self.numerator / self.denominator
 
 
 def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], GrowthFit | None]:
@@ -219,7 +205,7 @@ def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], Gro
         t0 = time.perf_counter()
         shown, numerator, denominator = row(param)
         seconds = time.perf_counter() - t0
-        reports.append(RatioReport(float(shown), numerator, denominator, numerator / denominator, seconds))
+        reports.append(RatioReport(float(shown), numerator, denominator, seconds))
     fit = None
     if len(reports) >= MIN_FIT_POINTS:
         fit = fit_power_law([rep.param for rep in reports], [rep.ratio for rep in reports])
@@ -324,7 +310,7 @@ def _profile_bundle(config: ExperimentConfig, j1: int) -> tuple[np.ndarray, ...]
     decades = math.log10(top) - math.log10(floor)
     # an int past the double range cannot meet a float; 2^1000 points per
     # decade already exceed the cap, as the ladder spans over 1e-16 decades
-    n_log = max(8, math.ceil(decades * min(config.grid.log_points_per_decade, 2**1000)))
+    n_log = max(8, math.ceil(decades * min(config.log_points_per_decade, 2**1000)))
     if n_log > MAX_GRID_POINTS:
         raise BadRange(f"profile ladder capped at {MAX_GRID_POINTS} points")
     ladder = np.geomspace(floor, top, n_log)
@@ -460,7 +446,7 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ou
 
     variation, fit = _rows(depths, row)
     reports = tuple(
-        RatioReport(v.param, num, v.denominator, num / v.denominator, v.seconds)
+        RatioReport(v.param, num, v.denominator, v.seconds)
         for v, num in zip(variation, max_numerators)
     )
     pairs = [
@@ -717,7 +703,7 @@ def norm_transfer_pair(
     p: float,
     q: float,
     r: float,
-    J: RadiusSet,
+    J: Sequence[float],
 ) -> NormTransferResult:
     """Both sides of the lattice norm-transfer identity for a simple function.
 
@@ -760,7 +746,7 @@ def norm_transfer_trials(
     p: float = 2.0,
     q: float = 3.0,
     r: float = 4.0,
-    J: RadiusSet | None = None,
+    J: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`exp_norm_transfer` at the seeds seed, ..., seed + trials - 1.
 
@@ -793,7 +779,7 @@ def exp_norm_transfer(
     p: float = 2.0,
     q: float = 3.0,
     r: float = 4.0,
-    J: RadiusSet | None = None,
+    J: Sequence[float] | None = None,
 ) -> NormTransferResult:
     """Transfer identity on a random simple function with m x n blocks.
 

@@ -402,9 +402,10 @@ def hilbert_apply_many(f: PiecewiseConstantFn, xs: Iterable[float]) -> np.ndarra
 def family_value_matrix(
     f: PiecewiseConstantFn, family: OperatorFamily, J, xs: Iterable[float]
 ) -> np.ndarray:
-    """Matrix of family values, one row per point, one column per radius."""
+    """Matrix of family values, one row per point, one column per radius of
+    J, any iterable of radii (make_radius_set checks one)."""
     x = np.asarray(xs, dtype=float)
-    radii = np.array([float(t) for t in J])  # a RadiusSet or any iterable of radii
+    radii = np.array([float(t) for t in J])
     if family is OperatorFamily.HEAT:
         return _heat_matrix(f, _roots(radii), x)
     if family is not OperatorFamily.AVERAGES:

@@ -21,9 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .errors import (
 from .operators import family_value_matrix  # noqa: F401  read by perfbench's wrapper-restore self-test
 
 __all__ = [
-    "RadiusSet",
     "VariationCertificate",
     "make_radius_set",
     "qvariation",
@@ -69,20 +67,9 @@ _NARROW = 32
 _POWER_BATCH = 256
 
 
-@dataclass(frozen=True)
-class RadiusSet:
-    """Strictly decreasing positive radii (or heat times), largest first."""
-
-    radii: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-    def __iter__(self):
-        return iter(self.radii)
-
-
-def make_radius_set(radii: Iterable[float]) -> RadiusSet:
+def make_radius_set(radii: Iterable[float]) -> tuple[float, ...]:
+    """The radii (or heat times) as floats, checked to be finite, positive
+    and strictly decreasing, largest first."""
     r = tuple(float(t) for t in radii)
     if not r:
         raise EmptyInput("a radius set needs at least one radius")
@@ -93,11 +80,10 @@ def make_radius_set(radii: Iterable[float]) -> RadiusSet:
         raise NonPositiveRadius("radii must be positive")
     if np.any(np.diff(arr) >= 0):
         raise BadRange("radii must be strictly decreasing")
-    return RadiusSet(r)
+    return r
 
 
-@dataclass(frozen=True)
-class VariationCertificate:
+class VariationCertificate(NamedTuple):
     """A variation value together with the subsequence that attains it.
 
     Recomputing the variation sum along ``subsequence`` reproduces ``value``;

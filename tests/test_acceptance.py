@@ -16,7 +16,6 @@ import pytest
 from varlat import (
     DEFAULT_BASE_CANDIDATES,
     ExperimentConfig,
-    GridSpec,
     exp_hilbert_growth,
     exp_linf_blowup,
     exp_lr_growth,
@@ -284,9 +283,8 @@ def test_criterion_09_norm_transfer():
 
 def test_criterion_10_grid_stability(base_config, hilbert_config,
                                      blowup_run, lr_run, hilbert_run):
-    doubled = GridSpec().doubled()
-    fine_base = ExperimentConfig(grid=doubled)
-    fine_hilbert = ExperimentConfig(r_list=HILBERT_R_LIST, grid=doubled)
+    fine_base = ExperimentConfig(log_points_per_decade=64)
+    fine_hilbert = ExperimentConfig(r_list=HILBERT_R_LIST, log_points_per_decade=64)
 
     t0 = time.perf_counter()
     fine_blowup = exp_linf_blowup(fine_base, BLOWUP_DEPTHS)

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict
 
 import jsonschema
 import pytest
@@ -16,7 +15,6 @@ from varlat import (
     HILBERT_R_LIST,
     EmptyInput,
     ExperimentConfig,
-    GridSpec,
     RatioReport,
     default_lacunary,
     exp_reduction_constant,
@@ -522,14 +520,14 @@ class TestNormTransferCommand:
 
 class TestSvgEmitter:
     REPORTS = (
-        RatioReport(4.0, 2.0, 1.0, 2.0, 0.1),
-        RatioReport(8.0, 3.0, 1.0, 3.0, 0.2),
-        RatioReport(16.0, 4.5, 1.0, 4.5, 0.3),
+        RatioReport(4.0, 2.0, 1.0, 0.1),
+        RatioReport(8.0, 3.0, 1.0, 0.2),
+        RatioReport(16.0, 4.5, 1.0, 0.3),
     )
 
     def test_bytes_deterministic_and_time_independent(self, tmp_path):
         slow = tuple(
-            RatioReport(r.param, r.numerator, r.denominator, r.ratio, r.seconds + 5.0)
+            RatioReport(r.param, r.numerator, r.denominator, r.seconds + 5.0)
             for r in self.REPORTS
         )
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -560,13 +558,13 @@ class TestSvgEmitter:
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "argv, config, cache",
+        "argv, file, cache",
         [
             (["lr-growth", "--r-list", "4,abc"], None, None),
             (["lr-growth", "--p", "x"], None, None),
             (["lr-growth", "--kmin", "1.5"], None, None),
             (["lr-growth", "--seed", "-1"], None, None),
-            (["lr-growth"], "p = x\n", None),
+            (["lr-growth", "--config", "run.cfg"], b"p = x\n", None),
             (["lr-growth"], None, "{not json"),
             (["lr-growth"], None, '{"a": "two"}'),
             (["lr-growth"], None, '{"k_min": 3.5}'),
@@ -581,7 +579,7 @@ class TestMalformedInput:
             (["linf-blowup", "--log-per-decade", "1000000000000"], None, None),
             (["reduction-constant", "--nodes", "1000000000000"], None, None),
             # grid_points is not a configuration key
-            (["linf-blowup"], "grid_points = 1501\n", None),
+            (["linf-blowup", "--config", "run.cfg"], b"grid_points = 1501\n", None),
             # an int past the double range, refused before any float product
             (["linf-blowup", "--log-per-decade", "1" + "0" * 400], None, None),
             # exponents the run refuses are refused before the key table
@@ -589,6 +587,11 @@ class TestMalformedInput:
             (["lr-growth", "--r-list", "4,8,nan"], None, None),
             (["lr-growth", "--r-list", "4,8,inf"], None, None),
             (["lr-growth", "--r-list", "4,8,100"], None, None),
+            # files that are not UTF-8 text
+            (["lr-growth", "--config", "run.cfg"], b"p = 3\xff\n", None),
+            (["variation", "--values", "run.cfg"], b"1 2 \xff 3\n", None),
+            # at p = 2000 every norm of a trial underflows to 0
+            (["norm-transfer", "--trials", "2", "--p", "2000"], None, None),
         ],
         ids=[
             "r-list-token",
@@ -613,13 +616,17 @@ class TestMalformedInput:
             "nan-exponent",
             "inf-exponent",
             "exponent-above-64",
+            "config-not-utf8",
+            "values-not-utf8",
+            "norms-underflow",
         ],
     )
-    def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, argv, config, cache):
+    def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, argv, file, cache):
+        # file is the content of run.cfg in the working directory
+        monkeypatch.chdir(tmp_path)
         argv = [*argv, "--out", str(tmp_path / "out")]
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            argv += ["--config", str(tmp_path / "run.cfg")]
+        if file is not None:
+            (tmp_path / "run.cfg").write_bytes(file)
         if cache is not None:
             (tmp_path / "cache.json").write_text(cache)
             monkeypatch.setenv("VARLAT_CACHE", str(tmp_path / "cache.json"))
@@ -722,10 +729,10 @@ class TestExperimentCommands:
         j0 = report["config"]["j0"]
         pairs = report["extras"]["pairs"]
         variation = fit_power_law([p["j1"] - j0 for p in pairs], [p["variation_ratio"] for p in pairs])
-        assert report["fit"] == asdict(variation)
+        assert report["fit"] == variation._asdict()
         rows = [line.split(",") for line in (tmp_path / "maximal-contrast.csv").read_text().splitlines()[1:]]
         maximal = fit_power_law([float(row[0]) for row in rows], [float(row[3]) for row in rows])
-        assert report["fit"] != asdict(maximal)
+        assert report["fit"] != maximal._asdict()
 
     def test_bare_hilbert_growth_passes(self, tmp_path, capsys):
         assert run(["hilbert-growth", "--out", str(tmp_path)]) == 0
@@ -739,9 +746,9 @@ class TestDefaultsComeFromTheLibrary:
     def test_bare_run_config(self, tmp_path, name):
         assert run([name, "--out", str(tmp_path)]) == 0
         config = _read_json(tmp_path / f"{name}.json")["config"]
-        lib, grid, lac = ExperimentConfig(), GridSpec(), default_lacunary()
+        lib, lac = ExperimentConfig(), default_lacunary()
         assert (config["p"], config["q"]) == (lib.p, lib.q)
-        assert config["grid"] == {"log_points_per_decade": grid.log_points_per_decade}
+        assert config["grid"] == {"log_points_per_decade": lib.log_points_per_decade}
         r_list = HILBERT_R_LIST if name == "hilbert-growth" else lib.r_list
         assert config["r_list"] == list(r_list)
         assert (config["a"], config["k_min"], config["j0"]) == (lac.a, lac.k_min, lac.j0)

@@ -13,7 +13,6 @@ from varlat import (
     EmptyInput,
     ExperimentConfig,
     FloatRangeExceeded,
-    GridSpec,
     InvalidQ,
     LacunaryParams,
     LengthMismatch,
@@ -105,15 +104,12 @@ class TestWindowValues:
 
 
 class TestConfigTypes:
-    def test_grid_spec_defaults_valid(self):
-        assert GridSpec().log_points_per_decade == 32
+    def test_config_grid_default(self):
+        assert ExperimentConfig().log_points_per_decade == 32
 
-    def test_grid_spec_rejects_coarse_grids(self):
-        with pytest.raises(BadRange):
-            GridSpec(log_points_per_decade=3)
-
-    def test_grid_spec_doubling(self):
-        assert GridSpec(log_points_per_decade=8).doubled().log_points_per_decade == 16
+    def test_config_rejects_coarse_grids(self):
+        with pytest.raises(BadRange, match="at least 4 log points per decade"):
+            ExperimentConfig(log_points_per_decade=3)
 
     def test_config_rejects_small_q(self):
         with pytest.raises(InvalidQ):
@@ -159,7 +155,7 @@ class TestRatioReport:
     @pytest.mark.parametrize("denominator", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
     def test_rejects_a_bad_denominator(self, denominator):
         with pytest.raises(NonFiniteValue, match="denominator must be finite and positive"):
-            RatioReport(4.0, 1.0, denominator, math.inf, 0.0)
+            RatioReport(4.0, 1.0, denominator, 0.0)
 
 
 class TestKeyEstimateExperiment:
@@ -190,7 +186,7 @@ class TestKeyEstimateExperiment:
 class TestBlowupSmallRuns:
     # a coarse grid keeps these interactive; the full-resolution runs are
     # exercised by the acceptance suite
-    CONFIG = ExperimentConfig(grid=GridSpec(log_points_per_decade=8))
+    CONFIG = ExperimentConfig(log_points_per_decade=8)
     DEPTHS = (4, 6, 8)
 
     def test_ratios_increase_and_denominator_lands(self):
@@ -329,7 +325,7 @@ class TestClosedFormNumerators:
     formula.
     """
 
-    CONFIG = ExperimentConfig(grid=GridSpec(log_points_per_decade=8))
+    CONFIG = ExperimentConfig(log_points_per_decade=8)
     P_LIST = (1.5, 2.0, 7.0, math.inf)
     # (j1, r): the sup numerators from the CLI's shallowest default depth,
     # where the sliver is widest (2^-7), and the lr depths floor(r) j0
@@ -364,7 +360,7 @@ class TestClosedFormNumerators:
         lac = config.lacunary
         window, floor = lac.a ** (-(j1 + 1.0)), lac.a ** (-(j1 + 4.0))
         top = max(0.1, window * lac.a**2)
-        n_log = max(8, math.ceil(math.log10(top / floor) * config.grid.log_points_per_decade))
+        n_log = max(8, math.ceil(math.log10(top / floor) * config.log_points_per_decade))
         ladder = np.geomspace(floor, top, n_log)
         # linear points at or inside the first ladder point past the window
         # would refine the core itself; leaving them out keeps the core and
@@ -550,8 +546,8 @@ class TestHilbertNorms:
         assert exp_hilbert_growth(ExperimentConfig(r_list=HILBERT_R_LIST)).passed
 
     def test_growth_ignores_the_grid(self):
-        coarse = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec(log_points_per_decade=4))
-        fine = ExperimentConfig(r_list=(8.0, 16.0, 32.0), grid=GridSpec().doubled())
+        coarse = ExperimentConfig(r_list=(8.0, 16.0, 32.0), log_points_per_decade=4)
+        fine = ExperimentConfig(r_list=(8.0, 16.0, 32.0), log_points_per_decade=64)
         ratios = [[rep.ratio for rep in exp_hilbert_growth(c).reports] for c in (coarse, fine)]
         assert ratios[0] == ratios[1]
 

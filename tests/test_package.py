@@ -110,11 +110,7 @@ def test_the_dataclasses_are_the_value_types():
     }
     assert found == {
         "PiecewiseConstantFn",
-        "GrowthFit",
-        "RadiusSet",
-        "VariationCertificate",
         "LacunaryParams",
-        "GridSpec",
         "ExperimentConfig",
         "RatioReport",
     }

@@ -770,9 +770,7 @@ class TestChainSumOverflow:
 
 class TestRadiusSet:
     def test_iteration_order(self):
-        J = make_radius_set((4.0, 2.0, 1.0))
-        assert tuple(J) == (4.0, 2.0, 1.0)
-        assert len(J) == 3
+        assert make_radius_set([4.0, 2.0, 1.0]) == (4.0, 2.0, 1.0)
 
     def test_rejects_increasing(self):
         with pytest.raises(BadRange):
