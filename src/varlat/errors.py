@@ -67,7 +67,7 @@ class TooLong(VarlatError):
 
 
 class InvalidBase(VarlatError):
-    """Lacunary bases must satisfy a > 1."""
+    """Lacunary bases must satisfy 1 < a < inf."""
 
 
 class TruncationTooShallow(VarlatError):

@@ -6,11 +6,13 @@ the corresponding norm of the plain witness data.  The denominators are
 closed forms at or above the exact plain norm (the exact ones rounded up),
 so they never flatter a ratio.  The Hilbert numerator is a closed form
 rounded down, so the hilbert-growth ratios are certified lower bounds.  The
-other numerators are estimates: profile values on a grid, uncertified in
-between, under an outer integral in closed form (_window_norm).  They are
-grid-converged, not one-sided: doubling the grid moves every ratio by less
-than 1% (acceptance criterion 10), but a coarser grid can give a larger
-numerator as well as a smaller one.
+other numerators are estimates: profile values on the core ladder,
+uncertified in between, under an outer integral in closed form
+(_window_norm).  The ladder ends on the window edge, where the variation
+sup sits, so the variation sup numerators do not depend on its density; the
+power-sum numerators do, and at a = 2 they rise toward their limit as it
+refines.  Doubling the density moves every ratio by less than 1%
+(acceptance criterion 10).
 
 The variation profile of the witness is the consecutive-chain sum
 (sum_j |g_(j+1)(y) - g_j(y)|^q)^(1/q) over all scales, one chain of the
@@ -143,11 +145,11 @@ def default_lacunary() -> LacunaryParams:
 class ExperimentConfig:
     """Shared experiment parameters; frozen, so a run cannot change them.
 
-    log_points_per_decade sets the profile grids: points per decade of the
-    logarithmic core ladder around the origin (the outer integral over the
-    unit interval is in closed form, with no grid).  Ladders at two
-    resolutions do not nest, so comparing them checks refinement, not
-    monotonicity.
+    log_points_per_decade sets the profile grids: the core ladder around
+    the origin has P = ceil(log_points_per_decade * log10 a) points per
+    factor of a (the outer integral over the unit interval is in closed
+    form, with no grid).  The ladders nest when P doubles, as from 32 to 64
+    per decade at a = 2 (P = 10 and 20).
     """
 
     p: float = 2.0
@@ -288,50 +290,41 @@ def _profile_bundle(config: ExperimentConfig, j1: int) -> tuple[np.ndarray, ...]
     profile is the consecutive-chain sum over the scales j0..j1 (see the
     module docstring).
 
-    The core is the origin and a logarithmic ladder on both sides of it,
-    within the window a^-(j1+1) and down to a^-(j1+4).
-    The profiles vanish off the core; see the module docstring for why that
-    restriction only lowers the numerator.
+    The core is the origin and the aligned ladder +-a^-(j1+1+i/P),
+    i = 0..3P, with P = ceil(log_points_per_decade * log10 a) points per
+    factor of a: 6P + 3 points from the window edge a^-(j1+1) down to
+    a^-(j1+4).  Doubling P adds a point between each two, so the ladders
+    nest.  The profiles vanish off the core; see the module docstring for
+    why that restriction only lowers the numerator.
     """
     lac = config.lacunary
     if j1 <= lac.j0:
         raise BadRange("deepest scale index must exceed j0")
     _require_admissible(lac.a, lac.k_min, j1)
-    window = lac.a ** (-(j1 + 1.0))
-    floor = lac.a ** (-(j1 + 4.0))
-    if not floor > 0.0:
-        raise FloatRangeExceeded(f"a^-{j1 + 4} underflows to 0 for a={lac.a}")
-
-    # the ladder is spaced over [floor, top] and then cut after its first
-    # point past the window; that guard point gives the outermost core point
-    # its half gap outward, so the quadrature resolves the drop to zero there
-    top = max(0.1, window * lac.a ** 2)
-    # in logs: near the deepest j1 the floor is subnormal and top / floor overflows
-    decades = math.log10(top) - math.log10(floor)
     # an int past the double range cannot meet a float; 2^1000 points per
-    # decade already exceed the cap, as the ladder spans over 1e-16 decades
-    n_log = max(8, math.ceil(decades * min(config.log_points_per_decade, 2**1000)))
-    if n_log > MAX_GRID_POINTS:
-        raise BadRange(f"profile ladder capped at {MAX_GRID_POINTS} points")
-    ladder = np.geomspace(floor, top, n_log)
-    ladder = ladder[: int(np.searchsorted(ladder, window, side="right")) + 1]
+    # decade are past the cap at every base the witness accepts
+    per_factor = math.ceil(min(config.log_points_per_decade, 2**1000) * math.log10(lac.a))
+    if 6 * per_factor + 3 > MAX_GRID_POINTS:
+        raise BadRange(f"profile core capped at {MAX_GRID_POINTS} points")
+    ladder = np.power(lac.a, -((j1 + 1.0) + np.arange(3 * per_factor, -1, -1) / per_factor))
+    if not ladder[0] > 0.0:
+        raise FloatRangeExceeded(f"a^-{j1 + 4} underflows to 0 for a={lac.a}")
     points = np.concatenate((-ladder[::-1], [0.0], ladder))
 
-    # the strip (-floor, floor) is unresolved; give it zero quadrature weight
-    # instead of letting the trapezoid rule bridge it with the origin value,
-    # so every windowed integral counts resolved area only (and excluding
-    # inner scales can only lower it, never raise it)
+    # the strip (-a^-(j1+4), a^-(j1+4)) is unresolved; give it zero
+    # quadrature weight instead of letting the trapezoid rule bridge it with
+    # the origin value, so every windowed integral counts resolved area only
+    # (and excluding inner scales can only lower it, never raise it)
     weights = trapezoid_weights(points)
     i0 = ladder.size
     weights[i0] = 0.0
     weights[i0 - 1] = (points[i0 - 1] - points[i0 - 2]) / 2.0
     weights[i0 + 1] = (points[i0 + 2] - points[i0 + 1]) / 2.0
 
-    # one heat matrix on the core (all but the two guards) feeds both
-    # profiles: a row per point, a column per scale index at its root a^-j
-    core = points[1:-1]
-    matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), core).T
-    return core, weights[1:-1], _chain_rows(matrix, config.q), np.abs(matrix).max(axis=1)
+    # one heat matrix on the core feeds both profiles: a row per point, a
+    # column per scale index at its root a^-j
+    matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), points).T
+    return points, weights, _chain_rows(matrix, config.q), np.abs(matrix).max(axis=1)
 
 
 def _window_norm(points, weights, values, p: float, r: float | None = None) -> float:
@@ -468,7 +461,9 @@ def _lr_depth(r: float, j0: int) -> int:
 
 def lr_numerator(config: ExperimentConfig, r: float) -> float:
     """L^p over the unit interval of the radius-1 power sum of the profile,
-    resolved three octaves below the core window.
+    resolved on the core ladder down to three factors of a below the window
+    edge.  At a = 2 it rises as the ladder refines: at r = 4, 32 points per
+    decade are within 1e-6 relative of 256.
     """
     j1 = _lr_depth(r, config.lacunary.j0)
     points, weights, var_vals, _ = _profile_bundle(config, j1)
@@ -485,8 +480,12 @@ def exp_lr_growth(config: ExperimentConfig) -> Outcome:
     2^(1/r) 3^(1/p)).  Each ratio must clear the certified closed-form floor
     (C/4) r^(1/q) / (2^(1/r) 3^(1/p)).  The extras hold those floors, bounds,
     and delta_radius, the witness's halving radius at the deepest scale.
+    An r below 2, whose depth would be j0 itself, raises BadRange.
     """
     lac = config.lacunary
+    if config.r_list[0] < 2.0:
+        # below 2, the depth floor(r) * j0 is j0 itself
+        raise BadRange(f"lr-growth needs every r >= 2, got r = {config.r_list[0]}")
     reports, fit = _rows(
         config.r_list, lambda r: (r, lr_numerator(config, r), _power_denominator(config, r))
     )
@@ -624,6 +623,8 @@ def _transfer_block(
     if not (p == math.inf or p >= 1):
         raise BadRange("outer exponent must satisfy p >= 1")
     radii = np.array([float(t) for t in J])
+    if radii.size == 0:
+        raise EmptyInput("norm transfer needs at least one averaging radius")
     if not np.all(radii > 0):
         raise NonPositiveRadius("averaging radii must be positive")
 
@@ -759,7 +760,7 @@ def norm_transfer_trials(
         raise BadRange("need at least one block in each direction")
     if trials < 1:
         raise BadRange("need at least one trial")
-    radii = J or make_radius_set((0.25, 0.0625, 0.015625))
+    radii = make_radius_set((0.25, 0.0625, 0.015625)) if J is None else tuple(J)
     rows = np.empty((trials, 5))
     seconds = np.empty(trials)
     for first in range(0, trials, _TRANSFER_BLOCK):

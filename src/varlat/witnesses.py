@@ -79,14 +79,19 @@ class LacunaryParams:
     key_constant: float
 
     def __post_init__(self) -> None:
-        if not self.a > 1:
-            raise InvalidBase("lacunary base must satisfy a > 1")
-        if self.k_min > -1:
-            raise BadRange("k_min must be at most -1")
+        _check_witness(self.a, self.k_min)
         if self.j0 < 1:
             raise BadRange("j0 must be at least 1")
         if not self.key_constant > 0:
             raise KeyEstimateFailed("key constant must be positive")
+
+
+def _check_witness(a: float, k_min: int) -> None:
+    """Raises InvalidBase unless 1 < a < inf, and BadRange unless k_min <= -1."""
+    if not 1.0 < a < math.inf:
+        raise InvalidBase(f"lacunary base must satisfy 1 < a < inf, got {a}")
+    if k_min > -1:
+        raise BadRange(f"k_min must be at most -1, got {k_min}")
 
 
 def lacunary_sign(a: float, k_min: int) -> PiecewiseConstantFn:
@@ -96,10 +101,7 @@ def lacunary_sign(a: float, k_min: int) -> PiecewiseConstantFn:
     k = -1075 at a = 2) have no width and are left out; those with both
     edges 0.0 are never formed, so a deep k_min allocates nothing for them.
     """
-    if not a > 1:
-        raise InvalidBase("lacunary base must satisfy a > 1")
-    if k_min > -1:
-        raise BadRange("k_min must be at most -1")
+    _check_witness(a, k_min)
     # a^k is 0.0 for k < log(2^-1075) / log(a); one below, for the logs' rounding
     deepest = math.floor(-1075.0 * math.log(2.0) / math.log(a)) - 1
     if deepest > k_min and np.power(a, float(deepest)) == 0.0:
@@ -148,10 +150,10 @@ def truncation_tail_bound(a: float, k_min: int, j: int) -> float:
 
     The missing mass is under a^(k_min + 1) and the deepest kernel sup is
     (4 pi a^(-2j))^(-1/2), so the product bounds the pollution of any heat
-    value at scale index j.  Raises InvalidBase unless 1 < a < inf.
+    value at scale index j.  Raises InvalidBase unless 1 < a < inf, and
+    BadRange unless k_min <= -1.
     """
-    if not 1.0 < a < math.inf:
-        raise InvalidBase(f"lacunary base must satisfy 1 < a < inf, got {a}")
+    _check_witness(a, k_min)
     log_bound = (k_min + 1 + j) * math.log(a) - 0.5 * math.log(4.0 * math.pi)
     if log_bound > _LN_DOUBLE_MAX:
         return math.inf
@@ -173,6 +175,7 @@ def key_estimate_table(a: float, k_min: int, j_max: int) -> tuple[float, ...]:
     Admissibility is enforced at the deepest evaluated scale j_max + 1; the
     table is only as trustworthy as the truncation it rests on.
     """
+    _check_witness(a, k_min)
     if j_max < 0:
         raise BadRange("j_max must be nonnegative")
     _require_admissible(a, k_min, j_max + 1)

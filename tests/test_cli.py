@@ -592,6 +592,13 @@ class TestMalformedInput:
             (["variation", "--values", "run.cfg"], b"1 2 \xff 3\n", None),
             # at p = 2000 every norm of a trial underflows to 0
             (["norm-transfer", "--trials", "2", "--p", "2000"], None, None),
+            # witnesses with no lacunary tail or no finite base
+            (["key-estimate", "--kmin", "0"], None, None),
+            (["key-estimate", "--kmin", "5"], None, None),
+            (["linf-blowup", "--kmin", "0"], None, None),
+            (["lr-growth", "--a", "inf"], None, None),
+            # floor(1.5) * j0 is j0: no active scale
+            (["lr-growth", "--r-list", "1.5,4,8"], None, None),
         ],
         ids=[
             "r-list-token",
@@ -619,6 +626,11 @@ class TestMalformedInput:
             "config-not-utf8",
             "values-not-utf8",
             "norms-underflow",
+            "key-estimate-kmin-0",
+            "key-estimate-kmin-5",
+            "kmin-0",
+            "inf-base",
+            "exponent-below-2",
         ],
     )
     def test_exits_2_with_one_line_error(self, tmp_path, monkeypatch, capsys, argv, file, cache):
@@ -644,9 +656,13 @@ class TestMalformedInput:
             (["linf-blowup", "--j1-list", "1000,6,8"], "j1 list must be strictly increasing"),
             (["maximal-contrast", "--j1-list", "1000,6"], "j1 list must be strictly increasing"),
             (["linf-blowup", "--q", "2", "--kmin", "-3000", "--j1-list", "6,10,2000"], "q > 2"),
+            (["key-estimate", "--kmin", "0"], "k_min must be at most -1, got 0"),
+            (["linf-blowup", "--kmin", "0"], "k_min must be at most -1, got 0"),
+            (["lr-growth", "--r-list", "1.5,4,8"], "r = 1.5"),
         ],
         ids=["nan-exponent", "exponent-above-64", "exponents-unordered", "depths-unordered",
-             "contrast-depths-unordered", "q-with-deep-list"],
+             "contrast-depths-unordered", "q-with-deep-list", "key-estimate-kmin-0", "kmin-0",
+             "exponent-below-2"],
     )
     def test_refused_before_the_key_table_reaches_the_run_depth(self, tmp_path, capsys, argv, message):
         # the key constant is certified down to the run's deepest scale, but

@@ -21,6 +21,7 @@ from varlat import (
     NonPositiveRadius,
     OperatorFamily,
     RatioReport,
+    certified_key_table,
     default_lacunary,
     exp_hilbert_growth,
     exp_key_estimate,
@@ -261,6 +262,76 @@ class TestBlowupSmallRuns:
         with pytest.raises(BadRange):
             exp_linf_blowup(self.CONFIG, (2, 4))
 
+    def test_lr_growth_refuses_r_below_2_before_any_profile(self, monkeypatch):
+        # floor(1.5) * j0 is j0 itself, a depth with no active scale
+        def no_profile(*args):
+            raise AssertionError("profile built")
+
+        monkeypatch.setattr(experiments, "_profile_bundle", no_profile)
+        with pytest.raises(BadRange, match="r = 1.5"):
+            experiments.exp_lr_growth(replace(self.CONFIG, r_list=(1.5, 4.0, 8.0)))
+
+
+class TestAlignedCore:
+    """The witness core {0} and +-a^-(j1+1+i/P), i = 0..3P, with P points
+    per factor of a: it ends on the window edge and nests when P doubles."""
+
+    @staticmethod
+    def _config(a, per_decade, k_min=-300):
+        _, constant = certified_key_table(a, k_min, 2, 30)
+        lac = LacunaryParams(a, k_min, 2, constant)
+        return ExperimentConfig(lacunary=lac, log_points_per_decade=per_decade)
+
+    @pytest.mark.parametrize("a", [2.0, 3.0, 8.0])
+    @pytest.mark.parametrize("j1", [6, 130])
+    def test_core_ends_on_the_window_edge(self, a, j1):
+        config = self._config(a, 32)
+        points, weights, _, _ = experiments._profile_bundle(config, j1)
+        per_factor = math.ceil(32 * math.log10(a))
+        assert points.size == 6 * per_factor + 3
+        assert points[0] == -(a ** -(j1 + 1.0)) and points[-1] == a ** -(j1 + 1.0)
+        assert np.all(np.diff(points) > 0) and np.all(points == -points[::-1])
+        # the two edges take their inward half gap, the origin none
+        assert weights[0] == (points[1] - points[0]) / 2.0
+        assert weights[-1] == (points[-1] - points[-2]) / 2.0
+        assert weights[points.size // 2] == 0.0
+
+    def test_ladders_nest_when_the_density_doubles(self):
+        coarse, _, _, _ = experiments._profile_bundle(self._config(2.0, 32), 34)
+        fine, _, _, _ = experiments._profile_bundle(self._config(2.0, 64), 34)
+        assert set(coarse.tolist()) <= set(fine.tolist())
+        assert fine.size == 2 * coarse.size - 3
+
+    @pytest.mark.parametrize("a", [2.0, 3.0, 8.0])
+    def test_sup_numerator_does_not_depend_on_the_density(self, a):
+        # the variation sup sits on the window edge, a point of every ladder
+        for j1 in (6, 34):
+            configs = [self._config(a, d) for d in (32, 64, 128)]
+            nums = [experiments._blowup_numerators(c, j1)[0] for c in configs]
+            assert nums[0] == nums[1] == nums[2]
+
+    def test_lr_numerator_rises_with_the_density(self):
+        nums = [lr_numerator(self._config(2.0, d), 4.0) for d in (32, 64, 128, 256)]
+        assert nums[0] < nums[1] < nums[2] < nums[3]
+
+    @pytest.mark.parametrize("per_decade, j1, k_min", [(700, 1000, -1100), (110_726, 3, -300)])
+    def test_cap_counts_the_core_it_builds(self, monkeypatch, per_decade, j1, k_min):
+        # 700 per decade at j1 = 1000 is a core of 1,269 points; the largest
+        # density the cap admits at a = 2 builds 199,995
+        built = []
+
+        def stub(a, k_min, js, ys):
+            built.append(len(ys))
+            return np.zeros((len(js), len(ys)))
+
+        monkeypatch.setattr(experiments, "heat_of_g_matrix", stub)
+        config = self._config(2.0, per_decade, k_min)
+        experiments._profile_bundle(config, j1)
+        assert built == [6 * math.ceil(per_decade * math.log10(2.0)) + 3]
+        assert built[0] <= experiments.MAX_GRID_POINTS
+        with pytest.raises(BadRange, match="capped"):
+            experiments._profile_bundle(replace(config, log_points_per_decade=110_727), j1)
+
 
 class TestDenominators:
     """The closed-form denominators against the exact plain norms of |G|.
@@ -358,26 +429,24 @@ class TestClosedFormNumerators:
     @staticmethod
     def _replaced_pipeline(config, j1, p, r, n_x=4001):
         lac = config.lacunary
-        window, floor = lac.a ** (-(j1 + 1.0)), lac.a ** (-(j1 + 4.0))
-        top = max(0.1, window * lac.a**2)
-        n_log = max(8, math.ceil(math.log10(top / floor) * config.log_points_per_decade))
-        ladder = np.geomspace(floor, top, n_log)
-        # linear points at or inside the first ladder point past the window
-        # would refine the core itself; leaving them out keeps the core and
-        # its weights as the closed form has them, so only the outer
-        # integral differs
-        guard = ladder[np.searchsorted(ladder, window, side="right")]
+        window = lac.a ** (-(j1 + 1.0))
+        per_factor = math.ceil(config.log_points_per_decade * math.log10(lac.a))
+        ladder = lac.a ** -(j1 + 1.0 + np.arange(3 * per_factor + 1) / per_factor)
+        core = np.concatenate((-ladder, [0.0], ladder[::-1]))
+        core_w = trapezoid_weights(core)
+        i0 = ladder.size
+        core_w[i0] = 0.0
+        core_w[i0 - 1] = (core[i0 - 1] - core[i0 - 2]) / 2.0
+        core_w[i0 + 1] = (core[i0 + 2] - core[i0 + 1]) / 2.0
+        # the linear cover lies past the window edge; the core keeps the
+        # weights the closed form gives it, so only the outer integral differs
         xs = np.linspace(0.0, 1.0, n_x)
-        pts = np.unique(np.concatenate((-ladder, [0.0], ladder, xs[xs > guard])))
+        pts = np.concatenate((core, xs[xs > window]))
         w = trapezoid_weights(pts)
-        i0 = int(np.searchsorted(pts, 0.0))
-        w[i0] = 0.0
-        w[i0 - 1] = (pts[i0 - 1] - pts[i0 - 2]) / 2.0
-        w[i0 + 1] = (pts[i0 + 2] - pts[i0 + 1]) / 2.0
-        core = np.abs(pts) <= window
-        matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), pts[core]).T
+        w[: core.size] = core_w
+        matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), core).T
         vals = np.zeros(pts.size)
-        vals[core] = qvariation_rows(matrix, config.q)
+        vals[: core.size] = qvariation_rows(matrix, config.q)
         unit = (pts >= 0.0) & (pts <= 1.0)
         v = window_values(pts, w, vals, r)[unit]
         return float(v.max()) if p == math.inf else float((w[unit] @ v**p) ** (1.0 / p))
@@ -733,6 +802,20 @@ class TestNormTransfer:
     def test_rejects_no_inner_coordinates(self):
         with pytest.raises(EmptyInput):
             norm_transfer_pair((0.0, 1.0), [[]], [], 2.0, 3.0, 4.0, self.J)
+
+    def test_rejects_an_empty_radius_set(self):
+        with pytest.raises(EmptyInput):
+            norm_transfer_pair((0.0, 1.0), [[1.0]], [0.5], 2.0, 3.0, 4.0, ())
+
+    def test_trials_read_the_radii_once(self):
+        # 20 trials run in two blocks, and both see every radius of an iterator
+        rows, _ = norm_transfer_trials(0, 20, J=iter(self.J))
+        assert rows.tolist() == norm_transfer_trials(0, 20, J=self.J)[0].tolist()
+
+    def test_trials_refuse_an_empty_radius_set(self):
+        # only J=None stands for the default radii
+        with pytest.raises(EmptyInput):
+            norm_transfer_trials(0, 20, J=())
 
     def test_shape_validation(self):
         J = make_radius_set((0.25, 0.0625, 0.015625))

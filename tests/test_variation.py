@@ -307,7 +307,7 @@ class TestRowsAgainstQVariation:
 
     @pytest.mark.parametrize("q", ROW_DP_QS)
     def test_witness_rows_at_depth_258(self, witness_rows, q):
-        assert witness_rows.shape == (59, 257)
+        assert witness_rows.shape == (63, 257)
         assert_rows_match_qvariation(witness_rows, q)
 
     @pytest.mark.parametrize("q", ROW_DP_QS)

@@ -253,6 +253,31 @@ class TestTruncationBound:
             key_estimate_table(2.0, -5, 40)
 
 
+class TestWitnessCheck:
+    """One check of 1 < a < inf and k_min <= -1 guards the witness, its sign
+    function, its tail bound and its key table."""
+
+    CALLS = {
+        "params": lambda a, k_min: LacunaryParams(a, k_min, 2, 0.01),
+        "sign": lacunary_sign,
+        "tail-bound": lambda a, k_min: truncation_tail_bound(a, k_min, 5),
+        "key-table": lambda a, k_min: key_estimate_table(a, k_min, 30),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("a", [math.inf, math.nan, 1.0])
+    def test_refuses_bases_outside_one_to_infinity(self, call, a):
+        with pytest.raises(InvalidBase, match="1 < a < inf"):
+            self.CALLS[call](a, -3)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("k_min", [0, 5])
+    def test_refuses_k_min_above_minus_one(self, call, k_min):
+        # the key table says so before it reports a tail bound
+        with pytest.raises(BadRange, match="k_min must be at most -1"):
+            self.CALLS[call](2.0, k_min)
+
+
 class TestKeyEstimateTable:
     def test_frozen_base2_values(self):
         table = key_estimate_table(A, K_MIN, 30)
