@@ -8,11 +8,13 @@ so they never flatter a ratio.  The Hilbert numerator is a closed form
 rounded down, so the hilbert-growth ratios are certified lower bounds.  The
 other numerators are estimates: profile values on the core ladder,
 uncertified in between, under an outer integral in closed form
-(_window_norm).  The ladder ends on the window edge, where the variation
-sup sits, so the variation sup numerators do not depend on its density; the
-power-sum numerators do, and at a = 2 they rise toward their limit as it
-refines.  Doubling the density moves every ratio by less than 1%
-(acceptance criterion 10).
+(_window_norm).  The ladder ends on the window edge.  In the
+configurations the tests check (a = 2, 3, 8; j1 = 10, 34, 258) the
+variation sup sits there (and, at a = 2, on the origin for y >= 0), so
+those sup numerators do not depend on the density; with few active scales
+it need not (a = 2, j0 = 4, j1 = 6).  The power-sum numerators do depend
+on it, and at a = 2 they rise toward their limit as it refines.  Doubling
+the density moves every ratio by less than 1% (acceptance criterion 10).
 
 The variation profile of the witness is the consecutive-chain sum
 (sum_j |g_(j+1)(y) - g_j(y)|^q)^(1/q) over all scales, one chain of the
@@ -149,7 +151,8 @@ class ExperimentConfig:
     the origin has P = ceil(log_points_per_decade * log10 a) points per
     factor of a (the outer integral over the unit interval is in closed
     form, with no grid).  The ladders nest when P doubles, as from 32 to 64
-    per decade at a = 2 (P = 10 and 20).
+    per decade at a = 2 (P = 10 and 20); doubling the density need not
+    double P (64 to 128 at a = 2 gives P = 20 and 39).
     """
 
     p: float = 2.0

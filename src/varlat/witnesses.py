@@ -175,7 +175,6 @@ def key_estimate_table(a: float, k_min: int, j_max: int) -> tuple[float, ...]:
     Admissibility is enforced at the deepest evaluated scale j_max + 1; the
     table is only as trustworthy as the truncation it rests on.
     """
-    _check_witness(a, k_min)
     if j_max < 0:
         raise BadRange("j_max must be nonnegative")
     _require_admissible(a, k_min, j_max + 1)

@@ -273,14 +273,15 @@ class TestBlowupSmallRuns:
 
 
 class TestAlignedCore:
-    """The witness core {0} and +-a^-(j1+1+i/P), i = 0..3P, with P points
-    per factor of a: it ends on the window edge and nests when P doubles."""
+    """The witness core {0} and +-a^-(j1+1+i/P), i = 0..3P: it ends on the
+    window edge and nests when P doubles, which doubling the density does
+    only when the ceiling in P = ceil(density * log10 a) rounds evenly."""
 
     @staticmethod
-    def _config(a, per_decade, k_min=-300):
-        _, constant = certified_key_table(a, k_min, 2, 30)
-        lac = LacunaryParams(a, k_min, 2, constant)
-        return ExperimentConfig(lacunary=lac, log_points_per_decade=per_decade)
+    def _config(a, per_decade, k_min=-300, j0=2, q=3.0):
+        _, constant = certified_key_table(a, k_min, j0, 30)
+        lac = LacunaryParams(a, k_min, j0, constant)
+        return ExperimentConfig(q=q, lacunary=lac, log_points_per_decade=per_decade)
 
     @pytest.mark.parametrize("a", [2.0, 3.0, 8.0])
     @pytest.mark.parametrize("j1", [6, 130])
@@ -296,19 +297,42 @@ class TestAlignedCore:
         assert weights[-1] == (points[-1] - points[-2]) / 2.0
         assert weights[points.size // 2] == 0.0
 
-    def test_ladders_nest_when_the_density_doubles(self):
-        coarse, _, _, _ = experiments._profile_bundle(self._config(2.0, 32), 34)
-        fine, _, _, _ = experiments._profile_bundle(self._config(2.0, 64), 34)
-        assert set(coarse.tolist()) <= set(fine.tolist())
-        assert fine.size == 2 * coarse.size - 3
+    @pytest.mark.parametrize(
+        "a, coarse, fine, nested",
+        [
+            (2.0, 32, 64, True),  # P = 10 -> 20
+            (8.0, 32, 64, True),  # P = 29 -> 58
+            (3.0, 32, 67, True),  # P = 16 -> 32
+            (2.0, 64, 128, False),  # P = 20 -> 39
+            (3.0, 32, 64, False),  # P = 16 -> 31
+        ],
+    )
+    def test_ladders_nest_exactly_when_P_doubles(self, a, coarse, fine, nested):
+        per_factor = [math.ceil(d * math.log10(a)) for d in (coarse, fine)]
+        assert (per_factor[1] == 2 * per_factor[0]) == nested
+        small, _, _, _ = experiments._profile_bundle(self._config(a, coarse), 34)
+        large, _, _, _ = experiments._profile_bundle(self._config(a, fine), 34)
+        assert (set(small.tolist()) <= set(large.tolist())) == nested
+        if nested:
+            assert large.size == 2 * small.size - 3
 
     @pytest.mark.parametrize("a", [2.0, 3.0, 8.0])
-    def test_sup_numerator_does_not_depend_on_the_density(self, a):
-        # the variation sup sits on the window edge, a point of every ladder
-        for j1 in (6, 34):
-            configs = [self._config(a, d) for d in (32, 64, 128)]
+    @pytest.mark.parametrize("q, j0", [(3.0, 2), (10.0, 4)])
+    def test_sup_numerator_does_not_depend_on_the_density(self, a, q, j0):
+        # in these configurations the variation sup sits on points every
+        # ladder holds: the window edge, and at a = 2 the origin for y >= 0
+        for j1 in (10, 34, 258):
+            configs = [self._config(a, d, j0=j0, q=q) for d in (32, 64, 128)]
             nums = [experiments._blowup_numerators(c, j1)[0] for c in configs]
             assert nums[0] == nums[1] == nums[2]
+
+    def test_sup_leaves_the_edge_at_two_scale_steps(self):
+        # not a theorem: at a = 2, j0 = 4, j1 = 6 the sup sits inside the
+        # core, near 0.92 a^-7, so the numerator moves with the density; it
+        # cannot fall from 32 to 64 per decade, whose ladders nest
+        configs = [self._config(2.0, d, j0=4) for d in (32, 64, 128)]
+        nums = [experiments._blowup_numerators(c, 6)[0] for c in configs]
+        assert nums[0] < nums[1] and nums[1] != nums[2]
 
     def test_lr_numerator_rises_with_the_density(self):
         nums = [lr_numerator(self._config(2.0, d), 4.0) for d in (32, 64, 128, 256)]
