@@ -44,6 +44,7 @@ from .experiments import (
     Outcome,
     RatioReport,
     _lr_depth,
+    _rows,
     _validated_j1_list,
     exp_hilbert_growth,
     exp_key_estimate,
@@ -421,14 +422,16 @@ class Command(NamedTuple):
     #: certifies none first: key-estimate, whose output the constant is,
     #: and variation.
     deepest: Callable[[dict, ExperimentConfig], int] | None = lambda resolved, config: 0
+    #: False for variation, the one run that reads no ExperimentConfig (its
+    #: q may be 2 or less); every other run checks its configuration first
+    configured: bool = True
 
 
 def _reduction_constant(resolved: dict, config: ExperimentConfig) -> Outcome:
-    nodes = resolved["nodes"]
-    value = exp_reduction_constant(nodes)
-    report = RatioReport(float(nodes), value, REDUCTION_TARGET, 0.0)
+    reports, _ = _rows((resolved["nodes"],), lambda n: (n, exp_reduction_constant(n), REDUCTION_TARGET))
+    value = reports[0].numerator
     extras = {"value": value, "target": REDUCTION_TARGET}
-    return Outcome(abs(value - REDUCTION_TARGET) <= 1e-6, (report,), None, extras)
+    return Outcome(abs(value - REDUCTION_TARGET) <= 1e-6, reports, None, extras)
 
 
 def _key_summary(outcome: Outcome, config: ExperimentConfig | None) -> str:
@@ -530,6 +533,7 @@ _COMMANDS: dict[str, Command] = {
         _variation,
         lambda o, _: f"{o.extras['value']:.12g}\n" + " ".join(str(i) for i in o.extras["subsequence"]),
         deepest=None,
+        configured=False,
     ),
 }
 
@@ -546,12 +550,11 @@ def run(argv: Sequence[str]) -> int:
     command = _COMMANDS[args.subcommand]
     try:
         resolved = _resolve(args, command)
-        config = None
+        # the configuration, and the depth list, are checked first, with a
+        # stand-in witness, so no key table is built for a run that cannot
+        # go ahead; D_j reads the scales j, j + 1
+        config = _experiment_config(resolved, _STAND_IN) if command.configured else None
         if command.deepest is not None:
-            # the configuration and the depth list are checked first, with a
-            # stand-in witness, so the key table only reaches the deepest
-            # scale of a run that can go ahead; D_j reads the scales j, j + 1
-            config = _experiment_config(resolved, _STAND_IN)
             j_max = max(resolved["j_max"], command.deepest(resolved, config) - 1)
             _, key_constant = certified_key_table(resolved["a"], resolved["kmin"], resolved["j0"], j_max)
             config = replace(config, lacunary=_witness(resolved, key_constant))
@@ -560,6 +563,7 @@ def run(argv: Sequence[str]) -> int:
             # key-estimate: its D_j table is the CSV, and a nonempty table
             # certifies the witness that the report and, when the run
             # passes, the parameter cache record
+            config = None
             if outcome.table:
                 key_constant = _certified_constant(outcome.table, resolved["j0"])
                 config = _experiment_config(resolved, _witness(resolved, key_constant))

@@ -132,10 +132,7 @@ def make_pcf(breakpoints: Iterable[float], values: Iterable[float]) -> Piecewise
 
 def pcf_eval(f: PiecewiseConstantFn, x: float) -> float:
     """Value of ``f`` at ``x`` (cells are half open on the right)."""
-    idx = int(np.searchsorted(f.breakpoints_array, x, side="right")) - 1
-    if 0 <= idx < f.values_array.size:
-        return float(f.values_array[idx])
-    return 0.0
+    return float(pcf_eval_many(f, np.array([x]))[0])
 
 
 def pcf_eval_many(f: PiecewiseConstantFn, xs: Iterable[float]) -> np.ndarray:

@@ -50,6 +50,7 @@ import numpy.random  # noqa: F401  loaded with the package, as said above
 from .corefn import (
     MIN_FIT_POINTS,
     GrowthFit,
+    _as_float_array,
     fit_power_law,
     trapezoid_weights,
 )
@@ -138,7 +139,14 @@ DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0 = 2.0, -120, DEFAULT_J_WINDOW[0]
 
 @cache
 def default_lacunary() -> LacunaryParams:
-    """The default witness parameters with the certified key constant baked in."""
+    """The default witness parameters with the certified key constant baked in.
+
+    The constant is certified over the scales DEFAULT_J_WINDOW, [2, 30],
+    whatever depth a run later reaches; the CLI certifies over every scale
+    it evaluates instead.  A caller running deeper takes the constant from
+    certified_key_table(a, k_min, j0, deepest - 1), as the CLI does.  At the
+    default base the minimum sits at j0, so the two agree to depth 64 at least.
+    """
     _, constant = certified_key_table(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, DEFAULT_J_WINDOW[1])
     return LacunaryParams(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, constant)
 
@@ -153,6 +161,11 @@ class ExperimentConfig:
     form, with no grid).  The ladders nest when P doubles, as from 32 to 64
     per decade at a = 2 (P = 10 and 20); doubling the density need not
     double P (64 to 128 at a = 2 gives P = 20 and 39).
+
+    The default lacunary is default_lacunary(), whose key constant covers
+    the scales [2, 30] only; a run deeper than 31 that needs the constant to
+    cover every scale it evaluates passes a LacunaryParams certified by
+    certified_key_table(a, k_min, j0, deepest - 1).
     """
 
     p: float = 2.0
@@ -211,10 +224,15 @@ def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], Gro
         shown, numerator, denominator = row(param)
         seconds = time.perf_counter() - t0
         reports.append(RatioReport(float(shown), numerator, denominator, seconds))
-    fit = None
-    if len(reports) >= MIN_FIT_POINTS:
-        fit = fit_power_law([rep.param for rep in reports], [rep.ratio for rep in reports])
-    return tuple(reports), fit
+    return tuple(reports), _fit(reports)
+
+
+def _fit(reports: Sequence[RatioReport]) -> GrowthFit | None:
+    """The power-law fit of ratio against param, once there are
+    MIN_FIT_POINTS reports."""
+    if len(reports) < MIN_FIT_POINTS:
+        return None
+    return fit_power_law([rep.param for rep in reports], [rep.ratio for rep in reports])
 
 
 class Outcome(NamedTuple):
@@ -318,11 +336,8 @@ def _profile_bundle(config: ExperimentConfig, j1: int) -> tuple[np.ndarray, ...]
     # quadrature weight instead of letting the trapezoid rule bridge it with
     # the origin value, so every windowed integral counts resolved area only
     # (and excluding inner scales can only lower it, never raise it)
-    weights = trapezoid_weights(points)
-    i0 = ladder.size
-    weights[i0] = 0.0
-    weights[i0 - 1] = (points[i0 - 1] - points[i0 - 2]) / 2.0
-    weights[i0 + 1] = (points[i0 + 2] - points[i0 + 1]) / 2.0
+    side = trapezoid_weights(ladder)
+    weights = np.concatenate((side[::-1], [0.0], side))
 
     # one heat matrix on the core feeds both profiles: a row per point, a
     # column per scale index at its root a^-j
@@ -340,7 +355,8 @@ def _window_norm(points, weights, values, p: float, r: float | None = None) -> f
     """
 
     def value(v: np.ndarray, w: np.ndarray) -> float:
-        # a sequential sum, so at x = 0 it equals a prefix-sum window power sum bit for bit
+        # a sequential sum: np.sum adds pairwise, which would move the lr
+        # numerators in their last bits
         return float(v.max()) if r is None else float(np.cumsum(w * v**r)[-1]) ** (1.0 / r)
 
     whole = value(values, weights)
@@ -391,6 +407,28 @@ def _validated_j1_list(j1_list: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
+def _blowup_rows(
+    config: ExperimentConfig, j1_list: Sequence[int]
+) -> tuple[tuple[RatioReport, ...], GrowthFit | None, tuple[RatioReport, ...]]:
+    """The rows of the two blow-up experiments: the variation reports, their
+    fit and the maximal reports, one of each per depth.
+
+    Both reports of a depth come from one _blowup_numerators call and carry
+    its seconds.  Their param is the active-scale count j1 - j0, the growth
+    law's abscissa, so downstream plots fit the same quantity that is
+    reported; their denominator is the closed-form _sup_denominator.
+    """
+    denominator = _sup_denominator(config)
+    variation, maximal = [], []
+    for j1 in _validated_j1_list(j1_list):
+        t0 = time.perf_counter()
+        numerators = _blowup_numerators(config, j1)
+        seconds = time.perf_counter() - t0
+        for reports, numerator in zip((variation, maximal), numerators):
+            reports.append(RatioReport(float(j1 - config.lacunary.j0), numerator, denominator, seconds))
+    return tuple(variation), _fit(variation), tuple(maximal)
+
+
 def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> Outcome:
     """Sup-norm variation ratio against depth.
 
@@ -401,15 +439,7 @@ def exp_linf_blowup(config: ExperimentConfig, j1_list: Sequence[int]) -> Outcome
     which is 3^(1/p) to within rounding.  The ratio must grow like
     (j1 - j0)^(1/q).  The extras hold denominator_target, 3^(1/p).
     """
-    depths = _validated_j1_list(j1_list)
-
-    def row(j1: int) -> tuple[int, float, float]:
-        num, _ = _blowup_numerators(config, j1)
-        # param is the active-scale count j1 - j0: the growth law's abscissa,
-        # so downstream plots fit the same quantity this function reports.
-        return j1 - config.lacunary.j0, num, _sup_denominator(config)
-
-    reports, fit = _rows(depths, row)
+    reports, fit, _ = _blowup_rows(config, j1_list)
     ratios = [rep.ratio for rep in reports]
     target = 3.0 ** (1.0 / config.p)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -432,22 +462,10 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ou
     depth), variation_growth, the last variation ratio over the first, and
     maximal_spread, the largest maximal ratio over the smallest, less 1.
     """
-    depths = _validated_j1_list(j1_list)
-    max_numerators = []
-
-    def row(j1: int) -> tuple[int, float, float]:
-        num_var, num_max = _blowup_numerators(config, j1)
-        max_numerators.append(num_max)
-        return j1 - config.lacunary.j0, num_var, _sup_denominator(config)
-
-    variation, fit = _rows(depths, row)
-    reports = tuple(
-        RatioReport(v.param, num, v.denominator, v.seconds)
-        for v, num in zip(variation, max_numerators)
-    )
+    variation, fit, reports = _blowup_rows(config, j1_list)
     pairs = [
-        {"j1": j1, "variation_ratio": v.ratio, "maximal_ratio": m.ratio}
-        for j1, v, m in zip(depths, variation, reports)
+        {"j1": int(v.param) + config.lacunary.j0, "variation_ratio": v.ratio, "maximal_ratio": m.ratio}
+        for v, m in zip(variation, reports)
     ]
     max_ratios = [m.ratio for m in reports]
     spread = max(max_ratios) / min(max_ratios) - 1.0
@@ -484,6 +502,12 @@ def exp_lr_growth(config: ExperimentConfig) -> Outcome:
     (C/4) r^(1/q) / (2^(1/r) 3^(1/p)).  The extras hold those floors, bounds,
     and delta_radius, the witness's halving radius at the deepest scale.
     An r below 2, whose depth would be j0 itself, raises BadRange.
+
+    The floors use config.lacunary.key_constant as given.  The default
+    config's constant is certified over the scales [2, 30] only, though
+    r = 32 reaches depth 64 (it agrees at a = 2, where the minimum sits at
+    j0); the CLI certifies it over [j0, deepest - 1], and a library caller
+    gets the same from certified_key_table(a, k_min, j0, deepest - 1).
     """
     lac = config.lacunary
     if config.r_list[0] < 2.0:
@@ -600,8 +624,9 @@ def _transfer_block(
     Each cell is cut into ceil(length / 0.1) equal pieces with a grid point at
     each midpoint, weighted by the piece length, so plain norms of single
     blocks come out exact.  Every trial's points sit in one array with an
-    owner index.  A_t f(x) = (F(x + t) - F(x - t)) / t takes F from the
-    trial's own antiderivative knots by np.interp's formula, one
+    owner index.  A_t f(x) = (F(x + t) - F(x - t)) / t takes F(x +- t)
+    from one np.interp call per trial and coordinate on the trial's own
+    antiderivative knots, as operators.avg_apply_many does, one
     :func:`qvariation_rows` call takes the variation of every row of the
     block, and each trial's outer p-sum is a sum over its own points.
     """
@@ -614,8 +639,6 @@ def _transfer_block(
         raise LengthMismatch("a simple function needs at least one cell")
     if m < 1:
         raise EmptyInput("a simple function needs at least one inner coordinate")
-    if not all(np.all(np.isfinite(a)) for a in (bounds, coeffs, widths)):
-        raise NonFiniteValue("cell bounds, coefficients and inner widths must be finite")
     if np.any(widths <= 0):
         raise BadRange("inner widths must be positive")
     lengths = np.diff(bounds, axis=1)
@@ -625,7 +648,7 @@ def _transfer_block(
         raise BadRange("inner norm exponent must satisfy r > 1")
     if not (p == math.inf or p >= 1):
         raise BadRange("outer exponent must satisfy p >= 1")
-    radii = np.array([float(t) for t in J])
+    radii = _as_float_array(J, "averaging radii")
     if radii.size == 0:
         raise EmptyInput("norm transfer needs at least one averaging radius")
     if not np.all(radii > 0):
@@ -643,30 +666,19 @@ def _transfer_block(
         raise NonMonotoneBreakpoints("grid points must be strictly increasing")
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
 
-    # F on each bracket [knot j, knot j + 1), j = -1 .. cells, as in np.interp:
-    # slope (F(j + 1) - F(j)) / length from the knot's value F(j), and flat
-    # (slope 0) outside the support
+    # F(x +- t) from each trial's own antiderivative knots, one np.interp
+    # call per trial and coordinate; a row per (point, coordinate), its
+    # averages along the radii
     mass = np.zeros((trials, cells + 1, m))
     np.cumsum(lengths[:, :, None] * coeffs, axis=1, out=mass[:, 1:])
-    zero = np.zeros((trials, 1, m))
-    slope = np.concatenate((zero, np.diff(mass, axis=1) / lengths[:, :, None], zero), axis=1)
-    knot = np.concatenate((bounds[:, :1], bounds), axis=1)
-    base = np.concatenate((zero, mass), axis=1)
-    at = owner[:, None]
-
-    def antiderivative(y: np.ndarray) -> np.ndarray:
-        # the bracket is the number of the trial's own knots at or below y
-        parts = np.split(y, starts[1:])
-        bracket = np.concatenate(
-            [np.searchsorted(b, v, side="right") for b, v in zip(bounds, parts)]
-        )
-        return slope[at, bracket] * (y - knot[at, bracket])[:, :, None] + base[at, bracket]
-
-    upper = antiderivative(x[:, None] + radii)
-    averages = (upper - antiderivative(x[:, None] - radii)) / radii[:, None]
-    # one row per (point, coordinate), its values along the radii
-    rows = averages.transpose(0, 2, 1).reshape(-1, radii.size)
-    variation = qvariation_rows(rows, q).reshape(-1, m)
+    shifts = np.concatenate((radii, -radii))
+    rows = np.empty((x.size, m, radii.size))
+    for b, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], x.size))):
+        ends = x[lo:hi, None] + shifts
+        for k in range(m):
+            at_ends = np.interp(ends, bounds[b], mass[b, :, k])
+            rows[lo:hi, k] = (at_ends[:, : radii.size] - at_ends[:, radii.size :]) / radii
+    variation = qvariation_rows(rows.reshape(-1, radii.size), q).reshape(-1, m)
 
     point_widths = widths[owner]
     point_scale = (widths ** (1.0 / r))[owner]
@@ -719,9 +731,9 @@ def norm_transfer_pair(
     here subdivides each cell so plain norms of single blocks come out exact.
     It is a block of one trial; see :func:`_transfer_block`.
     """
-    bounds = np.array([float(b) for b in cell_bounds])
-    coeffs = np.asarray(coefficient_matrix, dtype=float)
-    widths = np.asarray(tuple(inner_widths), dtype=float)
+    bounds = _as_float_array(cell_bounds, "cell bounds")
+    coeffs = _as_float_array(coefficient_matrix, "coefficient matrix", ndim=2)
+    widths = _as_float_array(inner_widths, "inner widths")
     row = _transfer_block(bounds[None], coeffs[None], widths[None], p, q, r, J)[0]
     return NormTransferResult(*row.tolist())
 

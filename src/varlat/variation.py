@@ -32,7 +32,6 @@ from .errors import (
     EmptyInput,
     FloatRangeExceeded,
     InvalidQ,
-    NonFiniteValue,
     NonPositiveRadius,
     TooLong,
 )
@@ -70,17 +69,14 @@ _POWER_BATCH = 256
 def make_radius_set(radii: Iterable[float]) -> tuple[float, ...]:
     """The radii (or heat times) as floats, checked to be finite, positive
     and strictly decreasing, largest first."""
-    r = tuple(float(t) for t in radii)
-    if not r:
+    r = _as_float_array(radii, "radii")
+    if not r.size:
         raise EmptyInput("a radius set needs at least one radius")
-    arr = np.asarray(r)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue("radii must be finite")
-    if np.any(arr <= 0):
+    if np.any(r <= 0):
         raise NonPositiveRadius("radii must be positive")
-    if np.any(np.diff(arr) >= 0):
+    if np.any(np.diff(r) >= 0):
         raise BadRange("radii must be strictly decreasing")
-    return r
+    return tuple(r.tolist())
 
 
 class VariationCertificate(NamedTuple):

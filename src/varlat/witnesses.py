@@ -251,14 +251,12 @@ def delta_halving_radius(a: float, k_min: int, j0: int, j1: int) -> float:
     """
     if j0 < 1 or j0 > j1:
         raise BadRange(f"scale range [{j0}, {j1}] is empty or starts below 1")
-    _require_admissible(a, k_min, j1 + 1)
-
-    js = range(j0, j1 + 2)
-    at_zero = heat_of_g_matrix(a, k_min, js, (0.0,))[:, 0]
-    d_zero = np.abs(np.diff(at_zero))
+    # D_j(0) from the key table, which also checks the truncation at j1 + 1
+    d_zero = np.array(key_estimate_table(a, k_min, j1)[j0:])
     if np.any(d_zero <= 0):
         raise KeyEstimateFailed("key oscillation vanishes at the origin")
 
+    js = range(j0, j1 + 2)
     decades = (j1 + 6) * math.log10(a)
     count = max(16, int(math.ceil(decades * _PROBES_PER_DECADE)))
     probes = 10.0 ** (-np.arange(count, -1, -1) / _PROBES_PER_DECADE)

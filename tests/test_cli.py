@@ -130,9 +130,37 @@ class TestOneParser:
         argv = ["reduction-constant", "--values", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "b")]
         assert run(argv) == 0
         assert capsys.readouterr().out == plain
-        assert (tmp_path / "b" / "reduction-constant.csv").read_text() == (
-            tmp_path / "a" / "reduction-constant.csv"
-        ).read_text()
+
+        def data_columns(run_dir):
+            # the last column, seconds, is the row's wall time
+            lines = (run_dir / "reduction-constant.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        assert data_columns(tmp_path / "b") == data_columns(tmp_path / "a")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduction-constant", "--kmin", "-3"],
+            ["hilbert-growth", "--kmin", "-3"],
+            ["linf-blowup", "--trials", "0"],
+            ["key-estimate", "--q", "1.5"],
+            # a base whose key table is empty is refused by q first
+            ["key-estimate", "--a", "1.000000001", "--q", "1.5"],
+        ],
+        ids=["reduction-kmin", "hilbert-kmin", "linf-trials", "key-q", "key-empty-table-q"],
+    )
+    def test_every_command_but_variation_checks_every_key_first(self, tmp_path, capsys, argv):
+        # a key the command does not read still has to be one that some run can use
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_variation_checks_no_witness_key(self, values, capsys):
+        assert run(["variation", "--kmin", "-3", "--values", str(values)]) == 0
+        assert capsys.readouterr().out == "2\n0 3\n"
 
     def test_variation_writes_no_reports(self, tmp_path, values):
         out = tmp_path / "out"
@@ -249,6 +277,11 @@ class TestReductionCommand:
         assert report["pass"] is True
         assert report["extras"]["value"] == pytest.approx(0.5, abs=1e-8)
         assert report["manifest"]["subcommand"] == "reduction-constant"
+
+    def test_row_is_timed(self, tmp_path):
+        assert run(["reduction-constant", "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "reduction-constant.csv").read_text().splitlines()[1]
+        assert float(row.rsplit(",", 1)[1]) > 0.0
 
     def test_creates_nested_out_dir(self, tmp_path):
         out = tmp_path / "deep" / "er"

@@ -21,6 +21,7 @@ from varlat import (
     NonPositiveRadius,
     OperatorFamily,
     RatioReport,
+    avg_apply_many,
     certified_key_table,
     default_lacunary,
     exp_hilbert_growth,
@@ -660,14 +661,21 @@ def transfer_draw(seed: int, m: int = 3, n: int = 4):
     return bounds, np.asarray(coeff_rows), widths
 
 
-def composed_norm_transfer(bounds, coeffs, widths, p, q, r, J):
-    """The norm-transfer fields of one simple function, composed trial by
-    trial from step functions, their averaging matrices and mixed norms."""
-    fns = [make_pcf(bounds, coeffs[:, k]) for k in range(widths.size)]
+def transfer_pieces(bounds):
+    """The norm-transfer grid of one simple function, an array of piece
+    midpoints per cell."""
     pieces = []
     for left, right in zip(bounds[:-1], bounds[1:]):
         sub = max(1, int(math.ceil((right - left) / 0.1)))
         pieces.append(left + (right - left) / sub * (np.arange(sub) + 0.5))
+    return pieces
+
+
+def composed_norm_transfer(bounds, coeffs, widths, p, q, r, J):
+    """The norm-transfer fields of one simple function, composed trial by
+    trial from step functions, their averaging matrices and mixed norms."""
+    fns = [make_pcf(bounds, coeffs[:, k]) for k in range(widths.size)]
+    pieces = transfer_pieces(bounds)
     x_pts = np.concatenate(pieces)
     x_w = np.concatenate(
         [np.full(len(block), (right - left) / len(block))
@@ -840,6 +848,38 @@ class TestNormTransfer:
         # only J=None stands for the default radii
         with pytest.raises(EmptyInput):
             norm_transfer_trials(0, 20, J=())
+
+    @pytest.mark.parametrize(
+        "bounds, coeffs, widths",
+        [("01", [["1"]], "5"), ((0.0, 1.0, 2.0), [[1.0, 2.0], [3.0]], (0.5, 0.5))],
+        ids=["text", "ragged-coefficients"],
+    )
+    def test_rejects_malformed_input(self, bounds, coeffs, widths):
+        with pytest.raises(LengthMismatch):
+            norm_transfer_pair(bounds, coeffs, widths, 2.0, 3.0, 4.0, self.J)
+
+    def test_averages_are_avg_apply_many_on_each_trial(self, monkeypatch):
+        # the rows the blocks hand to qvariation_rows, one per (point,
+        # coordinate), are A_t f(x) of each trial's own step function, bit for bit
+        seen = []
+
+        def recording(rows, q):
+            seen.append(np.array(rows))
+            return qvariation_rows(rows, q)
+
+        monkeypatch.setattr(experiments, "qvariation_rows", recording)
+        seed, trials, m, n = 4, experiments._TRANSFER_BLOCK + 3, 5, 6
+        norm_transfer_trials(seed, trials, m=m, n=n, J=self.J)
+        rows = np.concatenate(seen)
+        first = 0
+        for trial in range(trials):
+            bounds, coeffs, _ = transfer_draw(seed + trial, m=m, n=n)
+            x = np.concatenate(transfer_pieces(bounds))
+            for k in range(m):
+                want = avg_apply_many(make_pcf(bounds, coeffs[:, k]), np.array(self.J), x[:, None])
+                assert rows[(first + np.arange(x.size)) * m + k].tolist() == want.tolist()
+            first += x.size
+        assert first * m == len(rows)
 
     def test_shape_validation(self):
         J = make_radius_set((0.25, 0.0625, 0.015625))

@@ -676,6 +676,7 @@ class TestMalformedInput:
                 lambda: qvariation_bruteforce("12", 2.0), LengthMismatch, id="bruteforce-text"
             ),
             pytest.param(lambda: qvariation_rows([["a", "b"]], 2.0), LengthMismatch, id="rows-text"),
+            pytest.param(lambda: make_radius_set("21"), LengthMismatch, id="radii-text"),
             pytest.param(
                 lambda: prune_to_local_extrema([0.0, float("nan"), 1.0]),
                 NonFiniteValue,

@@ -222,6 +222,13 @@ class TestHeatOfSign:
             assert heat_of_g_matrix(A, -30, (j,), (y,))[0, 0] == pytest.approx(want, abs=1e-12)
             assert heat_apply(g, A ** (-2.0 * j), y) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, k_min, want", [(3.0, -300, 5.623413251903491e-32), (8.0, -400, 4.2169650342858225e-60)]
+    )
+    def test_pinned_radius_at_bases_3_and_8(self, a, k_min, want):
+        # the pinned lr-growth report covers a = 2 only
+        assert delta_halving_radius(a, k_min, 2, 64) == want
+
     def test_scales_past_the_normal_range(self):
         # a^-1023 is subnormal at a = 2
         assert heat_of_g_matrix(A, -3000, (1022,), (0.0,)).shape == (1, 1)
@@ -441,9 +448,11 @@ class TestDeltaHalving:
         assert sum(seen) <= 1 + 2 * (2 * 16)
 
     def test_all_passing_ladder_returns_outermost_probe(self, monkeypatch):
-        # heat values that do not depend on y: every probe passes
+        # heat values that do not depend on y: every probe passes.  They are
+        # keyed on the scale index itself, since the origin column comes from
+        # the key table (scales 0..j1+1) and the probes from scales j0..j1+1
         def flat(a, k_min, js, ys):
-            return np.outer(np.arange(len(js)) ** 2.0, np.ones(len(tuple(ys))))
+            return np.outer(np.asarray(tuple(js), dtype=float) ** 2.0, np.ones(len(tuple(ys))))
 
         monkeypatch.setattr(witnesses, "heat_of_g_matrix", flat)
         assert delta_halving_radius(A, K_MIN, 2, 8) == 1.0
