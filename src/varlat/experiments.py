@@ -32,6 +32,22 @@ contributing an O(1) variation that is flat in j1 and would mask the growth;
 the core window is where the oscillation across scales lives, and dropping
 the bulk (a nonnegative part of the integrand) lowers the numerator while
 exposing the (j1 - j0)^(1/q) growth.
+
+The series route: a run evaluates the witness in two heat calls, whatever
+its depths.  Substituting z = a^-m z', m = j - j*, in the heat integral
+gives H_(a^-2j) G(y) = (-1)^m H_(a^-2j*) G_m(a^m y), where G_m is G with
+its cells moved up m places.  Let j* be the smallest j >= j0 with
+a^j > 17, the kernel window 16 plus one (5 at a = 2, 3 at a = 3, 2 at
+a = 8 and 7 at a = 1.5).  For every point |a^m y| <= a^-(j*+1), the cells
+of G_m at or above 1 then lie outside the kernel window, so G_m may be read
+as G itself, truncated m cells deeper, which moves a value by at most
+truncation_tail_bound(a, k_min, j), below TAIL_TOLERANCE at every depth
+_require_admissible accepts.  A core point +-a^-(j1+1+o+k/P) at the scale
+j maps to +-a^-(j*+1+n+k/P), n = j1 - j + o, so the rows of every depth at
+every scale j >= j* are windows of one series s_+-[n, k] at the scale j*,
+evaluated once per run; the scales j0 <= j < j* take one more call on the
+run's cores.  On the CLI runs at a = 2, 3 and 8 the numerators moved by at
+most 2e-12 relative from one heat call per depth.
 """
 from __future__ import annotations
 
@@ -66,6 +82,7 @@ from .errors import (
     TruncationTooShallow,
 )
 from .operators import (
+    _HEAT_WINDOW,
     _subordination_weight,
     gauss_legendre_integrate,
 )
@@ -78,6 +95,7 @@ from .witnesses import (
     DEFAULT_J_WINDOW,
     KEY_THRESHOLD,
     LacunaryParams,
+    _normal_roots,
     _require_admissible,
     certified_key_table,
     delta_halving_radius,
@@ -213,17 +231,24 @@ class RatioReport:
         return self.numerator / self.denominator
 
 
-def _rows(params: Sequence, row: Callable) -> tuple[tuple[RatioReport, ...], GrowthFit | None]:
+def _rows(
+    params: Sequence, row: Callable, start: float | None = None
+) -> tuple[tuple[RatioReport, ...], GrowthFit | None]:
     """One timed report per parameter, from row(param) = (reported param,
     numerator, denominator), and the power-law fit of ratio against
     reported param once there are MIN_FIT_POINTS rows.
+
+    Each row's seconds run from the end of the row before; the first row's
+    from start (a time.perf_counter() reading) when given, so work the rows
+    share, done before the first, is charged to it.
     """
     reports = []
+    mark = time.perf_counter() if start is None else start
     for param in params:
-        t0 = time.perf_counter()
         shown, numerator, denominator = row(param)
-        seconds = time.perf_counter() - t0
-        reports.append(RatioReport(float(shown), numerator, denominator, seconds))
+        now = time.perf_counter()
+        reports.append(RatioReport(float(shown), numerator, denominator, now - mark))
+        mark = now
     return tuple(reports), _fit(reports)
 
 
@@ -305,11 +330,25 @@ def exp_key_estimate(a: float, k_min: int, j0: int, j_max: int = DEFAULT_J_WINDO
 # witness profiles shared by the blow-up experiments
 
 
-def _profile_bundle(config: ExperimentConfig, j1: int) -> tuple[np.ndarray, ...]:
-    """Core points, in increasing order, their trapezoid weights, and the
-    variation and maximal profiles of the witness there.  The variation
-    profile is the consecutive-chain sum over the scales j0..j1 (see the
-    module docstring).
+def _series_scale(a: float, j0: int) -> int:
+    """j*, the smallest scale index j >= j0 with a^j > _HEAT_WINDOW + 1.
+
+    From j* on, the cells of the rescaled witness at or above 1 lie outside
+    the kernel window of every core point (see the module docstring).
+    """
+    limit = _HEAT_WINDOW + 1.0
+    # the log estimate lands at most two below j*, whatever its rounding
+    j = max(j0, math.floor(math.log(limit) / math.log(a)) - 1)
+    while not a**j > limit:
+        j += 1
+    return j
+
+
+def _profile_bundles(config: ExperimentConfig, depths: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """One bundle per depth j1 of depths: the core points, in increasing
+    order, their trapezoid weights, and the variation and maximal profiles
+    of the witness there.  The variation profile is the consecutive-chain
+    sum over the scales j0..j1 (see the module docstring).
 
     The core is the origin and the aligned ladder +-a^-(j1+1+i/P),
     i = 0..3P, with P = ceil(log_points_per_decade * log10 a) points per
@@ -317,32 +356,68 @@ def _profile_bundle(config: ExperimentConfig, j1: int) -> tuple[np.ndarray, ...]
     a^-(j1+4).  Doubling P adds a point between each two, so the ladders
     nest.  The profiles vanish off the core; see the module docstring for
     why that restriction only lowers the numerator.
+
+    Every depth's heat values come from two heat calls shared by the run
+    (one when j* = j0, or when no depth reaches j*): the series at the
+    scale j*, read for every scale j >= j*, and the scales j0 <= j < j* on
+    the run's cores.  Each value of either call depends only on its own
+    point and scale, so a depth's bundle is the same bit for bit whatever
+    other depths the run holds.
     """
     lac = config.lacunary
-    if j1 <= lac.j0:
-        raise BadRange("deepest scale index must exceed j0")
-    _require_admissible(lac.a, lac.k_min, j1)
+    a = lac.a
     # an int past the double range cannot meet a float; 2^1000 points per
     # decade are past the cap at every base the witness accepts
-    per_factor = math.ceil(min(config.log_points_per_decade, 2**1000) * math.log10(lac.a))
-    if 6 * per_factor + 3 > MAX_GRID_POINTS:
-        raise BadRange(f"profile core capped at {MAX_GRID_POINTS} points")
-    ladder = np.power(lac.a, -((j1 + 1.0) + np.arange(3 * per_factor, -1, -1) / per_factor))
-    if not ladder[0] > 0.0:
-        raise FloatRangeExceeded(f"a^-{j1 + 4} underflows to 0 for a={lac.a}")
-    points = np.concatenate((-ladder[::-1], [0.0], ladder))
+    per_factor = math.ceil(min(config.log_points_per_decade, 2**1000) * math.log10(a))
+    ladders = []
+    for j1 in depths:
+        if j1 <= lac.j0:
+            raise BadRange("deepest scale index must exceed j0")
+        _require_admissible(a, lac.k_min, j1)
+        if 6 * per_factor + 3 > MAX_GRID_POINTS:
+            raise BadRange(f"profile core capped at {MAX_GRID_POINTS} points")
+        ladder = np.power(a, -((j1 + 1.0) + np.arange(3 * per_factor, -1, -1) / per_factor))
+        if not ladder[0] > 0.0:
+            raise FloatRangeExceeded(f"a^-{j1 + 4} underflows to 0 for a={a}")
+        # the depth limit of the key tables, which certify every scale a^-j
+        # the profiles stand for: a^-j1 must stay a normal double
+        _normal_roots(a, np.array([float(j1)]))
+        ladders.append(ladder)
 
-    # the strip (-a^-(j1+4), a^-(j1+4)) is unresolved; give it zero
-    # quadrature weight instead of letting the trapezoid rule bridge it with
-    # the origin value, so every windowed integral counts resolved area only
-    # (and excluding inner scales can only lower it, never raise it)
-    side = trapezoid_weights(ladder)
-    weights = np.concatenate((side[::-1], [0.0], side))
+    j_star, deepest = _series_scale(a, lac.j0), max(depths)
+    cores = [np.concatenate((-ladder[::-1], [0.0], ladder)) for ladder in ladders]
+    short = np.empty(((6 * per_factor + 3) * len(cores), 0))
+    if j_star > lac.j0:
+        scales = range(lac.j0, min(j_star, deepest + 1))
+        short = heat_of_g_matrix(a, lac.k_min, scales, np.concatenate(cores)).T
+    if deepest >= j_star:
+        # the series +-a^-(j*+1+n+k/P), m = nP + k = 0..(deepest - j* + 3)P,
+        # and the origin, all at the scale j*
+        n, k = np.divmod(np.arange((deepest - j_star + 3) * per_factor + 1), per_factor)
+        tail = np.power(a, -((j_star + 1.0 + n) + k / per_factor))
+        series = heat_of_g_matrix(a, lac.k_min, (j_star,), np.concatenate((-tail, [0.0], tail)))[0]
+        neg, origin, pos = series[: tail.size], series[tail.size], series[tail.size + 1 :]
 
-    # one heat matrix on the core feeds both profiles: a row per point, a
-    # column per scale index at its root a^-j
-    matrix = heat_of_g_matrix(lac.a, lac.k_min, range(lac.j0, j1 + 1), points).T
-    return points, weights, _chain_rows(matrix, config.q), np.abs(matrix).max(axis=1)
+    rungs = np.arange(3 * per_factor + 1)[:, None]  # i, from the window edge inward
+    bundles = []
+    for d, (j1, ladder, points) in enumerate(zip(depths, ladders, cores)):
+        matrix = short[d * points.size : (d + 1) * points.size, : j1 + 1 - lac.j0]
+        if j1 >= j_star:
+            # H_(a^-2j) G(+-a^-(j1+1+i/P)) = (-1)^(j-j*) s_+-[(j1 - j)P + i]
+            js = np.arange(j_star, j1 + 1)
+            at = (j1 - js) * per_factor + rungs
+            signs = np.where((js - j_star) % 2 == 1, -1.0, 1.0)
+            deep = np.concatenate((neg[at], np.full((1, js.size), origin), pos[at[::-1]])) * signs
+            matrix = np.concatenate((matrix, deep), axis=1)
+        # the strip (-a^-(j1+4), a^-(j1+4)) is unresolved; give it zero
+        # quadrature weight instead of letting the trapezoid rule bridge it
+        # with the origin value, so every windowed integral counts resolved
+        # area only (and excluding inner scales can only lower it, never
+        # raise it)
+        side = trapezoid_weights(ladder)
+        weights = np.concatenate((side[::-1], [0.0], side))
+        bundles.append((points, weights, _chain_rows(matrix, config.q), np.abs(matrix).max(axis=1)))
+    return bundles
 
 
 def _window_norm(points, weights, values, p: float, r: float | None = None) -> float:
@@ -392,9 +467,9 @@ def _power_denominator(config: ExperimentConfig, r: float) -> float:
     return (1.0 + 2.0 * r / (r + config.p)) ** (1.0 / config.p) * _ROUND_UP
 
 
-def _blowup_numerators(config: ExperimentConfig, j1: int) -> tuple[float, float]:
-    """Sup-window numerators (variation, maximal) for one depth j1."""
-    points, weights, var_vals, max_vals = _profile_bundle(config, j1)
+def _blowup_numerators(config: ExperimentConfig, bundle: tuple[np.ndarray, ...]) -> tuple[float, float]:
+    """Sup-window numerators (variation, maximal) of one depth's bundle."""
+    points, weights, var_vals, max_vals = bundle
     return tuple(_window_norm(points, weights, v, config.p) for v in (var_vals, max_vals))
 
 
@@ -413,19 +488,23 @@ def _blowup_rows(
     """The rows of the two blow-up experiments: the variation reports, their
     fit and the maximal reports, one of each per depth.
 
-    Both reports of a depth come from one _blowup_numerators call and carry
-    its seconds.  Their param is the active-scale count j1 - j0, the growth
-    law's abscissa, so downstream plots fit the same quantity that is
+    The bundles of every depth come from one _profile_bundles call, charged
+    to the first depth's seconds, so the seconds add up to the numerators'
+    time.  Both reports of a depth come from one _blowup_numerators call and
+    carry its seconds.  Their param is the active-scale count j1 - j0, the
+    growth law's abscissa, so downstream plots fit the same quantity that is
     reported; their denominator is the closed-form _sup_denominator.
     """
     denominator = _sup_denominator(config)
+    depths = _validated_j1_list(j1_list)
     variation, maximal = [], []
-    for j1 in _validated_j1_list(j1_list):
-        t0 = time.perf_counter()
-        numerators = _blowup_numerators(config, j1)
-        seconds = time.perf_counter() - t0
+    mark = time.perf_counter()
+    for j1, bundle in zip(depths, _profile_bundles(config, depths)):
+        numerators = _blowup_numerators(config, bundle)
+        now = time.perf_counter()
         for reports, numerator in zip((variation, maximal), numerators):
-            reports.append(RatioReport(float(j1 - config.lacunary.j0), numerator, denominator, seconds))
+            reports.append(RatioReport(float(j1 - config.lacunary.j0), numerator, denominator, now - mark))
+        mark = now
     return tuple(variation), _fit(variation), tuple(maximal)
 
 
@@ -454,10 +533,11 @@ def exp_maximal_contrast(config: ExperimentConfig, j1_list: Sequence[int]) -> Ou
     """Same pipeline with the maximal operator in place of the variation.
 
     The variation ratios are shared bit for bit with exp_linf_blowup (same
-    profiles from the same heat matrix, same closed-form denominator); the
+    profiles from the same heat series, same closed-form denominator); the
     point of the contrast is that the maximal ratio stays flat while the
     variation ratio grows.  The fit is that of the variation ratios; the
-    reports are the maximal rows, each timed as the row that computed both.
+    reports are the maximal rows, each timed as the row that computed both,
+    the first with the run's shared heat calls.
     The extras hold the pairs (one {j1, variation_ratio, maximal_ratio} per
     depth), variation_growth, the last variation ratio over the first, and
     maximal_spread, the largest maximal ratio over the smallest, less 1.
@@ -485,9 +565,17 @@ def lr_numerator(config: ExperimentConfig, r: float) -> float:
     resolved on the core ladder down to three factors of a below the window
     edge.  At a = 2 it rises as the ladder refines: at r = 4, 32 points per
     decade are within 1e-6 relative of 256.
+
+    It builds the one depth floor(r) * j0 through _profile_bundles, whose
+    bundles do not depend on the other depths of a run, so it equals the
+    matching exp_lr_growth numerator bit for bit.
     """
-    j1 = _lr_depth(r, config.lacunary.j0)
-    points, weights, var_vals, _ = _profile_bundle(config, j1)
+    (bundle,) = _profile_bundles(config, [_lr_depth(r, config.lacunary.j0)])
+    return _power_numerator(config, bundle, r)
+
+
+def _power_numerator(config: ExperimentConfig, bundle: tuple[np.ndarray, ...], r: float) -> float:
+    points, weights, var_vals, _ = bundle
     return _window_norm(points, weights, var_vals, config.p, r)
 
 
@@ -501,7 +589,9 @@ def exp_lr_growth(config: ExperimentConfig) -> Outcome:
     2^(1/r) 3^(1/p)).  Each ratio must clear the certified closed-form floor
     (C/4) r^(1/q) / (2^(1/r) 3^(1/p)).  The extras hold those floors, bounds,
     and delta_radius, the witness's halving radius at the deepest scale.
-    An r below 2, whose depth would be j0 itself, raises BadRange.
+    An r below 2, whose depth would be j0 itself, raises BadRange.  The
+    profiles of every depth come from one _profile_bundles call, charged to
+    the first row's seconds.
 
     The floors use config.lacunary.key_constant as given.  The default
     config's constant is certified over the scales [2, 30] only, though
@@ -513,10 +603,15 @@ def exp_lr_growth(config: ExperimentConfig) -> Outcome:
     if config.r_list[0] < 2.0:
         # below 2, the depth floor(r) * j0 is j0 itself
         raise BadRange(f"lr-growth needs every r >= 2, got r = {config.r_list[0]}")
+    start = time.perf_counter()
+    depths = [_lr_depth(r, lac.j0) for r in config.r_list]
+    bundles = dict(zip(config.r_list, _profile_bundles(config, depths)))
     reports, fit = _rows(
-        config.r_list, lambda r: (r, lr_numerator(config, r), _power_denominator(config, r))
+        config.r_list,
+        lambda r: (r, _power_numerator(config, bundles[r], r), _power_denominator(config, r)),
+        start,
     )
-    deepest = _lr_depth(config.r_list[-1], lac.j0)
+    deepest = depths[-1]
     delta = delta_halving_radius(lac.a, lac.k_min, lac.j0, deepest)
     bounds = [
         (lac.key_constant / 4.0)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from varlat import experiments
+from varlat import experiments, operators
 from varlat import (
     HILBERT_R_LIST,
     BadRange,
@@ -43,11 +43,23 @@ from varlat import (
     pcf_eval_many,
     qvariation_rows,
     trapezoid_weights,
+    truncation_tail_bound,
     unit_indicator,
 )
 from varlat.experiments import DEFAULT_BASE, DEFAULT_J0, DEFAULT_K_MIN, _lr_depth
 
 CERTIFIED_BASE2 = 0.0173073522282
+
+
+def bundle(config, j1):
+    """The profile bundle of the one depth j1."""
+    (only,) = experiments._profile_bundles(config, [j1])
+    return only
+
+
+def sup_numerators(config, j1):
+    """The sup numerators (variation, maximal) of the one depth j1."""
+    return experiments._blowup_numerators(config, bundle(config, j1))
 
 
 def window_values(points, weights, values, r):
@@ -212,18 +224,28 @@ class TestBlowupSmallRuns:
         assert contrast.extras["maximal_spread"] < 0.25
         assert contrast.extras["variation_growth"] > 1.2
 
-    def test_profile_bundle_builds_one_family_matrix_per_depth(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize(
+        "a, depths, calls",
+        [
+            (2.0, (4, 6, 8), 2),  # j* = 5: the short scales 2..4 and the series
+            (2.0, (6,), 2),
+            (2.0, (6, 10, 18, 34, 66, 130, 258), 2),
+            (2.0, (3, 4), 1),  # every scale below j*: the short call alone
+            (8.0, (4, 6, 8, 34), 1),  # j* = j0 = 2: the series alone
+        ],
+    )
+    def test_profile_bundles_make_two_heat_calls_per_run(self, monkeypatch, a, depths, calls):
+        made = []
         original = experiments.heat_of_g_matrix
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            made.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "heat_of_g_matrix", counting)
-        for j1 in self.DEPTHS:
-            experiments._profile_bundle(self.CONFIG, j1)
-        assert len(calls) == len(self.DEPTHS)
+        config = replace(self.CONFIG, lacunary=replace(self.CONFIG.lacunary, a=a, k_min=-300))
+        assert len(experiments._profile_bundles(config, depths)) == len(depths)
+        assert len(made) == calls
 
     @pytest.mark.parametrize("a, deepest", [(2.0, 1022), (3.0, 644), (8.0, 340)])
     def test_depth_reaches_the_double_range(self, a, deepest):
@@ -237,19 +259,27 @@ class TestBlowupSmallRuns:
         assert res.reports[1].ratio > res.reports[0].ratio
         for j1 in (deepest + 1, 1100):
             with pytest.raises(FloatRangeExceeded):
-                experiments._profile_bundle(config, j1)
+                experiments._profile_bundles(config, [6, j1])
 
     def test_bundle_profiles_match_standalone_profiles(self):
         lac = self.CONFIG.lacunary
         j1 = self.DEPTHS[-1]
-        pts, weights, var, mx = experiments._profile_bundle(self.CONFIG, j1)
+        pts, weights, var, mx = bundle(self.CONFIG, j1)
         assert np.all(np.abs(pts) <= lac.a ** (-(j1 + 1.0))) and np.all(np.diff(pts) > 0)
         assert weights.shape == pts.shape and weights[pts == 0.0].tolist() == [0.0]
         # the time route: the heat times themselves, which the bundle takes
-        # at their roots; sqrt(2^(-2j)) is exact, so a = 2 matches bit for bit
+        # at their roots.  sqrt(2^(-2j)) is exact, so at a = 2 the short
+        # scales 2..4 match bit for bit; the series reads the scales from
+        # j* = 5 on with the witness truncated j - 5 cells deeper and at
+        # points a power of a apart, so the profiles move by rounding only
         J = make_radius_set(lac.a ** (-2.0 * np.arange(lac.j0, j1 + 1)))
         witness = lacunary_sign(lac.a, lac.k_min)
         matrix = family_value_matrix(witness, OperatorFamily.HEAT, J, pts)
+        np.testing.assert_allclose(var, qvariation_rows(matrix, self.CONFIG.q), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(mx, np.abs(matrix).max(axis=1), rtol=1e-14, atol=0)
+        # every scale of depth 4 lies below j*: no series, bit for bit
+        pts, _, var, mx = bundle(self.CONFIG, 4)
+        matrix = family_value_matrix(witness, OperatorFamily.HEAT, J[:3], pts)
         assert var.tolist() == qvariation_rows(matrix, self.CONFIG.q).tolist()
         assert mx.tolist() == np.abs(matrix).max(axis=1).tolist()
 
@@ -268,7 +298,7 @@ class TestBlowupSmallRuns:
         def no_profile(*args):
             raise AssertionError("profile built")
 
-        monkeypatch.setattr(experiments, "_profile_bundle", no_profile)
+        monkeypatch.setattr(experiments, "_profile_bundles", no_profile)
         with pytest.raises(BadRange, match="r = 1.5"):
             experiments.exp_lr_growth(replace(self.CONFIG, r_list=(1.5, 4.0, 8.0)))
 
@@ -288,7 +318,7 @@ class TestAlignedCore:
     @pytest.mark.parametrize("j1", [6, 130])
     def test_core_ends_on_the_window_edge(self, a, j1):
         config = self._config(a, 32)
-        points, weights, _, _ = experiments._profile_bundle(config, j1)
+        points, weights, _, _ = bundle(config, j1)
         per_factor = math.ceil(32 * math.log10(a))
         assert points.size == 6 * per_factor + 3
         assert points[0] == -(a ** -(j1 + 1.0)) and points[-1] == a ** -(j1 + 1.0)
@@ -311,8 +341,8 @@ class TestAlignedCore:
     def test_ladders_nest_exactly_when_P_doubles(self, a, coarse, fine, nested):
         per_factor = [math.ceil(d * math.log10(a)) for d in (coarse, fine)]
         assert (per_factor[1] == 2 * per_factor[0]) == nested
-        small, _, _, _ = experiments._profile_bundle(self._config(a, coarse), 34)
-        large, _, _, _ = experiments._profile_bundle(self._config(a, fine), 34)
+        small, _, _, _ = bundle(self._config(a, coarse), 34)
+        large, _, _, _ = bundle(self._config(a, fine), 34)
         assert (set(small.tolist()) <= set(large.tolist())) == nested
         if nested:
             assert large.size == 2 * small.size - 3
@@ -324,7 +354,7 @@ class TestAlignedCore:
         # ladder holds: the window edge, and at a = 2 the origin for y >= 0
         for j1 in (10, 34, 258):
             configs = [self._config(a, d, j0=j0, q=q) for d in (32, 64, 128)]
-            nums = [experiments._blowup_numerators(c, j1)[0] for c in configs]
+            nums = [sup_numerators(c, j1)[0] for c in configs]
             assert nums[0] == nums[1] == nums[2]
 
     def test_sup_leaves_the_edge_at_two_scale_steps(self):
@@ -332,7 +362,7 @@ class TestAlignedCore:
         # core, near 0.92 a^-7, so the numerator moves with the density; it
         # cannot fall from 32 to 64 per decade, whose ladders nest
         configs = [self._config(2.0, d, j0=4) for d in (32, 64, 128)]
-        nums = [experiments._blowup_numerators(c, 6)[0] for c in configs]
+        nums = [sup_numerators(c, 6)[0] for c in configs]
         assert nums[0] < nums[1] and nums[1] != nums[2]
 
     def test_lr_numerator_rises_with_the_density(self):
@@ -342,7 +372,9 @@ class TestAlignedCore:
     @pytest.mark.parametrize("per_decade, j1, k_min", [(700, 1000, -1100), (110_726, 3, -300)])
     def test_cap_counts_the_core_it_builds(self, monkeypatch, per_decade, j1, k_min):
         # 700 per decade at j1 = 1000 is a core of 1,269 points; the largest
-        # density the cap admits at a = 2 builds 199,995
+        # density the cap admits at a = 2 builds 199,995.  The first heat
+        # call is the short scales 2..4 on the core; j1 = 1000 adds the
+        # series at j* = 5, whose size the cap does not count
         built = []
 
         def stub(a, k_min, js, ys):
@@ -351,11 +383,89 @@ class TestAlignedCore:
 
         monkeypatch.setattr(experiments, "heat_of_g_matrix", stub)
         config = self._config(2.0, per_decade, k_min)
-        experiments._profile_bundle(config, j1)
-        assert built == [6 * math.ceil(per_decade * math.log10(2.0)) + 3]
+        experiments._profile_bundles(config, [j1])
+        per_factor = math.ceil(per_decade * math.log10(2.0))
+        assert built[0] == 6 * per_factor + 3
+        assert built[1:] == ([2 * ((j1 - 5 + 3) * per_factor + 1) + 1] if j1 >= 5 else [])
         assert built[0] <= experiments.MAX_GRID_POINTS
         with pytest.raises(BadRange, match="capped"):
-            experiments._profile_bundle(replace(config, log_points_per_decade=110_727), j1)
+            experiments._profile_bundles(replace(config, log_points_per_decade=110_727), [j1])
+
+
+class TestSeriesRoute:
+    """_profile_bundles reads every scale j >= j* from one heat series at
+    the scale j*, by the scaling identity of the experiments docstring, and
+    the scales below j* from one call on the run's cores."""
+
+    @staticmethod
+    def _config(a, k_min, j0=2, r_list=(4.0, 8.0, 16.0, 32.0)):
+        return ExperimentConfig(lacunary=LacunaryParams(a, k_min, j0, CERTIFIED_BASE2), r_list=r_list)
+
+    @pytest.mark.parametrize("a, j_star", [(2.0, 5), (3.0, 3), (8.0, 2), (1.5, 7)])
+    def test_series_scale(self, a, j_star):
+        assert experiments._series_scale(a, 2) == j_star
+        assert a ** (j_star - 1) <= operators._HEAT_WINDOW + 1.0 < a**j_star
+        assert experiments._series_scale(a, 9) == 9
+        assert experiments._series_scale(1.000001, 2) == math.floor(math.log(17.0) / math.log(1.000001)) + 1
+
+    @pytest.mark.parametrize("a, k_min", [(2.0, -300), (3.0, -300), (8.0, -400)])
+    @pytest.mark.parametrize("j1", [34, 258])
+    def test_series_rows_match_direct_rows(self, a, k_min, j1):
+        # the series sees the witness truncated j - j* cells deeper, which
+        # moves a value by at most truncation_tail_bound(a, k_min, j); each
+        # route's kernel sum carries at most one ERF_ERROR per breakpoint
+        # and its collapse bound
+        config = self._config(a, k_min)
+        sent, chain_rows = [], experiments._chain_rows
+
+        def spy(matrix, q):
+            sent.append(np.array(matrix))
+            return chain_rows(matrix, q)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_chain_rows", spy)
+            points = bundle(config, j1)[0]
+        (series,) = sent
+        js = np.arange(2, j1 + 1)
+        direct = heat_of_g_matrix(a, k_min, js, points).T
+        witness = lacunary_sign(a, k_min)
+        kernel = witness.breakpoints_array.size * operators.ERF_ERROR
+        kernel += operators._collapse_bound(witness, a ** -js.astype(float))
+        tail = np.array([truncation_tail_bound(a, k_min, j) for j in js])
+        assert np.all(np.abs(series - direct) <= tail + 2.0 * kernel)
+        # the short scales come from the direct route itself
+        short = experiments._series_scale(a, 2) - 2
+        assert series[:, :short].tolist() == direct[:, :short].tolist()
+
+    @pytest.mark.parametrize(
+        "a, k_min, depths",
+        [
+            (2.0, -300, (3, 4, 6, 34, 258)),  # 3 and 4 lie wholly below j* = 5
+            (8.0, -400, (3, 6, 34, 258)),  # j* = j0
+            (3.0, -300, (3, 6, 34, 130)),  # scales a^-j not powers of two
+            (1.5, -800, (3, 6, 7, 8, 34)),  # j* = 7
+        ],
+    )
+    def test_bundle_does_not_depend_on_the_other_depths(self, a, k_min, depths):
+        config = self._config(a, k_min)
+        together = experiments._profile_bundles(config, depths)
+        for j1, joint in zip(depths, together):
+            alone = bundle(config, j1)
+            assert [part.tobytes() for part in joint] == [part.tobytes() for part in alone]
+
+    @pytest.mark.parametrize(
+        "a, k_min, j0, r_list",
+        [
+            (2.0, -300, 1, (3.0, 4.0, 8.0, 34.0)),  # depths 3 and 4 below j* = 5
+            (8.0, -400, 2, (4.0, 8.0, 16.0)),  # j* = j0
+            (3.0, -300, 2, (4.0, 8.0, 16.0)),
+            (1.5, -800, 2, (3.0, 4.0, 8.0)),  # depths 6 and 8 about j* = 7
+        ],
+    )
+    def test_lr_numerator_equals_the_lr_growth_row(self, a, k_min, j0, r_list):
+        config = self._config(a, k_min, j0, r_list)
+        reports = experiments.exp_lr_growth(config).reports
+        assert [rep.numerator for rep in reports] == [lr_numerator(config, r) for r in r_list]
 
 
 class TestDenominators:
@@ -479,16 +589,16 @@ class TestClosedFormNumerators:
     @staticmethod
     def _numerator(config, j1, r):
         if r is None:
-            return experiments._blowup_numerators(config, j1)[0]
+            return sup_numerators(config, j1)[0]
         return lr_numerator(config, r)
 
     @pytest.mark.parametrize("p", P_LIST)
     @pytest.mark.parametrize("j1, r", CASES)
     def test_at_or_below_exact_integral_within_sliver(self, p, j1, r):
         config = replace(self.CONFIG, p=p)
-        points, weights, var, mx = experiments._profile_bundle(config, j1)
+        points, weights, var, mx = bundle(config, j1)
         if r is None:
-            pairs = zip((var, mx), experiments._blowup_numerators(config, j1))
+            pairs = zip((var, mx), sup_numerators(config, j1))
         else:
             pairs = [(var, lr_numerator(config, r))]
         for values, num in pairs:

@@ -369,8 +369,8 @@ class TestGaussLegendrePanels:
     @pytest.mark.parametrize("n, weight_bound", [(16, 4e-15), (64, 1e-13), (256, 3e-13)])
     def test_rule_matches_40_digit_newton(self, n, weight_bound):
         # each node of the nonnegative half refined by Newton's method on
-        # P_n in 40 digits; measured: nodes within 6.5e-17 absolute, weights
-        # within 1.9e-15, 5.7e-14 and 1.9e-13 relative at n = 16, 64, 256
+        # P_n in 40 digits; measured: nodes within 8.0e-17 absolute, weights
+        # within 3.4e-15, 7.5e-15 and 8.6e-14 relative at n = 16, 64, 256
         nodes, weights = operators._leggauss(n)
         assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
         exact = []

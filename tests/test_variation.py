@@ -267,7 +267,7 @@ def witness_rows():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "_chain_rows", spy)
-        experiments._profile_bundle(config, 258)
+        experiments._profile_bundles(config, [258])
     (matrix,) = sent
     return matrix
 
@@ -383,8 +383,7 @@ class TestChainRows:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_chain_rows", spy)
-            for j1 in depths:
-                experiments._profile_bundle(config, j1)
+            experiments._profile_bundles(config, depths)
         assert len(sent) == len(depths)
         for matrix in sent:
             chain = variation._chain_rows(matrix, config.q)
