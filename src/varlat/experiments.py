@@ -34,20 +34,11 @@ the bulk (a nonnegative part of the integrand) lowers the numerator while
 exposing the (j1 - j0)^(1/q) growth.
 
 The series route: a run evaluates the witness in two heat calls, whatever
-its depths.  Substituting z = a^-m z', m = j - j*, in the heat integral
-gives H_(a^-2j) G(y) = (-1)^m H_(a^-2j*) G_m(a^m y), where G_m is G with
-its cells moved up m places.  Let j* be the smallest j >= j0 with
-a^j > 17, the kernel window 16 plus one (5 at a = 2, 3 at a = 3, 2 at
-a = 8 and 7 at a = 1.5).  For every point |a^m y| <= a^-(j*+1), the cells
-of G_m at or above 1 then lie outside the kernel window, so G_m may be read
-as G itself, truncated m cells deeper, which moves a value by at most
-truncation_tail_bound(a, k_min, j), below TAIL_TOLERANCE at every depth
-_require_admissible accepts.  A core point +-a^-(j1+1+o+k/P) at the scale
-j maps to +-a^-(j*+1+n+k/P), n = j1 - j + o, so the rows of every depth at
-every scale j >= j* are windows of one series s_+-[n, k] at the scale j*,
-evaluated once per run; the scales j0 <= j < j* take one more call on the
-run's cores.  On the CLI runs at a = 2, 3 and 8 the numerators moved by at
-most 2e-12 relative from one heat call per depth.
+its depths.  Every scale j >= j* (witnesses.series_scale) is read from one
+series at the scale j*, by the scaling law the witnesses module docstring
+states, and the scales j0 <= j < j* take one more call on the run's cores.
+On the CLI runs at a = 2, 3 and 8 the numerators moved by at most 2e-12
+relative from one heat call per depth.
 """
 from __future__ import annotations
 
@@ -82,11 +73,11 @@ from .errors import (
     TruncationTooShallow,
 )
 from .operators import (
-    _HEAT_WINDOW,
     _subordination_weight,
     gauss_legendre_integrate,
 )
 from .variation import (
+    _SMALLEST_NORMAL,
     _chain_rows,
     make_radius_set,
     qvariation_rows,
@@ -100,6 +91,7 @@ from .witnesses import (
     certified_key_table,
     delta_halving_radius,
     heat_of_g_matrix,
+    series_scale,
 )
 
 __all__ = [
@@ -159,11 +151,12 @@ DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0 = 2.0, -120, DEFAULT_J_WINDOW[0]
 def default_lacunary() -> LacunaryParams:
     """The default witness parameters with the certified key constant baked in.
 
-    The constant is certified over the scales DEFAULT_J_WINDOW, [2, 30],
-    whatever depth a run later reaches; the CLI certifies over every scale
-    it evaluates instead.  A caller running deeper takes the constant from
-    certified_key_table(a, k_min, j0, deepest - 1), as the CLI does.  At the
-    default base the minimum sits at j0, so the two agree to depth 64 at least.
+    The constant is certified over the scales DEFAULT_J_WINDOW, [2, 30].
+    That window reaches j* (5 at a = 2), and the key table gives every D_j
+    with j >= j* the one value 2|H_j* G(0)| (see the witnesses module
+    docstring), so the constant holds at every depth:
+    certified_key_table(a, k_min, j0, deepest - 1), which the CLI takes, is
+    the same number for any deeper window of the same witness.
     """
     _, constant = certified_key_table(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, DEFAULT_J_WINDOW[1])
     return LacunaryParams(DEFAULT_BASE, DEFAULT_K_MIN, DEFAULT_J0, constant)
@@ -180,10 +173,9 @@ class ExperimentConfig:
     per decade at a = 2 (P = 10 and 20); doubling the density need not
     double P (64 to 128 at a = 2 gives P = 20 and 39).
 
-    The default lacunary is default_lacunary(), whose key constant covers
-    the scales [2, 30] only; a run deeper than 31 that needs the constant to
-    cover every scale it evaluates passes a LacunaryParams certified by
-    certified_key_table(a, k_min, j0, deepest - 1).
+    The default lacunary is default_lacunary(), whose key constant is
+    certified over the scales [2, 30]; a constant certified over a window
+    that reaches j* holds at every depth (see default_lacunary).
     """
 
     p: float = 2.0
@@ -330,20 +322,6 @@ def exp_key_estimate(a: float, k_min: int, j0: int, j_max: int = DEFAULT_J_WINDO
 # witness profiles shared by the blow-up experiments
 
 
-def _series_scale(a: float, j0: int) -> int:
-    """j*, the smallest scale index j >= j0 with a^j > _HEAT_WINDOW + 1.
-
-    From j* on, the cells of the rescaled witness at or above 1 lie outside
-    the kernel window of every core point (see the module docstring).
-    """
-    limit = _HEAT_WINDOW + 1.0
-    # the log estimate lands at most two below j*, whatever its rounding
-    j = max(j0, math.floor(math.log(limit) / math.log(a)) - 1)
-    while not a**j > limit:
-        j += 1
-    return j
-
-
 def _profile_bundles(config: ExperimentConfig, depths: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
     """One bundle per depth j1 of depths: the core points, in increasing
     order, their trapezoid weights, and the variation and maximal profiles
@@ -357,34 +335,40 @@ def _profile_bundles(config: ExperimentConfig, depths: Sequence[int]) -> list[tu
     nest.  The profiles vanish off the core; see the module docstring for
     why that restriction only lowers the numerator.
 
-    Every depth's heat values come from two heat calls shared by the run
-    (one when j* = j0, or when no depth reaches j*): the series at the
-    scale j*, read for every scale j >= j*, and the scales j0 <= j < j* on
-    the run's cores.  Each value of either call depends only on its own
-    point and scale, so a depth's bundle is the same bit for bit whatever
-    other depths the run holds.
+    The run has one ladder a^-(N + k/P), N = 0, 1, ... and 0 <= k < P, from
+    1 down to the deepest a^-(j1+4), and every core is cut out of it.  Every depth's heat values come from
+    two heat calls shared by the run (one when j* = j0, or when no depth
+    reaches j*): the series at the scale j*, on the ladder from a^-(j*+1)
+    on, read for every scale j >= j* by the scaling law of the witnesses
+    module, and the scales j0 <= j < j* on the run's cores.  So every core
+    point is bit for bit a point its heat values were computed at.  Each
+    value of either call depends only on its own point and scale, so a
+    depth's bundle is the same bit for bit whatever other depths the run
+    holds.
     """
     lac = config.lacunary
     a = lac.a
+    deepest = max(depths)
+    if min(depths) <= lac.j0:
+        raise BadRange("deepest scale index must exceed j0")
     # an int past the double range cannot meet a float; 2^1000 points per
     # decade are past the cap at every base the witness accepts
     per_factor = math.ceil(min(config.log_points_per_decade, 2**1000) * math.log10(a))
-    ladders = []
-    for j1 in depths:
-        if j1 <= lac.j0:
-            raise BadRange("deepest scale index must exceed j0")
-        _require_admissible(a, lac.k_min, j1)
-        if 6 * per_factor + 3 > MAX_GRID_POINTS:
-            raise BadRange(f"profile core capped at {MAX_GRID_POINTS} points")
-        ladder = np.power(a, -((j1 + 1.0) + np.arange(3 * per_factor, -1, -1) / per_factor))
-        if not ladder[0] > 0.0:
-            raise FloatRangeExceeded(f"a^-{j1 + 4} underflows to 0 for a={a}")
-        # the depth limit of the key tables, which certify every scale a^-j
-        # the profiles stand for: a^-j1 must stay a normal double
-        _normal_roots(a, np.array([float(j1)]))
-        ladders.append(ladder)
+    _require_admissible(a, lac.k_min, deepest)
+    if 6 * per_factor + 3 > MAX_GRID_POINTS:
+        raise BadRange(f"profile core capped at {MAX_GRID_POINTS} points")
+    j_star = series_scale(a, lac.j0)
+    # m = NP + k, in the series' own form: the float N plus the float k/P
+    n, k = np.divmod(np.arange((deepest + 4) * per_factor + 1), per_factor)
+    run_ladder = np.power(a, -(n + k / per_factor))
+    if not run_ladder[-1] > 0.0:
+        raise FloatRangeExceeded(f"a^-{deepest + 4} underflows to 0 for a={a}")
+    # the depth limit of the key tables, which certify every scale a^-j
+    # the profiles stand for: a^-j1 must stay a normal double
+    _normal_roots(a, np.array([float(deepest)]))
 
-    j_star, deepest = _series_scale(a, lac.j0), max(depths)
+    # each depth's ladder a^-(j1+1+i/P), i = 3P..0, in increasing order
+    ladders = [run_ladder[(j1 + 1) * per_factor :][: 3 * per_factor + 1][::-1] for j1 in depths]
     cores = [np.concatenate((-ladder[::-1], [0.0], ladder)) for ladder in ladders]
     short = np.empty(((6 * per_factor + 3) * len(cores), 0))
     if j_star > lac.j0:
@@ -393,8 +377,7 @@ def _profile_bundles(config: ExperimentConfig, depths: Sequence[int]) -> list[tu
     if deepest >= j_star:
         # the series +-a^-(j*+1+n+k/P), m = nP + k = 0..(deepest - j* + 3)P,
         # and the origin, all at the scale j*
-        n, k = np.divmod(np.arange((deepest - j_star + 3) * per_factor + 1), per_factor)
-        tail = np.power(a, -((j_star + 1.0 + n) + k / per_factor))
+        tail = run_ladder[(j_star + 1) * per_factor :]
         series = heat_of_g_matrix(a, lac.k_min, (j_star,), np.concatenate((-tail, [0.0], tail)))[0]
         neg, origin, pos = series[: tail.size], series[tail.size], series[tail.size + 1 :]
 
@@ -427,12 +410,24 @@ def _window_norm(points, weights, values, p: float, r: float | None = None) -> f
     For x <= 1 + y_lo, y_lo = points[0], the window holds the whole core,
     whose value is W; on the rest, a sliver at most a^-(j1+1) wide, it holds
     the core points >= 0, whose value W+ bounds the sliver's from below.
+    A power sum that falls below the normal double range is taken again
+    with the weights scaled by an exact power of two; a sum in range is
+    used as it is.
     """
 
     def value(v: np.ndarray, w: np.ndarray) -> float:
+        if r is None:
+            return float(v.max())
         # a sequential sum: np.sum adds pairwise, which would move the lr
         # numerators in their last bits
-        return float(v.max()) if r is None else float(np.cumsum(w * v**r)[-1]) ** (1.0 / r)
+        total = float(np.cumsum(w * v**r)[-1])
+        if total >= _SMALLEST_NORMAL:
+            return total ** (1.0 / r)
+        # the weights carry a^-(j1+1), which can push the sum below the
+        # normal range, where it loses bits: weights scaled by the exact
+        # power of two 2^e bring it back, and the root gives 2^(-e/r) back
+        e = -math.frexp(float(w.max()))[1]
+        return float(np.cumsum(np.ldexp(w, e) * v**r)[-1]) ** (1.0 / r) * 2.0 ** (-e / r)
 
     whole = value(values, weights)
     if p == math.inf:
@@ -593,11 +588,9 @@ def exp_lr_growth(config: ExperimentConfig) -> Outcome:
     profiles of every depth come from one _profile_bundles call, charged to
     the first row's seconds.
 
-    The floors use config.lacunary.key_constant as given.  The default
-    config's constant is certified over the scales [2, 30] only, though
-    r = 32 reaches depth 64 (it agrees at a = 2, where the minimum sits at
-    j0); the CLI certifies it over [j0, deepest - 1], and a library caller
-    gets the same from certified_key_table(a, k_min, j0, deepest - 1).
+    The floors use config.lacunary.key_constant as given.  A constant
+    certified over a window that reaches j*, as the default's [2, 30] does,
+    holds at every depth the run reaches (see default_lacunary).
     """
     lac = config.lacunary
     if config.r_list[0] < 2.0:

@@ -14,6 +14,26 @@ evaluated at their roots a^-j and never formed themselves, so a scale index
 is usable as long as a^-j is a normal double (j up to 1022 at a = 2), not
 only while a^(-2j) is.  The tests keep an independent cell-by-cell
 error-function sum as the oracle the kernel is held to.
+
+The scaling law.  Substituting z = a^-m z', m = j - j*, in the heat integral
+gives H_(a^-2j) G(y) = (-1)^m H_(a^-2j*) G_m(a^m y), where G_m is G with its
+cells moved up m places.  Let j* (series_scale) be the smallest j >= j0 with
+a^j > 17, the kernel window 16 plus one (5 at a = 2, 3 at a = 3, 2 at a = 8
+and 7 at a = 1.5, for j0 at or below these).  For every point with
+|a^m y| <= a^-(j*+1), the cells of G_m at or above 1 then lie outside the
+kernel window, so G_m may be read as G itself, truncated m cells deeper,
+which moves a value by at most truncation_tail_bound(a, k_min, j), below
+TAIL_TOLERANCE at every depth _require_admissible accepts.  So every scale
+j >= j* is a signed, rescaled copy of the scale j*, and that is the one rule
+for all of them:
+
+- key_estimate_table evaluates the origin at the scales up to j* only and
+  gives every D_j with j >= j* the value 2|H_(a^-2j*) G(0)|;
+- delta_halving_radius scans the scales below j* and j1 only, since
+  D_j(y) = D_j1(a^(j-j1) y) for j* <= j <= j1;
+- experiments._profile_bundles reads every scale j >= j* of every depth's
+  core from one series of points +-a^-(N + k/P) at the scale j*: a core point
+  +-a^-(j1+1+o+k/P) at the scale j maps to N = j* + 1 + j1 - j + o.
 """
 from __future__ import annotations
 
@@ -32,7 +52,7 @@ from .errors import (
     NoAdmissibleBase,
     TruncationTooShallow,
 )
-from .operators import _heat_matrix
+from .operators import _HEAT_WINDOW, _heat_matrix
 
 __all__ = [
     "LacunaryParams",
@@ -169,17 +189,39 @@ def _require_admissible(a: float, k_min: int, deepest_j: int) -> None:
         )
 
 
+def series_scale(a: float, j0: int) -> int:
+    """j*, the smallest scale index j >= j0 with a^j > _HEAT_WINDOW + 1.
+
+    From j* on, every scale is a signed, rescaled copy of the scale j* (see
+    the module docstring).
+    """
+    # the log estimate lands at most two below j*, whatever its rounding
+    j = max(j0, math.floor(math.log(_HEAT_WINDOW + 1.0) / math.log(a)) - 1)
+    while not a**j > _HEAT_WINDOW + 1.0:
+        j += 1
+    return j
+
+
 def key_estimate_table(a: float, k_min: int, j_max: int) -> tuple[float, ...]:
     """The oscillation sequence D_j = |H_j G(0) - H_(j+1) G(0)|, j = 0..j_max.
 
-    Admissibility is enforced at the deepest evaluated scale j_max + 1; the
-    table is only as trustworthy as the truncation it rests on.
+    The origin is evaluated at the scales 0..min(j_max + 1, j*) only, with
+    j* = series_scale(a, 0); every deeper scale is read from j* by the
+    scaling law of the module docstring, so every D_j with j >= j* is
+    2|H_j* G(0)|; the two-scale difference is within
+    truncation_tail_bound(a, k_min, j + 1) of it, plus the kernel's error
+    budget.  Admissibility and the double range are still enforced at the
+    deepest scale the table stands for, j_max + 1; the table is only as
+    trustworthy as the truncation it rests on.
     """
     if j_max < 0:
         raise BadRange("j_max must be nonnegative")
     _require_admissible(a, k_min, j_max + 1)
-    _normal_roots(a, np.array([j_max + 1.0]))  # before listing every scale
-    column = heat_of_g_matrix(a, k_min, range(j_max + 2), (0.0,))[:, 0]
+    _normal_roots(a, np.array([j_max + 1.0]))
+    column = heat_of_g_matrix(a, k_min, range(min(j_max + 1, series_scale(a, 0)) + 1), (0.0,))[:, 0]
+    # H_j G(0) = (-1)^(j-j*) H_j* G(0) for the scales past j* up to j_max + 1,
+    # so each D_j from j* on is exactly 2|H_j* G(0)|
+    column = np.append(column, column[-1] * (-1.0) ** np.arange(1, j_max + 3 - column.size))
     return tuple(np.abs(np.diff(column)).tolist())
 
 
@@ -243,6 +285,12 @@ def delta_halving_radius(a: float, k_min: int, j0: int, j1: int) -> float:
     itself always passes, so continuity guarantees rho > 0; if even the
     innermost probe fails, no radius is certified.
 
+    Only the scales j0 <= j < j* and j1 itself are probed, j* =
+    series_scale(a, j0).  By the scaling law of the module docstring,
+    D_j(y) = D_j1(a^(j-j1) y) for j* <= j <= j1, and D_j(0) is the same at
+    all of them: a scale in between halves at a^(j1-j) times the distance at
+    which j1 does, so none halves closer to the origin than j1.
+
     The ladder is scanned inside-out in blocks of ``_PROBE_BLOCK`` probes,
     one heat evaluation at +-probes per block, and the scan stops at the
     first block that holds a failure.  A probe's verdict depends only on its
@@ -251,19 +299,20 @@ def delta_halving_radius(a: float, k_min: int, j0: int, j1: int) -> float:
     """
     if j0 < 1 or j0 > j1:
         raise BadRange(f"scale range [{j0}, {j1}] is empty or starts below 1")
+    js = np.append(np.arange(j0, min(series_scale(a, j0), j1)), j1)
     # D_j(0) from the key table, which also checks the truncation at j1 + 1
-    d_zero = np.array(key_estimate_table(a, k_min, j1)[j0:])
+    d_zero = np.array(key_estimate_table(a, k_min, j1))[js]
     if np.any(d_zero <= 0):
         raise KeyEstimateFailed("key oscillation vanishes at the origin")
 
-    js = range(j0, j1 + 2)
     decades = (j1 + 6) * math.log10(a)
     count = max(16, int(math.ceil(decades * _PROBES_PER_DECADE)))
     probes = 10.0 ** (-np.arange(count, -1, -1) / _PROBES_PER_DECADE)
     for start in range(0, probes.size, _PROBE_BLOCK):
         block = probes[start : start + _PROBE_BLOCK]
-        values = heat_of_g_matrix(a, k_min, js, np.concatenate((block, -block)))
-        holds = np.abs(np.diff(values, axis=0)) >= d_zero[:, None] / 2.0
+        # D_j(y) reads the scales j and j + 1, stacked in that order
+        values = heat_of_g_matrix(a, k_min, np.concatenate((js, js + 1)), np.concatenate((block, -block)))
+        holds = np.abs(values[js.size :] - values[: js.size]) >= d_zero[:, None] / 2.0
         ok = np.all(holds[:, : block.size] & holds[:, block.size :], axis=0)
         if not ok.all():
             first_bad = start + int(np.argmin(ok))

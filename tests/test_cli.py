@@ -53,6 +53,20 @@ class TestExitCodes:
         # there is no thread pool to size
         assert run(["linf-blowup", "--workers", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--q", "2", "experiments run under the standing hypothesis q > 2"),
+            ("--p", "1", "outer exponent must satisfy p > 1"),
+        ],
+    )
+    def test_norm_transfer_takes_the_experiment_exponent_range(self, tmp_path, capsys, flag, value, message):
+        # the library runs norm_transfer_trials at p = 1 and q = 2; the CLI
+        # checks norm-transfer's exponents as it checks every experiment's
+        assert run(["norm-transfer", flag, value, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_variation_requires_values(self, tmp_path, capsys):
         # neither a flag nor a config line names the file
         (tmp_path / "run.cfg").write_text("q = 2\n")

@@ -47,6 +47,7 @@ from varlat import (
     unit_indicator,
 )
 from varlat.experiments import DEFAULT_BASE, DEFAULT_J0, DEFAULT_K_MIN, _lr_depth
+from varlat.witnesses import series_scale
 
 CERTIFIED_BASE2 = 0.0173073522282
 
@@ -394,19 +395,12 @@ class TestAlignedCore:
 
 class TestSeriesRoute:
     """_profile_bundles reads every scale j >= j* from one heat series at
-    the scale j*, by the scaling identity of the experiments docstring, and
-    the scales below j* from one call on the run's cores."""
+    the scale j*, by the scaling law of the witnesses docstring, and the
+    scales below j* from one call on the run's cores."""
 
     @staticmethod
     def _config(a, k_min, j0=2, r_list=(4.0, 8.0, 16.0, 32.0)):
         return ExperimentConfig(lacunary=LacunaryParams(a, k_min, j0, CERTIFIED_BASE2), r_list=r_list)
-
-    @pytest.mark.parametrize("a, j_star", [(2.0, 5), (3.0, 3), (8.0, 2), (1.5, 7)])
-    def test_series_scale(self, a, j_star):
-        assert experiments._series_scale(a, 2) == j_star
-        assert a ** (j_star - 1) <= operators._HEAT_WINDOW + 1.0 < a**j_star
-        assert experiments._series_scale(a, 9) == 9
-        assert experiments._series_scale(1.000001, 2) == math.floor(math.log(17.0) / math.log(1.000001)) + 1
 
     @pytest.mark.parametrize("a, k_min", [(2.0, -300), (3.0, -300), (8.0, -400)])
     @pytest.mark.parametrize("j1", [34, 258])
@@ -434,8 +428,35 @@ class TestSeriesRoute:
         tail = np.array([truncation_tail_bound(a, k_min, j) for j in js])
         assert np.all(np.abs(series - direct) <= tail + 2.0 * kernel)
         # the short scales come from the direct route itself
-        short = experiments._series_scale(a, 2) - 2
+        short = series_scale(a, 2) - 2
         assert series[:, :short].tolist() == direct[:, :short].tolist()
+
+    @pytest.mark.parametrize(
+        "a, per_decade, depths",
+        [
+            (2.0, 32, (3, 6, 34, 258)),
+            (3.0, 32, (3, 6, 34, 130)),
+            (8.0, 32, (3, 6, 34, 258)),  # where (j1 + 1) + i/P and N + k/P differ
+            (1.5, 64, (6, 7, 8, 34)),
+        ],
+    )
+    def test_every_core_point_is_a_series_point(self, monkeypatch, a, per_decade, depths):
+        # the cores are cut from the run's one ladder a^-(N + k/P), so a
+        # core point is bit for bit a point the series evaluated
+        calls, original = [], experiments.heat_of_g_matrix
+
+        def recording(a, k_min, js, ys):
+            calls.append((tuple(js), np.asarray(ys)))
+            return original(a, k_min, js, ys)
+
+        monkeypatch.setattr(experiments, "heat_of_g_matrix", recording)
+        config = replace(self._config(a, -400), log_points_per_decade=per_decade)
+        bundles = experiments._profile_bundles(config, depths)
+        j_star = series_scale(a, 2)
+        (series,) = [ys for js, ys in calls if js == (j_star,)]
+        for j1, (points, *_) in zip(depths, bundles):
+            if j1 >= j_star:
+                assert set(points.tolist()) <= set(series.tolist())
 
     @pytest.mark.parametrize(
         "a, k_min, depths",
@@ -466,6 +487,28 @@ class TestSeriesRoute:
         config = self._config(a, k_min, j0, r_list)
         reports = experiments.exp_lr_growth(config).reports
         assert [rep.numerator for rep in reports] == [lr_numerator(config, r) for r in r_list]
+
+
+class TestDeepPowerSum:
+    """The power sum over a core at depth j1 carries a^-(j1+1) in its
+    weights; at a = 2 and r = 64 it leaves the normal range near depth 896."""
+
+    @pytest.mark.parametrize("j0", [14, 15])
+    def test_lr_numerator_matches_a_scaled_route(self, j0):
+        r, j1 = 64.0, 64 * j0
+        config = ExperimentConfig(lacunary=LacunaryParams(2.0, -1100, j0, CERTIFIED_BASE2))
+        points, weights, var, _ = bundle(config, j1)
+        # the plain sum is subnormal (j0 = 14) or 0 (j0 = 15)
+        assert float(np.cumsum(weights * var**r)[-1]) < np.finfo(float).smallest_normal
+
+        def power_norm(keep):
+            # the weights scaled by 2^(j1+1), exactly, and summed in full
+            scaled = np.ldexp(weights[keep], j1 + 1) * var[keep] ** r
+            return math.fsum(scaled.tolist()) ** (1.0 / r) * 2.0 ** (-(j1 + 1) / r)
+
+        whole, right, y_lo, p = power_norm(slice(None)), power_norm(points >= 0.0), float(points[0]), config.p
+        want = ((1.0 + y_lo) * whole**p - y_lo * right**p) ** (1.0 / p)
+        assert lr_numerator(config, r) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestDenominators:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from varlat import operators, witnesses
+from varlat.witnesses import series_scale
 from varlat import (
     BadRange,
     DEFAULT_BASE_CANDIDATES,
@@ -54,6 +55,33 @@ def full_ladder_first_failure(k_min, j1):
     )
     first_bad = int(np.argmin(ok)) if not ok.all() else probes.size
     return first_bad, probes
+
+
+def all_scale_radius(a, k_min, j0, j1):
+    """The halving scan over every scale j0..j1, blocks of 16 probes, with
+    D_j(0) from the all-scale origin column: the oracle for the scan that
+    reads the scales from j* on through j1 alone."""
+    js = range(j0, j1 + 2)
+    d_zero = np.abs(np.diff(heat_of_g_matrix(a, k_min, js, (0.0,))[:, 0]))
+    count = max(16, int(math.ceil((j1 + 6) * math.log10(a) * 8)))
+    probes = 10.0 ** (-np.arange(count, -1, -1) / 8)
+    for start in range(0, probes.size, 16):
+        block = probes[start : start + 16]
+        d = np.abs(np.diff(heat_of_g_matrix(a, k_min, js, np.concatenate((block, -block))), axis=0))
+        holds = d >= d_zero[:, None] / 2.0
+        ok = np.all(holds[:, : block.size] & holds[:, block.size :], axis=0)
+        if not ok.all():
+            return float(probes[start + int(np.argmin(ok)) - 1])
+    return float(probes[-1])
+
+
+def kernel_budget(a, k_min, js):
+    """The largest error the heat kernel allows one value at the scales js:
+    one ERF_ERROR per breakpoint and the collapse bound."""
+    witness = lacunary_sign(a, k_min)
+    roots = np.power(a, -np.asarray(js, dtype=float))
+    collapse = operators._collapse_bound(witness, roots)
+    return witness.breakpoints_array.size * operators.ERF_ERROR + float(np.max(collapse))
 
 # oscillation table for base 2, frozen from a 40-digit arbitrary-precision
 # evaluation of the error-function sums
@@ -240,6 +268,37 @@ class TestHeatOfSign:
             heat_of_g_matrix(A, K_MIN, (-1,), (0.0,))
 
 
+class TestSeriesScale:
+    """series_scale, the scale j* from which every scale is a signed,
+    rescaled copy of j*: the one rule the key table, the halving scan and
+    the experiments' profiles read every deeper scale by."""
+
+    @pytest.mark.parametrize("a, j_star", [(2.0, 5), (3.0, 3), (8.0, 2), (1.5, 7)])
+    def test_series_scale(self, a, j_star):
+        assert series_scale(a, 2) == j_star
+        assert a ** (j_star - 1) <= operators._HEAT_WINDOW + 1.0 < a**j_star
+        assert series_scale(a, 9) == 9
+        assert series_scale(1.000001, 2) == math.floor(math.log(17.0) / math.log(1.000001)) + 1
+
+    def test_scales_asked_of_the_kernel(self, monkeypatch):
+        # the key table evaluates the origin at 0..j* only, and the halving
+        # scan the scales below j* and j1, j1 + 1; at the parent they asked
+        # for 1,002 and 998 scales
+        asked = []
+
+        def recording(a, k_min, js, ys):
+            asked.append(tuple(js))
+            return heat_of_g_matrix(a, k_min, asked[-1], ys)
+
+        monkeypatch.setattr(witnesses, "heat_of_g_matrix", recording)
+        key_estimate_table(2.0, -1100, 1000)
+        assert sum(len(js) for js in asked) <= 6
+        asked.clear()
+        assert delta_halving_radius(2.0, -1100, 4, 1000) > 0
+        j_star = series_scale(2.0, 4)
+        assert asked and all(not j_star + 1 < j < 1000 for js in asked for j in js)
+
+
 class TestTruncationBound:
     def test_formula(self):
         want = math.exp((K_MIN + 1 + 5) * math.log(A) - 0.5 * math.log(4 * math.pi))
@@ -342,6 +401,21 @@ class TestKeyEstimateTable:
         want = np.abs(np.diff(column))
         assert np.all(np.abs(np.array(key_estimate_table(a, k_min, 30)) - want) <= 1e-12)
 
+    @pytest.mark.parametrize(
+        "a, k_min, j_max", [(1.5, -800, 400), (2.0, -1100, 1000), (3.0, -700, 600), (8.0, -400, 300)]
+    )
+    def test_settled_scales_match_the_all_scale_column(self, a, k_min, j_max):
+        # past j* the table reads 2|H_j* G(0)|; the all-scale column differs
+        # from it by the truncation tail and the kernel error of four values
+        column = heat_of_g_matrix(a, k_min, range(j_max + 2), (0.0,))[:, 0]
+        want = np.abs(np.diff(column))
+        got = np.array(key_estimate_table(a, k_min, j_max))
+        j_star = series_scale(a, 0)
+        assert got[:j_star].tolist() == want[:j_star].tolist()
+        assert np.all(got[j_star:] == 2.0 * abs(column[j_star]))
+        tail = np.array([truncation_tail_bound(a, k_min, j + 1) for j in range(j_max + 1)])
+        assert np.all(np.abs(got - want) <= tail + 4.0 * kernel_budget(a, k_min, range(j_max + 2)))
+
     def test_scales_past_the_normal_range(self):
         # a^-1101 is subnormal at a = 2; the table used to fill with nan
         # once a^j overflowed
@@ -428,6 +502,16 @@ class TestDeltaHalving:
         assert 0 < first_bad < probes.size
         assert delta_halving_radius(A, k_min, 2, j1) == float(probes[first_bad - 1])
 
+    @pytest.mark.parametrize(
+        "a, deepest", [(1.5, 1000), (2.0, 1000), (3.0, 643), (4.0, 510), (8.0, 339)]
+    )
+    def test_equals_the_all_scale_scan(self, a, deepest):
+        # only the scales below j* and j1 are probed; every scale between
+        # halves no closer to the origin than j1 does.  The deepest j1 reads
+        # the scale j1 + 1, the last whose root is a normal double
+        for j1 in (4, 6, 8, 34, 258, deepest):
+            assert delta_halving_radius(a, -1100, 4, j1) == all_scale_radius(a, -1100, 4, j1)
+
     @pytest.mark.parametrize("k_min, j1", HALVING_CASES)
     def test_block_sizes_put_the_failure_on_and_inside_a_block(self, k_min, j1):
         first_bad, _ = full_ladder_first_failure(k_min, j1)
@@ -448,11 +532,12 @@ class TestDeltaHalving:
         assert sum(seen) <= 1 + 2 * (2 * 16)
 
     def test_all_passing_ladder_returns_outermost_probe(self, monkeypatch):
-        # heat values that do not depend on y: every probe passes.  They are
-        # keyed on the scale index itself, since the origin column comes from
-        # the key table (scales 0..j1+1) and the probes from scales j0..j1+1
+        # heat values that do not depend on y: every probe passes.  They
+        # alternate in sign with the scale index, as the scaling law has the
+        # witness's own values do, since the key table reads D_j past j* from
+        # the one scale j*
         def flat(a, k_min, js, ys):
-            return np.outer(np.asarray(tuple(js), dtype=float) ** 2.0, np.ones(len(tuple(ys))))
+            return np.outer((-1.0) ** np.asarray(tuple(js)), np.ones(len(tuple(ys))))
 
         monkeypatch.setattr(witnesses, "heat_of_g_matrix", flat)
         assert delta_halving_radius(A, K_MIN, 2, 8) == 1.0
