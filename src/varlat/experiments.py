@@ -49,10 +49,6 @@ from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-# norm-transfer's generator loads with the package, not where it draws.  The
-# import takes 12-20 ms (2 shared vCPUs, numpy 2.4); inside the run it would
-# add 25-35% to the wall time of perfbench's small-commands (about 0.055 s)
-import numpy.random  # noqa: F401  loaded with the package, as said above
 
 from .corefn import (
     MIN_FIT_POINTS,
@@ -759,13 +755,12 @@ def _transfer_block(
     # averages along the radii
     mass = np.zeros((trials, cells + 1, m))
     np.cumsum(lengths[:, :, None] * coeffs, axis=1, out=mass[:, 1:])
-    shifts = np.concatenate((radii, -radii))
-    rows = np.empty((x.size, m, radii.size))
+    ends = x[:, None] + np.concatenate((radii, -radii))
+    at_ends = np.empty((x.size, m, ends.shape[1]))
     for b, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], x.size))):
-        ends = x[lo:hi, None] + shifts
         for k in range(m):
-            at_ends = np.interp(ends, bounds[b], mass[b, :, k])
-            rows[lo:hi, k] = (at_ends[:, : radii.size] - at_ends[:, radii.size :]) / radii
+            at_ends[lo:hi, k] = np.interp(ends[lo:hi], bounds[b], mass[b, :, k])
+    rows = (at_ends[..., : radii.size] - at_ends[..., radii.size :]) / radii
     variation = qvariation_rows(rows.reshape(-1, radii.size), q).reshape(-1, m)
 
     point_widths = widths[owner]
@@ -826,20 +821,83 @@ def norm_transfer_pair(
     return NormTransferResult(*row.tolist())
 
 
-def _transfer_draw(seed: int, m: int, n: int) -> tuple[list[float], list[np.ndarray], np.ndarray]:
-    """The random simple function of one norm-transfer trial: its cell
-    bounds, coefficient rows and inner widths, from its own generator."""
-    rng = np.random.default_rng(seed)
-    widths = rng.uniform(0.2, 1.0, m)
-    bounds = [float(rng.uniform(-1.0, 0.0))]
-    coeff_rows = []
-    for block in range(n):
-        bounds.append(bounds[-1] + float(rng.uniform(0.3, 1.0)))
-        coeff_rows.append(rng.uniform(-1.0, 1.0, m))
-        if block != n - 1:
-            bounds.append(bounds[-1] + float(rng.uniform(0.2, 0.6)))
-            coeff_rows.append(np.zeros(m))
-    return bounds, coeff_rows, widths
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_doubles(seed: int, k: int) -> list[float]:
+    """np.random.default_rng(seed).random(k), bit for bit, from the
+    standard library: numpy's SeedSequence seeds its PCG64 (XSL-RR output),
+    and each double is the top 53 bits of an output word."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    # SeedSequence: a pool of four words mixes the entropy words in
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, little-endian pairs
+    hash_const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    state0, state1, seq0, seq1 = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    # PCG64 seeding: state 0, inc = 2 seq + 1, step, add the seed state, step
+    inc = ((seq0 << 64 | seq1) << 1 | 1) & _MASK128
+    state = (inc + (state0 << 64 | state1)) * _PCG64_MULT + inc & _MASK128
+    out = []
+    for _ in range(k):
+        state = state * _PCG64_MULT + inc & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        out.append((word >> 11) * 2.0**-53)
+    return out
+
+
+def _transfer_draws(seeds: Sequence[int], m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random simple functions of a block of norm-transfer trials, one
+    per seed: cell bounds (trials, 2n), coefficients (trials, 2n - 1, m) and
+    inner widths (trials, m).
+
+    Trial i reads the stream of seeds[i] in the order: the m widths, the
+    left edge, then each block's length, its m coefficients and, but after
+    the last block, the gap that follows it.  A uniform u on [low, high) is
+    low + (high - low) u, as in Generator.uniform, and the bounds are running
+    sums of the left edge, the lengths and the gaps.
+    """
+    k = m + 1 + n * (m + 1) + n - 1
+    u = np.array([_pcg64_doubles(seed, k) for seed in seeds])
+    low = np.array([0.2] * m + [-1.0] + ([0.3] + [-1.0] * m + [0.2]) * n)[:k]
+    high = np.array([1.0] * m + [0.0] + ([1.0] + [1.0] * m + [0.6]) * n)[:k]
+    values = low + (high - low) * u
+    # the columns of the block lengths; the left edge, the lengths and the
+    # gaps in column order are the steps between consecutive bounds
+    length = m + 1 + (m + 2) * np.arange(n)
+    steps = np.sort(np.concatenate(([m], length, length[:-1] + m + 1)))
+    coeffs = np.zeros((len(seeds), 2 * n - 1, m))
+    coeffs[:, ::2] = values[:, length[:, None] + 1 + np.arange(m)]
+    return np.cumsum(values[:, steps], axis=1), coeffs, values[:, :m]
 
 
 def norm_transfer_trials(
@@ -855,10 +913,15 @@ def norm_transfer_trials(
     """:func:`exp_norm_transfer` at the seeds seed, ..., seed + trials - 1.
 
     Returns a (trials, 5) array, NormTransferResult's fields in a row per
-    trial, and each trial's seconds.  Each trial draws from its own
-    generator; the trials run in stacked blocks of _TRANSFER_BLOCK, and a
-    trial's seconds are its block's time divided by the block's trial count.
+    trial, and each trial's seconds.  Trial i draws the stream of
+    np.random.default_rng(seed + i), bit for bit, from the package's
+    standard-library PCG64 (:func:`_pcg64_doubles`); the trials run in
+    stacked blocks of _TRANSFER_BLOCK, and a trial's seconds are its block's
+    time divided by the block's trial count.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadRange(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = int(seed)
     if m < 1 or n < 1:
         raise BadRange("need at least one block in each direction")
     if trials < 1:
@@ -869,8 +932,7 @@ def norm_transfer_trials(
     for first in range(0, trials, _TRANSFER_BLOCK):
         t0 = time.perf_counter()
         block = slice(first, min(first + _TRANSFER_BLOCK, trials))
-        draws = (_transfer_draw(seed + i, m, n) for i in range(block.start, block.stop))
-        bounds, coeffs, widths = (np.array(part) for part in zip(*draws))
+        bounds, coeffs, widths = _transfer_draws(range(seed + block.start, seed + block.stop), m, n)
         rows[block] = _transfer_block(bounds, coeffs, widths, p, q, r, radii)
         seconds[block] = (time.perf_counter() - t0) / len(bounds)
     return rows, seconds

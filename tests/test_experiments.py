@@ -1048,3 +1048,36 @@ class TestNormTransfer:
             norm_transfer_pair((0.0, 1.0, 1.0), [[1.0], [2.0]], [0.5], 2.0, 3.0, 4.0, J)
         with pytest.raises(LengthMismatch):
             norm_transfer_pair((0.0, 1.0, 2.0), [[1.0]], [0.5], 2.0, 3.0, 4.0, J)
+
+
+class TestTransferStream:
+    @pytest.mark.parametrize(
+        "seeds", [range(1000), [2**32 - 1, 2**32, 2**64 + 1, 2**128 + 7]], ids=["small", "multi-word"]
+    )
+    def test_is_numpys_default_rng_stream(self, seeds):
+        # numpy.random stays in the tests, as the oracle
+        for seed in seeds:
+            want = np.random.default_rng(seed).random(40).tolist()
+            assert experiments._pcg64_doubles(seed, 40) == want, seed
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (5, 2)])
+    def test_block_draws_are_the_per_call_draws(self, m, n):
+        seeds = range(50, 50 + experiments._TRANSFER_BLOCK)
+        bounds, coeffs, widths = experiments._transfer_draws(seeds, m, n)
+        assert bounds.shape == (len(seeds), 2 * n)
+        for i, seed in enumerate(seeds):
+            want_bounds, want_coeffs, want_widths = transfer_draw(seed, m=m, n=n)
+            assert bounds[i].tolist() == want_bounds
+            assert coeffs[i].tolist() == want_coeffs.tolist()
+            assert widths[i].tolist() == want_widths.tolist()
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None])
+    def test_rejects_a_bad_seed_before_any_draw(self, seed, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the seed")
+
+        monkeypatch.setattr(experiments, "_pcg64_doubles", no_draw)
+        with pytest.raises(BadRange):
+            norm_transfer_trials(seed, 1)
+        with pytest.raises(BadRange):
+            exp_norm_transfer(seed)

@@ -57,6 +57,23 @@ def test_a_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
     assert done.stdout.split()[-3:] == ["0", "False", "False"], done.stderr
 
 
+def test_a_run_loads_neither_numpy_random_nor_hashlib(tmp_path):
+    # numpy.random costs 9-15 ms and pulls in secrets, hmac and _hashlib;
+    # norm-transfer draws its stream from the standard library instead
+    script = (
+        "import sys, varlat.cli\n"
+        "codes = [varlat.cli.run(argv + ['--out', sys.argv[1]])"
+        " for argv in (['norm-transfer', '--trials', '20'], ['lr-growth'])]\n"
+        "print(*codes, *(name in sys.modules for name in ('numpy.random', 'hashlib', '_hashlib')))\n"
+    )
+    src = pathlib.Path(varlat.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.split()[-5:] == ["0", "0", "False", "False", "False"], done.stderr
+
+
 def test_only_operators_evaluates_the_heat_kernel():
     # every heat value comes from operators._heat_matrix, so its stated
     # error budget covers all of them
