@@ -38,7 +38,9 @@ its depths.  Every scale j >= j* (witnesses.series_scale) is read from one
 series at the scale j*, by the scaling law the witnesses module docstring
 states, and the scales j0 <= j < j* take one more call on the run's cores.
 On the CLI runs at a = 2, 3 and 8 the numerators moved by at most 2e-12
-relative from one heat call per depth.
+relative from one heat call per depth.  Both calls send the kernel only
+the points that have not settled (the settle rule of the witnesses module)
+and the origin, so the heat work of a run does not grow with its depth.
 """
 from __future__ import annotations
 
@@ -88,6 +90,7 @@ from .witnesses import (
     delta_halving_radius,
     heat_of_g_matrix,
     series_scale,
+    settled,
 )
 
 __all__ = [
@@ -337,10 +340,11 @@ def _profile_bundles(config: ExperimentConfig, depths: Sequence[int]) -> list[tu
     reaches j*): the series at the scale j*, on the ladder from a^-(j*+1)
     on, read for every scale j >= j* by the scaling law of the witnesses
     module, and the scales j0 <= j < j* on the run's cores.  So every core
-    point is bit for bit a point its heat values were computed at.  Each
-    value of either call depends only on its own point and scale, so a
-    depth's bundle is the same bit for bit whatever other depths the run
-    holds.
+    point is bit for bit a point its heat values were computed at, or one
+    settled at the call's scale j* or j* - 1 (the settle rule of the
+    witnesses module), which takes the origin's values.  Each value of
+    either call depends only on its own point and scale, so a depth's
+    bundle is the same bit for bit whatever other depths the run holds.
     """
     lac = config.lacunary
     a = lac.a
@@ -368,13 +372,15 @@ def _profile_bundles(config: ExperimentConfig, depths: Sequence[int]) -> list[tu
     cores = [np.concatenate((-ladder[::-1], [0.0], ladder)) for ladder in ladders]
     short = np.empty(((6 * per_factor + 3) * len(cores), 0))
     if j_star > lac.j0:
+        # settled at j* - 1, whatever the run's depths, so that a point's
+        # values never depend on the other depths
         scales = range(lac.j0, min(j_star, deepest + 1))
-        short = heat_of_g_matrix(a, lac.k_min, scales, np.concatenate(cores)).T
+        short = _settled_heat(a, lac.k_min, scales, np.concatenate(cores), j_star - 1)
     if deepest >= j_star:
         # the series +-a^-(j*+1+n+k/P), m = nP + k = 0..(deepest - j* + 3)P,
         # and the origin, all at the scale j*
         tail = run_ladder[(j_star + 1) * per_factor :]
-        series = heat_of_g_matrix(a, lac.k_min, (j_star,), np.concatenate((-tail, [0.0], tail)))[0]
+        series = _settled_heat(a, lac.k_min, (j_star,), np.concatenate((-tail, [0.0], tail)), j_star)[:, 0]
         neg, origin, pos = series[: tail.size], series[tail.size], series[tail.size + 1 :]
 
     rungs = np.arange(3 * per_factor + 1)[:, None]  # i, from the window edge inward
@@ -397,6 +403,17 @@ def _profile_bundles(config: ExperimentConfig, depths: Sequence[int]) -> list[tu
         weights = np.concatenate((side[::-1], [0.0], side))
         bundles.append((points, weights, _chain_rows(matrix, config.q), np.abs(matrix).max(axis=1)))
     return bundles
+
+
+def _settled_heat(a: float, k_min: int, js: Sequence[int], ys: np.ndarray, j: int) -> np.ndarray:
+    """heat_of_g_matrix(a, k_min, js, ys).T, with the origin's row at every
+    point settled at the scale j >= max(js): only the other points and the
+    origin reach the kernel (the settle rule of the witnesses module)."""
+    live = ~settled(a, j, ys)
+    values = heat_of_g_matrix(a, k_min, js, np.append(ys[live], 0.0)).T
+    matrix = np.tile(values[-1], (ys.size, 1))
+    matrix[live] = values[:-1]
+    return matrix
 
 
 def _window_norm(points, weights, values, p: float, r: float | None = None) -> float:
@@ -921,11 +938,10 @@ def norm_transfer_trials(
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise BadRange(f"seed must be a nonnegative integer, got {seed!r}")
-    seed = int(seed)
-    if m < 1 or n < 1:
-        raise BadRange("need at least one block in each direction")
-    if trials < 1:
-        raise BadRange("need at least one trial")
+    for name, count in (("m", m), ("n", n), ("trials", trials)):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise BadRange(f"{name} must be a positive integer, got {count!r}")
+    seed, m, n, trials = int(seed), int(m), int(n), int(trials)
     radii = make_radius_set((0.25, 0.0625, 0.015625)) if J is None else tuple(J)
     rows = np.empty((trials, 5))
     seconds = np.empty(trials)

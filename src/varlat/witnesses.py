@@ -34,6 +34,19 @@ for all of them:
 - experiments._profile_bundles reads every scale j >= j* of every depth's
   core from one series of points +-a^-(N + k/P) at the scale j*: a core point
   +-a^-(j1+1+o+k/P) at the scale j maps to N = j* + 1 + j1 - j + o.
+
+The settle rule.  Since |G| <= 1 and the derivative of the heat kernel
+K_s integrates to 1/sqrt(pi s) in absolute value,
+|H_s G(y) - H_s G(0)| <= |y| / sqrt(pi s), which at s = a^(-2j) is
+|y| a^j / sqrt(pi).  A point where that is at most _SETTLE (settled) is
+within _SETTLE of the origin at the scale j and at every smaller one, and
+_SETTLE lies far below the kernel's ERF_ERROR.  So a heat call may send the
+kernel only the origin and the points not settled at its largest scale,
+and give every settled point the origin's values: no value moves by more
+than _SETTLE plus the kernel's error budget at the two points.
+experiments._profile_bundles does so in both of its heat calls.  The
+series points +-a^-(j*+1+m/P) settle from a fixed m on (582 at a = 2 with
+P = 10), so the kernel sees the same points at every depth.
 """
 from __future__ import annotations
 
@@ -200,6 +213,18 @@ def series_scale(a: float, j0: int) -> int:
     while not a**j > _HEAT_WINDOW + 1.0:
         j += 1
     return j
+
+
+#: A heat value this close to the origin's is taken as the origin's; it is
+#: far below the kernel's ERF_ERROR (see the settle rule above).
+_SETTLE = 2.0**-60
+
+
+def settled(a: float, j: int, ys: np.ndarray) -> np.ndarray:
+    """True where |y| a^j / sqrt(pi) <= _SETTLE: there every heat value
+    H_(a^-2i) G(y), i <= j, is within _SETTLE of H_(a^-2i) G(0) (the settle
+    rule of the module docstring)."""
+    return np.abs(ys) * (a**j / math.sqrt(math.pi)) <= _SETTLE
 
 
 def key_estimate_table(a: float, k_min: int, j_max: int) -> tuple[float, ...]:

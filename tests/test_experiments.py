@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from varlat import experiments, operators
+from varlat import experiments, operators, witnesses
 from varlat import (
     HILBERT_R_LIST,
     BadRange,
@@ -47,7 +47,7 @@ from varlat import (
     unit_indicator,
 )
 from varlat.experiments import DEFAULT_BASE, DEFAULT_J0, DEFAULT_K_MIN, _lr_depth
-from varlat.witnesses import series_scale
+from varlat.witnesses import series_scale, settled
 
 CERTIFIED_BASE2 = 0.0173073522282
 
@@ -374,8 +374,11 @@ class TestAlignedCore:
     def test_cap_counts_the_core_it_builds(self, monkeypatch, per_decade, j1, k_min):
         # 700 per decade at j1 = 1000 is a core of 1,269 points; the largest
         # density the cap admits at a = 2 builds 199,995.  The first heat
-        # call is the short scales 2..4 on the core; j1 = 1000 adds the
-        # series at j* = 5, whose size the cap does not count
+        # call is the short scales 2..4 on the core's unsettled points and
+        # the origin: all of the core at j1 = 3, the origin alone at
+        # j1 = 1000, whose core has settled.  j1 = 1000 adds the series at
+        # j* = 5 on its unsettled head +-2^-(6 + m/P), m < P (59 - log2
+        # sqrt(pi)), and the origin, whatever the depth
         built = []
 
         def stub(a, k_min, js, ys):
@@ -386,8 +389,8 @@ class TestAlignedCore:
         config = self._config(2.0, per_decade, k_min)
         experiments._profile_bundles(config, [j1])
         per_factor = math.ceil(per_decade * math.log10(2.0))
-        assert built[0] == 6 * per_factor + 3
-        assert built[1:] == ([2 * ((j1 - 5 + 3) * per_factor + 1) + 1] if j1 >= 5 else [])
+        head = math.ceil(per_factor * (59.0 - math.log2(math.sqrt(math.pi))))
+        assert built == ([1, 2 * head + 1] if j1 >= 5 else [6 * per_factor + 3])
         assert built[0] <= experiments.MAX_GRID_POINTS
         with pytest.raises(BadRange, match="capped"):
             experiments._profile_bundles(replace(config, log_points_per_decade=110_727), [j1])
@@ -401,6 +404,25 @@ class TestSeriesRoute:
     @staticmethod
     def _config(a, k_min, j0=2, r_list=(4.0, 8.0, 16.0, 32.0)):
         return ExperimentConfig(lacunary=LacunaryParams(a, k_min, j0, CERTIFIED_BASE2), r_list=r_list)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Lists that fill with the heat calls (js, ys) of _profile_bundles
+        and the matrices it hands to _chain_rows."""
+        calls, sent = [], []
+        original, chain_rows = experiments.heat_of_g_matrix, experiments._chain_rows
+
+        def recording(a, k_min, js, ys):
+            calls.append((tuple(js), np.asarray(ys)))
+            return original(a, k_min, js, ys)
+
+        def spy(matrix, q):
+            sent.append(np.array(matrix))
+            return chain_rows(matrix, q)
+
+        monkeypatch.setattr(experiments, "heat_of_g_matrix", recording)
+        monkeypatch.setattr(experiments, "_chain_rows", spy)
+        return calls, sent
 
     @pytest.mark.parametrize("a, k_min", [(2.0, -300), (3.0, -300), (8.0, -400)])
     @pytest.mark.parametrize("j1", [34, 258])
@@ -442,21 +464,120 @@ class TestSeriesRoute:
     )
     def test_every_core_point_is_a_series_point(self, monkeypatch, a, per_decade, depths):
         # the cores are cut from the run's one ladder a^-(N + k/P), so a
-        # core point is bit for bit a point the series evaluated
-        calls, original = [], experiments.heat_of_g_matrix
-
-        def recording(a, k_min, js, ys):
-            calls.append((tuple(js), np.asarray(ys)))
-            return original(a, k_min, js, ys)
-
-        monkeypatch.setattr(experiments, "heat_of_g_matrix", recording)
+        # core point is bit for bit a point the series evaluated, unless it
+        # has settled at j*; the series then gives it the origin's value,
+        # which at the scale j* is the origin row's own entry
+        calls, sent = self._record(monkeypatch)
         config = replace(self._config(a, -400), log_points_per_decade=per_decade)
         bundles = experiments._profile_bundles(config, depths)
         j_star = series_scale(a, 2)
         (series,) = [ys for js, ys in calls if js == (j_star,)]
-        for j1, (points, *_) in zip(depths, bundles):
-            if j1 >= j_star:
-                assert set(points.tolist()) <= set(series.tolist())
+        evaluated = set(series.tolist())
+        for j1, (points, *_), matrix in zip(depths, bundles, sent):
+            if j1 < j_star:
+                continue
+            rest = settled(a, j_star, points)
+            assert set(points[~rest].tolist()) <= evaluated
+            assert not set(points[rest].tolist()) & evaluated - {0.0}
+            column = matrix[:, j_star - 2]
+            assert column[rest].tolist() == [column[points.size // 2]] * int(rest.sum())
+
+    @pytest.mark.parametrize(
+        "a, k_min, depths, exact",
+        [
+            (1.5, -800, (6, 34, 130), False),  # j* = 7
+            (2.0, -300, (6, 10, 18, 34, 66, 130, 258), True),  # depth-sweep
+            (3.0, -300, (6, 34, 66, 130), False),
+            (8.0, -400, (6, 34, 130), False),  # j* = j0: no short call
+        ],
+    )
+    def test_settled_entries_match_the_kernel(self, monkeypatch, a, k_min, depths, exact):
+        # every matrix entry stands for one heat value: (y, j) itself below
+        # j*, and (-1)^(j-j*) times the series point of index (j1 - j)P + i
+        # at j* from there on.  An entry whose point reached the kernel is
+        # that kernel value bit for bit.  Every other point has settled at
+        # its call's largest scale, and its entry is within _SETTLE plus the
+        # two points' kernel budgets of the kernel value there; at the
+        # depth-sweep configuration it is the same double
+        calls, sent = self._record(monkeypatch)
+        config = self._config(a, k_min)
+        bundles = experiments._profile_bundles(config, depths)
+        for js, ys in calls:
+            assert np.all(~settled(a, max(js), ys) | (ys == 0.0))
+        reached = {j: set(ys.tolist()) for js, ys in calls for j in js}
+
+        j_star, per_factor = series_scale(a, 2), math.ceil(32 * math.log10(a))
+        n, k = np.divmod(np.arange((max(depths) + 4) * per_factor + 1), per_factor)
+        ladder = np.power(a, -(n + k / per_factor))
+        witness = lacunary_sign(a, k_min)
+        deepest_js = np.arange(2, max(depths) + 1)
+        budget = witness.breakpoints_array.size * operators.ERF_ERROR
+        budget += operators._collapse_bound(witness, a ** -deepest_js.astype(float))
+        budget = dict(zip(deepest_js.tolist(), budget.tolist()))
+        settles = 0
+        for j1, (points, *_), matrix in zip(depths, bundles, sent):
+            side = np.arange(3 * per_factor + 1)
+            for col, j in enumerate(range(2, j1 + 1)):
+                if j < j_star:
+                    at, scale, sign = points, j, 1.0
+                else:
+                    index = (j1 + 1 - (j - j_star)) * per_factor + side
+                    at = np.concatenate((-ladder[index], [0.0], ladder[index[::-1]]))
+                    scale, sign = j_star, (-1.0) ** (j - j_star)
+                want = sign * heat_of_g_matrix(a, k_min, (scale,), at)[0]
+                got = matrix[:, col]
+                live = np.array([y in reached[scale] for y in at.tolist()])
+                assert got[live].tolist() == want[live].tolist()
+                gap = np.abs(got[~live] - want[~live])
+                assert np.all(gap <= witnesses._SETTLE + 2.0 * budget[scale])
+                if exact:
+                    assert gap.tolist() == [0.0] * gap.size
+                settles += gap.size
+        assert settles > 0
+
+    def test_heat_points_do_not_depend_on_the_deepest_depth(self, monkeypatch):
+        # past the settle distance the series and the deep cores take the
+        # origin's values, so the kernel sees the same points at j1 = 258
+        # as at j1 = 1000
+        runs = []
+        original = experiments.heat_of_g_matrix
+
+        def recording(a, k_min, js, ys):
+            runs[-1].append((tuple(js), np.asarray(ys).tolist()))
+            return original(a, k_min, js, ys)
+
+        monkeypatch.setattr(experiments, "heat_of_g_matrix", recording)
+        config = self._config(2.0, -1100)
+        for depths in ((6, 258), (6, 1000)):
+            runs.append([])
+            experiments._profile_bundles(config, depths)
+        pairs = [sum(len(js) * len(ys) for js, ys in calls) for calls in runs]
+        assert pairs[0] == pairs[1]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("scale", ["short", "series"])
+    def test_a_point_just_outside_the_settle_distance_is_evaluated(self, monkeypatch, scale):
+        # put the settle distance on a core point of depth 34, then one ulp
+        # inside it: the point settles at the first, and reaches the
+        # kernel at the second
+        config, depths = self._config(2.0, -300), (6, 34)
+        j = series_scale(2.0, 2) - (scale == "short")
+        y = bundle(config, 34)[0][-1]
+        distance = float(np.abs(y) * (2.0**j / math.sqrt(math.pi)))
+        original = experiments.heat_of_g_matrix
+        for limit, reached in ((distance, False), (np.nextafter(distance, 0.0), True)):
+            monkeypatch.setattr(witnesses, "_SETTLE", limit)
+            assert settled(2.0, j, np.array([y]))[0] != reached
+            points = []
+
+            def recording(a, k_min, js, ys):
+                if max(js) == j:
+                    points.extend(np.asarray(ys).tolist())
+                return original(a, k_min, js, ys)
+
+            monkeypatch.setattr(experiments, "heat_of_g_matrix", recording)
+            experiments._profile_bundles(config, depths)
+            assert (y in points) == reached
 
     @pytest.mark.parametrize(
         "a, k_min, depths",
@@ -1081,3 +1202,30 @@ class TestTransferStream:
             norm_transfer_trials(seed, 1)
         with pytest.raises(BadRange):
             exp_norm_transfer(seed)
+
+    @pytest.mark.parametrize(
+        "size", [{"m": 2.5}, {"n": 1.5}, {"m": 0}, {"n": -1}, {"m": "3"}, {"n": None}, {"m": np.float64(3.0)}]
+    )
+    def test_rejects_bad_block_counts_before_any_draw(self, size, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the block counts")
+
+        monkeypatch.setattr(experiments, "_pcg64_doubles", no_draw)
+        with pytest.raises(BadRange):
+            norm_transfer_trials(0, 2, **size)
+        with pytest.raises(BadRange):
+            exp_norm_transfer(0, **size)
+
+    @pytest.mark.parametrize("trials", [2.5, "3", 0, None, np.float64(2.0)])
+    def test_rejects_a_bad_trial_count_before_any_draw(self, trials, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the trial count")
+
+        monkeypatch.setattr(experiments, "_pcg64_doubles", no_draw)
+        with pytest.raises(BadRange):
+            norm_transfer_trials(0, trials)
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        rows, _ = norm_transfer_trials(np.int64(4), np.int32(3), m=np.int64(2), n=np.int16(3))
+        want, _ = norm_transfer_trials(4, 3, m=2, n=3)
+        assert rows.tolist() == want.tolist()
