@@ -21,9 +21,17 @@ Cody's rational forms in numpy (`_erf`), each within ERF_ERROR = 3e-16
 absolute of the exact value on a dense mpmath sweep; Phi = `_kernel_cdf`
 carries the same bound.  `_heat_matrix` is the package's one heat
 evaluator, so every heat value, of the profiles and of the witness's key
-tables and halving radii alike, carries this budget.  The dense sum over
-every breakpoint and the witness's cell-by-cell sum are kept only in the
-tests, as their oracles.
+tables and halving radii alike, carries this budget.  Its cost follows
+the window terms, not the calls: a block of (point, time) pairs sends its
+terms to `_erf` as one array of at most _HEAT_LANES elements, and each
+pair's terms are added in breakpoint order, so no value depends on how the
+pairs were blocked.  The dense sum over every breakpoint and the witness's
+cell-by-cell sum are kept only in the tests, as their oracles.
+
+The subordination integral that links heat to averages runs on composite
+Gauss-Legendre quadrature in panels of at most MAX_PANEL_NODES = 64 nodes,
+whose rules `_leggauss` builds by Newton's method on the Legendre
+recurrence; the integrand is called once per group of equal-size panels.
 
 Normalization warnings, both deliberate:
   * the averaging operator at radius t divides by t, not 2t, so it carries
@@ -190,12 +198,14 @@ def _kernel_density(w: np.ndarray) -> np.ndarray:
 #: it is within Phi(-16) = erfc(8)/2 < 6e-30 of 0 or 1.
 _HEAT_WINDOW = 16.0
 
-#: Most (point, time) pairs summed in one pass over the window offsets.
-#: Each work array of a pass then stays under 64 KB, and freeing it never
-#: makes glibc's malloc trim the heap top only to fault the same pages back
-#: in at the next offset: on the largest depth-sweep call of the time
-#: (15,163 pairs, one call per depth) blocks of 4096 took 2,930 page faults
-#: down to about 490 and the call from 9.3 to 7.3 ms in a fresh process.
+#: Most window terms, (point, time) pairs times breakpoint offsets, that
+#: `_heat_matrix` evaluates in one erf call.  Each work array of a block
+#: then holds at most 32 KB, and freeing it never makes glibc's malloc trim
+#: the heap top only to fault the same pages back in at the next block:
+#: when this capped the pairs of a pass over the offsets, on the largest
+#: depth-sweep call of the time (15,163 pairs, one call per depth) blocks
+#: of 4096 took 2,930 page faults down to about 490 and the call from 9.3
+#: to 7.3 ms in a fresh process.
 _HEAT_LANES = 4096
 
 #: Width of the leading cluster, in units of sqrt(s), collapsed to its
@@ -218,6 +228,13 @@ def _kernel_derivative_polynomials(n: int) -> list[np.ndarray]:
 
 
 _KERNEL_DERIVATIVES = _kernel_derivative_polynomials(_COLLAPSE_ORDER)
+
+#: The expansion's coefficients (-1)^m/m! and the polynomials P_(m-1) that
+#: multiply them, m = 1 .. _COLLAPSE_ORDER, one zero-padded row per m.
+_TAYLOR_SIGNS = np.array([(-1) ** m / math.factorial(m) for m in range(1, _COLLAPSE_ORDER + 1)])
+_TAYLOR_POLYNOMIALS = np.array(
+    [np.pad(p, (0, _COLLAPSE_ORDER - p.size)) for p in _KERNEL_DERIVATIVES[:_COLLAPSE_ORDER]]
+)
 
 #: max |K^(7)| over the line (at w = 0.76237, from 30-digit mpmath), rounded
 #: up; `tests/test_operators.py` checks it against a dense grid.
@@ -265,10 +282,11 @@ def _cluster_moments(b: np.ndarray, weights: np.ndarray, roots: np.ndarray, orde
         top = sizes[rows].max()
         v = (b[:top] - b[0]) / width  # at most 1 in every cluster of the band
         ratio = width / roots[rows]
-        term, scale = weights[:top], 1.0
-        for m in range(order):
-            term, scale = term * v, scale * ratio
-            out[rows, m] = _prefix(term)[sizes[rows]] * scale
+        # weights v^m and ratio^m, m = 1 .. order, as running products down
+        # the stacked orders, then prefix sums along the breakpoints
+        terms = np.multiply.accumulate(np.vstack((weights[:top], np.broadcast_to(v, (order, top)))), axis=0)[1:]
+        scales = np.multiply.accumulate(np.broadcast_to(ratio, (order, rows.size)), axis=0)
+        out[rows] = (np.cumsum(terms, axis=1)[:, sizes[rows] - 1] * scales).T
     return out
 
 
@@ -299,13 +317,15 @@ def _heat_matrix(f: PiecewiseConstantFn, roots: np.ndarray, x: np.ndarray) -> np
 
     The times come as their roots sqrt(s) > 0, so a caller that holds a
     scale a^-j never squares it: a^(-2j) underflows long before a^-j does.
-    Each (point, time) pair's window terms are added to a zero accumulator
-    in breakpoint order, one breakpoint offset at a time over a block of up
-    to _HEAT_LANES pairs; a pair whose window is shorter reads a zero
-    coefficient past the last breakpoint and adds +0.0, so its value does
-    not depend on the other points or times.  The work space is a few
-    arrays the size of the result, and there is one erf call per block and
-    offset up to the block's widest window.
+    The pairs go in blocks of as many lanes as the call's widest window
+    leaves room for in _HEAT_LANES terms (one lane when it is wider), and a
+    block's window terms are one (offset x lane) array, evaluated by one
+    erf call per _HEAT_LANES terms.  Each lane's terms are added to a zero
+    accumulator in breakpoint order, down the offsets; a pair whose window
+    is shorter than its block's widest reads a zero coefficient past the
+    last breakpoint and adds +0.0, so its value does not depend on the
+    other points or times.  The work space is a few arrays the size of the
+    result and a few of at most _HEAT_LANES elements.
     """
     b = f.breakpoints_array
     c = _jump_coefficients(f)
@@ -325,9 +345,11 @@ def _heat_matrix(f: PiecewiseConstantFn, roots: np.ndarray, x: np.ndarray) -> np
     # the expansion's terms past C_0 Phi(w), sum over m of
     # (-1)^m S_m/m! K^(m-1)(w), are one polynomial in w times K(w), per time
     moments = _cluster_moments(b, c, roots, _COLLAPSE_ORDER)
+    # summed over the orders m in turn and added to zeros, so that a zero
+    # coefficient is +0.0
+    scaled = (moments * _TAYLOR_SIGNS).T[:, :, None] * _TAYLOR_POLYNOMIALS[:, None, :]
     taylor = np.zeros((roots.size, _COLLAPSE_ORDER))
-    for m, p in enumerate(_KERNEL_DERIVATIVES[:_COLLAPSE_ORDER], start=1):
-        taylor[:, : p.size] += np.multiply.outer(moments[:, m - 1] * ((-1) ** m / math.factorial(m)), p)
+    taylor += np.add.accumulate(scaled, axis=0)[-1]
     taylor = taylor[np.nonzero(collapse)[1]]
     w = (X[collapse] - b[0]) / R[collapse]
     # w^n may overflow where K(w) is 0; the clipped argument keeps it finite
@@ -337,19 +359,30 @@ def _heat_matrix(f: PiecewiseConstantFn, roots: np.ndarray, x: np.ndarray) -> np
         poly = poly * v + a
     out[collapse] = out[collapse] * _kernel_cdf(w) + poly * _kernel_density(w)
     # each window term c Phi(w) = c/2 + (c/2) erf(w/2): the halves enter as
-    # one prefix difference, and the erf parts are added one offset k at a
-    # time over a block of pairs; a lane past its window's end reads the
-    # zero coefficient appended after the last breakpoint
+    # one prefix difference, and the erf parts of a block of pairs go to one
+    # (offset x lane) array of at most _HEAT_LANES terms, one erf call each;
+    # a lane past its window's end reads the zero coefficient appended after
+    # the last breakpoint
     out += 0.5 * (zeroth[end] - zeroth[start])
     b_pad, half_c = np.append(b, b[-1]), np.append(0.5 * c, 0.0)
     lanes = [a.reshape(-1) for a in (X, np.broadcast_to(0.5 / roots, shape), start, end - start)]
     sums = np.zeros(x.size * roots.size)
-    for i in range(0, sums.size, _HEAT_LANES):
-        lane_x, half_inv, first, width = (a[i : i + _HEAT_LANES] for a in lanes)
-        acc = sums[i : i + _HEAT_LANES]
-        for k in range(width.max(initial=0)):
+    # as many lanes per block as the call's widest window leaves room for
+    step = max(1, _HEAT_LANES // max(lanes[3].max(initial=0), 1))
+    for i in range(0, sums.size, step):
+        lane_x, half_inv, first, width = (a[i : i + step] for a in lanes)
+        acc = sums[i : i + step]
+        top = width.max()
+        rows = _HEAT_LANES // acc.size  # below `top` only in a one-lane block
+        for k0 in range(0, top, rows):
+            k = np.arange(k0, min(k0 + rows, top))[:, None]
             idx = np.where(k < width, first + k, b.size)
-            acc += half_c[idx] * _erf((lane_x - b_pad[idx]) * half_inv)
+            terms = half_c[idx] * _erf((lane_x - b_pad[idx]) * half_inv)
+            # each lane's sum runs down the offsets in breakpoint order,
+            # carried on from the block's previous rows; np.add.reduce would
+            # add a one-lane block pairwise instead
+            terms[0] += acc
+            acc[:] = np.add.accumulate(terms, axis=0)[-1]
     out += sums.reshape(shape)
     out[np.isnan(x)] = np.nan
     return out
@@ -427,8 +460,8 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return last, n * (x * last - before) / ((x - 1.0) * (x + 1.0))
 
 
-#: Cap on the Newton steps of _leggauss; at most 4 are taken for n <= 256
-#: (3 for 46 <= n <= 256).
+#: Cap on the Newton steps of _leggauss; at most 4 are taken for n <= 64
+#: (3 for 46 <= n <= 64, as for every n up to 256).
 _NEWTON_STEPS = 10
 
 
@@ -440,13 +473,14 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     (1 - (n - 1)/(8n^3) - (39 - 28/sin^2 t)/(384n^4)) cos t,
     t = pi (k - 1/4)/(n + 1/2) (Hale and Townsend, SIAM J. Sci. Comput. 35
     (2013)), in O(n^2) array operations and without LAPACK; it settles
-    within 4 steps for every n <= MAX_PANEL_NODES.  The weights are
-    2 / ((1 - x)(1 + x) P_n'(x)^2), taken to first order at the root
-    x - P_n(x)/P_n'(x) rather than at the rounded node x, whose rounding
-    error e would move the weight by 2xe / (1 - x^2) relative: against
-    40-digit values they err by at most 7.5e-15 and 8.6e-14 at n = 64 and
-    256, against 1.2e-13 and 1.9e-13 at the rounded node.  Nodes and
-    weights are then made exactly symmetric about 0.
+    within 4 steps for every n <= MAX_PANEL_NODES, each a sweep of n - 1
+    recurrence steps.  The weights are 2 / ((1 - x)(1 + x) P_n'(x)^2),
+    taken to first order at the root x - P_n(x)/P_n'(x) rather than at the
+    rounded node x, whose rounding error e would move the weight by
+    2xe / (1 - x^2) relative: against 40-digit values they err by at most
+    3.4e-15 and 7.5e-15 at n = 16 and 64 (8.6e-14 at n = 256), against
+    1.2e-13 at the rounded node at n = 64.  Nodes and weights are then
+    made exactly symmetric about 0.
     """
     theta = np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)
     x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
@@ -467,10 +501,11 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Largest Gauss-Legendre rule used as one panel.  Building an n-node rule
-#: takes O(n^2) work, and its edge weights lose accuracy as n grows (within
-#: 3e-13 relative at n = 256); larger budgets are split into panels, which
-#: share one cached rule.
-MAX_PANEL_NODES = 256
+#: takes O(n^2) work, n - 1 recurrence steps per Newton sweep, and its edge
+#: weights lose accuracy as n grows (7.5e-15 relative at n = 64, 8.6e-14 at
+#: n = 256); larger budgets are split into panels, which share at most two
+#: cached rules.
+MAX_PANEL_NODES = 64
 
 
 def gauss_legendre_integrate(fn, a: float, b: float, n: int) -> float:
@@ -478,20 +513,27 @@ def gauss_legendre_integrate(fn, a: float, b: float, n: int) -> float:
 
     The n nodes go to ceil(n / MAX_PANEL_NODES) equal-width panels whose
     node counts differ by at most one, so n <= MAX_PANEL_NODES is a single
-    rule.  The weighted terms of each panel, and then the panel sums, are
+    rule; fn is called once per group of equal-size panels, on all of their
+    nodes.  The weighted terms of each panel, and then the panel sums, are
     added with exact summation, so refinement comparisons probe the rule
     itself rather than accumulation noise.
     """
-    if n < 1:
-        raise BadRange("quadrature needs at least one node")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise BadRange(f"quadrature needs a positive integer node count, got {n!r}")
+    n = int(n)
     pieces = -(-n // MAX_PANEL_NODES)
     cuts = np.linspace(a, b, pieces + 1)
+    # the first n % pieces panels take one node more than the others
+    split = n % pieces
     panels = []
-    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        nodes, weights = _leggauss(n // pieces + (k < n % pieces))
+    for group, size in ((slice(0, split), n // pieces + 1), (slice(split, pieces), n // pieces)):
+        lo, hi = cuts[:-1][group, None], cuts[1:][group, None]
+        if not lo.size:
+            continue
+        nodes, weights = _leggauss(size)
         half = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        panels.append(half * math.fsum(weights * fn(mid + half * nodes)))
+        values = fn(((hi + lo) / 2.0 + half * nodes).reshape(-1)).reshape(lo.size, size)
+        panels += [h * math.fsum(terms) for h, terms in zip(half[:, 0], weights * values)]
     return math.fsum(panels)
 
 

@@ -165,6 +165,16 @@ class TestReduction:
         with pytest.raises(BadRange):
             exp_reduction_constant(10**12)
 
+    @pytest.mark.parametrize("nodes", [2048.0, 2048.5])
+    def test_rejects_a_budget_that_is_not_an_integer(self, nodes):
+        with pytest.raises(BadRange):
+            exp_reduction_constant(nodes)
+
+    @pytest.mark.parametrize("nodes", [64, 65, 2048, 200_000])
+    def test_value_is_half_to_the_last_bits(self, nodes):
+        # measured: 0.5 at 2048 and 200,000 nodes, within 2.3e-16 at 64 and 65
+        assert abs(exp_reduction_constant(nodes) - 0.5) <= 1e-15
+
 
 class TestRatioReport:
     @pytest.mark.parametrize("denominator", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])

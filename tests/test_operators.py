@@ -281,6 +281,104 @@ class TestWindowedHeat:
             assert abs(value - float(want)) <= 2e-15
 
 
+def wide_step_function(clustered=False):
+    """10,000 cells 0.001 wide after one far breakpoint: at s = 1 the window
+    of a point in [0, 10] holds every breakpoint, past _HEAT_LANES.  Without
+    the far breakpoint (clustered) the first ones collapse to their Taylor
+    expansion instead: 63 of them at s = 16."""
+    bps = np.arange(10_001) / 1000.0
+    if not clustered:
+        bps = np.concatenate(([-100.0], bps[:-1]))
+    return make_pcf(bps, ((np.arange(10_000) * 37) % 11 - 5) / 4.0)
+
+
+class TestWideWindows:
+    @pytest.mark.parametrize("points", [1, 200])
+    def test_erf_calls_follow_the_terms(self, monkeypatch, points):
+        # a window wider than _HEAT_LANES is one lane, split along its
+        # offsets into ceil(terms / _HEAT_LANES) erf calls; the values are
+        # the one-pair values bit for bit and agree with the dense sum
+        f = wide_step_function()
+        xs = np.arange(points) * (10.0 / points) + 0.0125
+        shapes = []
+        erf = operators._erf
+
+        def recording(x):
+            shapes.append(np.shape(x))
+            return erf(x)
+
+        monkeypatch.setattr(operators, "_kernel_cdf", lambda w: 0.5 + 0.5 * erf(0.5 * w))
+        monkeypatch.setattr(operators, "_erf", recording)
+        got = heat_apply_many(f, 1.0, xs)
+        monkeypatch.undo()
+        widths = np.searchsorted(f.breakpoints_array, xs + 16.0, side="right")
+        widths -= np.searchsorted(f.breakpoints_array, xs - 16.0)
+        assert widths.min() > operators._HEAT_LANES
+        assert all(lanes == 1 and rows <= operators._HEAT_LANES for rows, lanes in shapes)
+        assert len(shapes) == sum(-(-int(w) // operators._HEAT_LANES) for w in widths)
+        assert sum(rows for rows, _ in shapes) == widths.sum()
+        assert got.tolist() == [heat_apply(f, 1.0, x) for x in xs]
+        assert np.all(np.abs(got - dense_heat(f, 1.0, xs)) <= 1e-12)
+
+
+#: float.hex of heat values frozen from the per-offset kernel that preceded
+#: the blocked one: any reordering of a sum shows here, where the pinned
+#: reports compare at 1e-12 relative only.  Witness cases: base, k_min,
+#: scales (0, 1, j*, j* + 3), then the origin and three series points
+#: +-a^-(j* + 1 + m/10), m = 0, 7, 45, one row per scale.
+PINNED_WITNESS_HEAT = [
+    (2.0, -300, (0, 1, 5, 8),
+     ("0x0.0p+0", "0x1.0000000000000p-6", "-0x1.3b2c47bff8328p-7", "0x1.6a09e667f3bcdp-11"),
+     (("0x1.3ca4aa842ba6ep-4", "0x1.3ee26ea82fabap-4", "0x1.3b407b74bff00p-4", "0x1.3cbe26aa028dcp-4"),
+      ("0x1.57396845db070p-4", "0x1.619d025518d94p-4", "0x1.50e31af2cf250p-4", "0x1.57ae52cdf1d0cp-4"),
+      ("0x1.41e21ef6d7980p-7", "-0x1.38259394ecf00p-8", "0x1.7b0459487d040p-7", "0x1.383b90d02d180p-7"),
+      ("-0x1.41e21ef6d7980p-7", "-0x1.04e27fb66b780p-3", "-0x1.10df01966a000p-12", "-0x1.b4ca96d63f400p-8"))),
+    (3.0, -300, (0, 1, 3, 6),
+     ("0x0.0p+0", "0x1.948b0fcd6e9e0p-7", "-0x1.76fb4e6aa26a3p-8", "0x1.711660f73c86bp-14"),
+     (("0x1.ef1292d610cbap-4", "0x1.f183288d39918p-4", "0x1.edeed3ed4e3f8p-4", "0x1.ef170c9d87edep-4"),
+      ("0x1.a186ebe892780p-4", "0x1.b7491f4cb2928p-4", "0x1.97a56b0b84810p-4", "0x1.a1ae152254becp-4"),
+      ("0x1.5c1c41baf4178p-4", "0x1.fffb6fd6d76f8p-4", "0x1.18add04945390p-4", "0x1.5d32c8156d9c0p-4"),
+      ("-0x1.5c1c41baf4178p-4", "-0x1.725eb2d958000p-16", "0x1.0d4aa16a6e2b8p-13", "-0x1.79f9b442e70b8p-4"))),
+    (8.0, -400, (0, 1, 2, 5),
+     ("0x0.0p+0", "0x1.0000000000000p-9", "-0x1.ddb680117ab0fp-12", "0x1.6a09e667f3bcdp-23"),
+     (("0x1.94cb7d122e33ap-3", "0x1.950916c590625p-3", "0x1.94bd18dd25328p-3", "0x1.94cb7e6f170dap-3"),
+      ("0x1.58da598759038p-5", "0x1.6d73e4daf04f8p-5", "0x1.541a240e26860p-5", "0x1.58daccfde0960p-5"),
+      ("-0x1.58da5563e1bf0p-5", "-0x1.04215926f0298p-4", "-0x1.336b6f78ed0a0p-5", "-0x1.58ddf11964130p-5"),
+      ("0x1.58da5563e1bf0p-5", "0x0.0p+0", "-0x1.72131c6b6ffc2p-88", "0x1.6017c5e8baea0p-5"))),
+]
+
+#: The same for wide_step_function at the points 0, 3.7, 5, 9.99 and 12.5.
+PINNED_WIDE_HEAT = {
+    1.0: ("-0x1.3ff6c19eb4273p-1", "-0x1.6bf0bb98b2700p-8", "-0x1.0ab27cbbeb800p-12",
+          "-0x1.27c918a8d6000p-14", "-0x1.f2309b4260000p-17"),
+    0.25: ("-0x1.3fed834158646p-1", "-0x1.bffba58000000p-24", "-0x1.0e60000000000p-40",
+           "-0x1.27bfa63a20000p-13", "-0x1.2977d45c00000p-22"),
+}
+
+#: The same for wide_step_function(clustered=True) at s = 16 and the points
+#: -0.5, 0, 0.004, 3.7, 5 and 12.5: the order of the Taylor sums shows here.
+PINNED_CLUSTERED_HEAT = (
+    "-0x1.33d5d6c4a1400p-14", "-0x1.3746d5880c000p-14", "-0x1.374bc40190c00p-14",
+    "-0x1.168d865290800p-14", "-0x1.f43ff1e9be000p-15", "-0x1.7352fa5b1e000p-16",
+)
+
+
+class TestHeatBits:
+    @pytest.mark.parametrize("a, k_min, js, ys, want", PINNED_WITNESS_HEAT, ids=["a2", "a3", "a8"])
+    def test_witness_values(self, a, k_min, js, ys, want):
+        got = heat_of_g_matrix(a, k_min, js, [float.fromhex(y) for y in ys])
+        assert [[v.hex() for v in row] for row in got.tolist()] == [list(row) for row in want]
+
+    @pytest.mark.parametrize("s", sorted(PINNED_WIDE_HEAT))
+    def test_wide_window_values(self, s):
+        got = heat_apply_many(wide_step_function(), s, [0.0, 3.7, 5.0, 9.99, 12.5])
+        assert [v.hex() for v in got.tolist()] == list(PINNED_WIDE_HEAT[s])
+
+    def test_collapsed_cluster_values(self):
+        got = heat_apply_many(wide_step_function(clustered=True), 16.0, [-0.5, 0.0, 0.004, 3.7, 5.0, 12.5])
+        assert [v.hex() for v in got.tolist()] == list(PINNED_CLUSTERED_HEAT)
+
+
 class TestHilbert:
     def test_quarter_point(self):
         assert hilbert_apply(UNIT, 0.25) == pytest.approx(-math.log(3.0), rel=1e-14)
@@ -361,10 +459,11 @@ class TestGaussLegendre:
 
 class TestGaussLegendrePanels:
     def test_small_rule_is_one_panel(self):
-        # n <= 256 is the plain rule, term for term
-        nodes, weights = operators._leggauss(200)
-        want = 1.5 * math.fsum(weights * np.exp(-(1.5 + 1.5 * nodes)))
-        assert gauss_legendre_integrate(lambda t: np.exp(-t), 0.0, 3.0, 200) == want
+        # n <= 64 is the plain rule, term for term
+        for n in (1, 17, 64):
+            nodes, weights = operators._leggauss(n)
+            want = 1.5 * math.fsum(weights * np.exp(-(1.5 + 1.5 * nodes)))
+            assert gauss_legendre_integrate(lambda t: np.exp(-t), 0.0, 3.0, n) == want
 
     @pytest.mark.parametrize("n, weight_bound", [(16, 4e-15), (64, 1e-13), (256, 3e-13)])
     def test_rule_matches_40_digit_newton(self, n, weight_bound):
@@ -417,11 +516,36 @@ class TestGaussLegendrePanels:
             return original(n)
 
         monkeypatch.setattr(operators, "_leggauss", recording)
-        gauss_legendre_integrate(np.cos, 0.0, 1.0, 1000)
-        assert sizes == [250, 250, 250, 250]
+        calls = []
+
+        def integrand(x):
+            calls.append(x.size)
+            return np.cos(x)
+
+        # one rule and one integrand call per group of equal-size panels:
+        # 8 panels of 63 nodes and 8 of 62, then 1 of 58 and 8 of 57
+        gauss_legendre_integrate(integrand, 0.0, 1.0, 1000)
+        assert sizes == [63, 62] and calls == [8 * 63, 8 * 62]
         sizes.clear()
-        gauss_legendre_integrate(np.cos, 0.0, 1.0, 514)
-        assert sizes == [172, 171, 171]
+        calls.clear()
+        gauss_legendre_integrate(integrand, 0.0, 1.0, 514)
+        assert sizes == [58, 57] and calls == [58, 8 * 57]
+        sizes.clear()
+        calls.clear()
+        gauss_legendre_integrate(integrand, 0.0, 1.0, 128)
+        assert sizes == [64] and calls == [128]
+
+    @pytest.mark.parametrize("n", [65, 514, 1000, 2048])
+    def test_grouped_panels_match_one_call_per_panel(self, n):
+        # each panel is the plain rule on its own cut, summed as before
+        pieces = -(-n // operators.MAX_PANEL_NODES)
+        cuts = np.linspace(-0.5, 3.0, pieces + 1)
+        panels = []
+        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            nodes, weights = operators._leggauss(n // pieces + (k < n % pieces))
+            half, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
+            panels.append(half * math.fsum(weights * np.exp(mid + half * nodes)))
+        assert gauss_legendre_integrate(np.exp, -0.5, 3.0, n) == math.fsum(panels)
 
     def test_subordination_mass_at_2048_nodes(self):
         def weight(t):
@@ -432,6 +556,15 @@ class TestGaussLegendrePanels:
     def test_rejects_empty_rule(self):
         with pytest.raises(BadRange):
             gauss_legendre_integrate(np.cos, 0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("n", [16.0, 2048.5, "64", None])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, n):
+        with pytest.raises(BadRange):
+            gauss_legendre_integrate(np.cos, 0.0, 1.0, n)
+
+    def test_numpy_integer_node_count_runs_as_an_int(self):
+        want = gauss_legendre_integrate(np.cos, 0.0, 1.0, 100)
+        assert gauss_legendre_integrate(np.cos, 0.0, 1.0, np.int64(100)) == want
 
 
 class TestRepresentation:

@@ -208,24 +208,33 @@ class TestHeatOfSign:
         assert sizes and max(sizes) <= len(js) * ys.size
 
     @pytest.mark.parametrize(
-        "js, ys",
+        "js, ys, offset_loop_count",
         [
-            pytest.param(range(40), np.linspace(-1.5, 1.5, 68), id="profile-block"),
-            pytest.param(range(32), np.zeros(1), id="key-table"),
+            # the per-offset loop evaluated 10 offsets of every pair
+            pytest.param(range(40), np.linspace(-1.5, 1.5, 68), 27_200, id="profile-block"),
+            pytest.param(range(32), np.zeros(1), 320, id="key-table"),
         ],
     )
-    def test_window_erf_arguments_are_one_per_pair(self, monkeypatch, js, ys):
-        # the window terms go to the erf directly, one offset per call
-        sizes = []
+    def test_window_erf_arguments_are_one_per_pair(self, monkeypatch, js, ys, offset_loop_count):
+        # the window terms go to the erf directly, as (offset x lane) blocks
+        # of at most _HEAT_LANES terms; each pair is a lane of exactly one
+        # block, so no term is evaluated twice, and a block pads its lanes
+        # only to its own widest window, never past the count of the loop
+        # that took one erf call per offset over all pairs
+        shapes = []
 
         def recording(x):
-            sizes.append(np.size(x))
+            shapes.append(np.shape(x))
             return erf(x)
 
         erf = operators._erf
+        monkeypatch.setattr(operators, "_kernel_cdf", lambda w: 0.5 + 0.5 * erf(0.5 * w))
         monkeypatch.setattr(operators, "_erf", recording)
         heat_of_g_matrix(A, -300, js, ys)
-        assert len(sizes) > 1 and max(sizes) <= len(js) * ys.size
+        sizes = [math.prod(shape) for shape in shapes]
+        assert shapes and max(sizes) <= operators._HEAT_LANES
+        assert sum(lanes for _, lanes in shapes) == len(js) * ys.size
+        assert sum(sizes) <= offset_loop_count
 
     @pytest.mark.parametrize("a", [2.0, math.e, 1.5, 3.0])
     @pytest.mark.parametrize("k_min", [-1, -40, -300])
