@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .corefn import MIN_FIT_POINTS, fit_power_law
-from .errors import BadRange, EmptyInput, VarlatError
+from .errors import BadRange, EmptyInput, NonFiniteValue, VarlatError
 from .experiments import (
     DEFAULT_BASE,
     DEFAULT_J0,
@@ -469,7 +469,10 @@ def _variation(resolved: dict, config: None) -> Outcome:
     except ValueError as exc:
         raise BadRange(f"{path}: {exc}") from None
     del tokens
-    certificate = qvariation(values, resolved["q"])
+    try:
+        certificate = qvariation(values, resolved["q"])
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: {exc}") from None
     return Outcome(True, (), None, {"value": certificate.value, "subsequence": certificate.subsequence})
 
 

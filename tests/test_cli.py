@@ -215,6 +215,20 @@ class TestVariationCommand:
         want = f"error: {values}: could not convert string to float: 'two'\n"
         assert capsys.readouterr().err == want
 
+    @pytest.mark.parametrize("q", ["1", "2", "3"])
+    def test_normal_gap_below_1e_300_counts(self, tmp_path, capsys, q):
+        values = tmp_path / "values.txt"
+        values.write_text("0 1e-301")
+        assert run(["variation", "--values", str(values), "--q", q]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1e-301", "0 1"]
+
+    @pytest.mark.parametrize("token", ["nan", "1e309", "-inf"])
+    def test_non_finite_value_names_the_file(self, tmp_path, capsys, token):
+        values = tmp_path / "values.txt"
+        values.write_text(f"0 1 {token} 3")
+        assert run(["variation", "--values", str(values)]) == 2
+        assert capsys.readouterr().err == f"error: {values}: variation input contains a NaN or infinity\n"
+
     @pytest.mark.parametrize(
         "values, q, code, out",
         [

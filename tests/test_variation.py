@@ -1,4 +1,6 @@
+import bisect
 import math
+import random
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -115,6 +117,127 @@ def candidate_counts(values):
     return counts
 
 
+def stack_dp_oracle(w, q):
+    """The witness DP as it ran with both monotone stacks kept in Python.
+
+    One turning point at a time it pops the own type's stack, reads the
+    candidates off the other stack with a bisection, and settles a column
+    with at most 32 candidates on Python floats, a wider one on numpy; the
+    gap powers come from variation._gap_powers in batches of 256 gaps.  It
+    takes the zigzag as a list and returns (largest chain sum, chain); the
+    oracle for the candidate arrays of variation._witness_dp, which must
+    match it bit for bit.
+    """
+    narrow, batch = 32, 256
+    gap_powers = variation._gap_powers
+    m = len(w)
+    best = [0.0] * m
+    pred = [-1] * m
+    stacks = ([], [])
+    mirror_val = (np.empty(m), np.empty(m))
+    mirror_best = (np.empty(m), np.empty(m))
+    synced = [0, 0]
+    columns = []
+    pending = 0
+
+    def pending_gaps():
+        return [abs(w[j] - w[i]) for j, candidates in columns for i in candidates]
+
+    def settle(powers):
+        k = 0
+        for j, candidates in columns:
+            top, arg = 0.0, -1
+            for i in candidates:
+                total = best[i] + powers[k]
+                k += 1
+                if total > top:
+                    top, arg = total, i
+            if arg >= 0:
+                best[j], pred[j] = top, arg
+        columns.clear()
+
+    first_is_peak = int(m > 1 and w[0] > w[1])
+    for j, wj in enumerate(w):
+        own = (j & 1) ^ first_is_peak
+        stack, other = stacks[own], stacks[own ^ 1]
+        if own:
+            while stack and w[stack[-1]] <= wj:
+                stack.pop()
+        else:
+            while stack and w[stack[-1]] >= wj:
+                stack.pop()
+        if len(stack) < synced[own]:
+            synced[own] = len(stack)
+        start = bisect.bisect_right(other, stack[-1]) if stack else 0
+        end = len(other)
+        if end - start > narrow:
+            t = own ^ 1
+            fresh = other[synced[t] :]
+            mirror_val[t][synced[t] : end] = [w[i] for i in fresh]
+            buf = np.empty(pending + end - start)
+            buf[:pending] = pending_gaps()
+            np.subtract(wj, mirror_val[t][start:end], out=buf[pending:])
+            np.abs(buf[pending:], out=buf[pending:])
+            powers = gap_powers(buf, q)
+            settle(powers[:pending].tolist())
+            mirror_best[t][synced[t] : end] = [best[i] for i in fresh]
+            synced[t] = end
+            cand = powers[pending:]
+            cand += mirror_best[t][start:end]
+            k = int(cand.argmax())
+            if cand[k] > 0.0:
+                best[j], pred[j] = float(cand[k]), other[start + k]
+            pending = 0
+        elif start < end:
+            columns.append((j, other[start:]))
+            pending += end - start
+            if pending >= batch:
+                settle(gap_powers(np.array(pending_gaps()), q).tolist())
+                pending = 0
+        stack.append(j)
+    if columns:
+        settle(gap_powers(np.array(pending_gaps()), q).tolist())
+    top = max(best)
+    chain = [best.index(top)]
+    while pred[chain[-1]] >= 0:
+        chain.append(pred[chain[-1]])
+    chain.reverse()
+    return top, chain
+
+
+def zigzag(values):
+    """The strict turning points of values, as qvariation's DP sees them."""
+    v = np.asarray(values, dtype=float)
+    return v[variation._turning_points(v)]
+
+
+def long_series(seed):
+    """The benchmark's long-series input: 20,000 normals from random.Random(seed)."""
+    r = random.Random(seed)
+    return [r.gauss(0.0, 1.0) for _ in range(20_000)]
+
+
+def random_walk(n):
+    return np.cumsum(np.random.default_rng(1).standard_normal(n))
+
+
+def staircase(n):
+    """Trough t at -10 floor(t / 34) + 0.01 (t mod 34), then peak t at
+    1000 + t: each peak is a record, so P[j] = -1 for every peak, and the
+    trough stack grows to 34 before a lower block clears it, so the peaks
+    late in each block are wide columns."""
+    t = np.arange(n // 2)
+    values = np.empty(2 * t.size)
+    values[0::2] = -10.0 * (t // 34) + 0.01 * (t % 34)
+    values[1::2] = 1000.0 + t
+    return values
+
+
+def diverging_zigzag(n):
+    k = np.arange(n)
+    return np.where(k % 2 == 0, 1.0, -1.0) * 1.0001**k
+
+
 def dp_chain_sum(values, chain, q):
     """Sum of floored gap powers along a chain, added in the DP's order."""
     v = np.asarray(values, dtype=float)
@@ -162,6 +285,22 @@ class TestQVariationExamples:
         cert = qvariation((0.0, 1e-310, 0.0), 2.0)
         assert cert.value == 0.0
         assert cert.subsequence == ()
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "values, witness",
+        [((0.0, 1e-301), (0, 1)), ((0.0, 2e-300, 1.5e-300), (0, 1, 2))],
+        ids=["one-gap", "two-gaps"],
+    )
+    def test_normal_gaps_below_1e_300_count(self, values, witness, q):
+        # only subnormal gaps are floored: these are normal doubles, and
+        # the sequence runs rescaled where their powers underflow
+        with mpmath.workdps(40):
+            along = [mpmath.mpf(values[i]) for i in witness]
+            exact = sum(abs(b - a) ** q for a, b in zip(along, along[1:])) ** (1 / mpmath.mpf(q))
+        cert = qvariation(values, q)
+        assert cert.subsequence == witness
+        assert cert.value == pytest.approx(float(exact), rel=1e-15)
 
     def test_value_only_variant_agrees(self, rng):
         # the witness DP (qvariation_value) against the row recurrence
@@ -537,12 +676,132 @@ class TestCandidateRuleAgainstOracle:
         qvariation(values, 3.0)
         counts = candidate_counts(values)
         wide = sum(c > variation._NARROW for c in counts)
-        narrow_gaps = sum(c for c in counts if c <= variation._NARROW)
         # each candidate's gap is taken once, and the same linear total as
         # in test_candidate_work_stays_linear
         assert sum(sizes) == sum(counts) < 10 * values.size
-        # one call per full batch, one per wide column, one for the rest
-        assert len(sizes) <= narrow_gaps / variation._POWER_BATCH + wide + 1
+        # one call per _POWER_BATCH columns (column 0 has no candidates),
+        # one per wide column
+        chunks = -(-(len(counts) - 1) // variation._POWER_BATCH)
+        assert len(sizes) <= chunks + wide
+
+
+STACK_ORACLE_INPUTS = {
+    "long-series-0": lambda: long_series(0),
+    "long-series-1": lambda: long_series(1),
+    "long-series-2": lambda: long_series(2),
+    "normals-200k": lambda: [r.gauss(0.0, 1.0) for r in [random.Random(0)] for _ in range(200_000)],
+    "random-walk-100k": lambda: random_walk(100_000),
+    "rising-sawtooth-4000": lambda: rising_sawtooth(4000),
+    "staircase-40k": lambda: staircase(40_000),
+}
+
+
+class TestWitnessDPAgainstStackOracle:
+    """The DP's candidate arrays against the DP that kept both monotone
+    stacks in Python: the same value and witness, bit for bit."""
+
+    @pytest.mark.parametrize("shape", list(STACK_ORACLE_INPUTS))
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_matches_stack_oracle(self, shape, q):
+        w = zigzag(STACK_ORACLE_INPUTS[shape]())
+        assert variation._witness_dp(w, q) == stack_dp_oracle(w.tolist(), q)
+
+    @pytest.mark.parametrize(
+        "seed, value, length",
+        [(0, "0x1.b1ee36122bb65p+5", 7057), (1, "0x1.b3ea0528bf450p+5", 6947), (2, "0x1.b1d0f2a3e438dp+5", 6946)],
+    )
+    def test_long_series_values_are_pinned(self, seed, value, length):
+        # frozen from the stack DP
+        cert = qvariation(long_series(seed), 3.0)
+        assert cert.value.hex() == value and len(cert.subsequence) == length
+
+    def test_traced_peak_stays_below_the_parse(self):
+        # the CLI parses the values before the DP runs, so the DP adds
+        # nothing to the command's peak while its arrays stay smaller
+        text = "\n".join(repr(x) for x in long_series(0))
+        tracemalloc.start()
+        try:
+            values = np.array(text.replace(",", " ").split(), dtype=float)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        w = zigzag(values)
+        tracemalloc.start()
+        try:
+            variation._witness_dp(w, 3.0)
+            dp_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dp_peak <= parse_peak
+
+    def test_staircase_peaks_are_records_and_some_are_wide(self, monkeypatch):
+        w = zigzag(staircase(40_000))
+        key = w.copy()
+        key[0::2] *= -1  # troughs first: their key is the negated value
+        previous, _ = variation._previous_above(key)
+        assert np.all(previous[1::2] == -1)
+        tops = []
+        real = variation._StackMirror.top
+
+        def recording(self, j, best):
+            tops.append(j)
+            return real(self, j, best)
+
+        monkeypatch.setattr(variation._StackMirror, "top", recording)
+        variation._witness_dp(w, 3.0)
+        # the peaks after troughs 32 and 33 of each block of 34: 33 and 34
+        # candidates, one more than _NARROW and two
+        blocks = w.size // 68
+        assert len(tops) == 2 * blocks and all(j % 2 == 1 for j in tops)
+
+    @pytest.mark.parametrize(
+        "shape", ["normals", "random_walk", "rising_sawtooth", "staircase", "diverging_zigzag"]
+    )
+    def test_previous_extremes_take_linear_work(self, monkeypatch, shape):
+        works = []
+        real = variation._previous_above
+
+        def recording(key):
+            previous, work = real(key)
+            works.append(work)
+            return previous, work
+
+        monkeypatch.setattr(variation, "_previous_above", recording)
+        values = {
+            "normals": lambda: np.random.default_rng(0).standard_normal(200_000),
+            "random_walk": lambda: random_walk(100_000),
+            "rising_sawtooth": lambda: rising_sawtooth(4000),
+            "staircase": lambda: staircase(40_000),
+            "diverging_zigzag": lambda: diverging_zigzag(20_000),
+        }[shape]()
+        qvariation(values, 3.0)
+        assert len(works) == 1 and works[0] <= 10 * zigzag(values).size
+
+    @pytest.mark.parametrize("shape", ["random_walk", "rising_sawtooth", "staircase"])
+    def test_wide_columns_touch_linear_entries(self, monkeypatch, shape):
+        mirrors, sizes = [], []
+        real_mirror, real_powers = variation._StackMirror, variation._gap_powers
+
+        class Recording(real_mirror):
+            def __init__(self, P, w):
+                super().__init__(P, w)
+                mirrors.append(self)
+
+        def counting(gaps, q):
+            sizes.append(gaps.size)
+            return real_powers(gaps, q)
+
+        monkeypatch.setattr(variation, "_StackMirror", Recording)
+        monkeypatch.setattr(variation, "_gap_powers", counting)
+        values = {
+            "random_walk": lambda: random_walk(100_000),
+            "rising_sawtooth": lambda: rising_sawtooth(4000),
+            "staircase": lambda: staircase(40_000),
+        }[shape]()
+        qvariation(values, 3.0)
+        # the mirrors take each point at most once, plus the candidates
+        # they hand over; sizes sum to every column's candidates
+        assert mirrors and sum(mirror.touched for mirror in mirrors) <= 2 * sum(sizes)
 
 
 class TestTotalVariation:
@@ -716,6 +975,17 @@ class TestGapPowersOutOfRange:
             cert = call()
             assert cert.value == pytest.approx(expected, rel=1e-14), name
             assert cert.subsequence == witness, name
+
+    def test_rescale_that_ties_turning_points(self):
+        # the cubes of 2e150 overflow, and 2^-499 flushes the tiny turning
+        # points 5e-324, 2.2e-308 and 1e-301 to 0 next to 2e-300's 0: the
+        # zigzag stops alternating, and the DP runs on its turning points
+        values = (2e-300, 1.5e-300, 5e-324, 1e150, 3e-160, 2.225073858507201e-308, 1e-301, -1e150)
+        cert = qvariation(values, 3.0)
+        with np.errstate(over="ignore"):  # the oracle's span**q overflows
+            assert cert == witness_dp_oracle(values, 3.0)
+        assert cert.subsequence == (0, 3, 7)
+        assert cert.value == pytest.approx(9.0 ** (1 / 3) * 1e150, rel=1e-15)
 
 
 class TestChainSumOverflow:
